@@ -33,6 +33,7 @@ from .targets import (
     make_target,
     partition as partition_rows,
     read_dataset_csv,
+    shard_data,
     simulate_rare_feature_data,
     write_dataset_csv,
 )
@@ -104,15 +105,10 @@ def _cmd_sample(args) -> None:
                 f"assignment covers {split.assignment.size} rows, dataset has {dataset.n_rows}"
             )
         n_batches = split.n_batches
-        batch_data = [
-            (dataset.x[split.indices(b)], dataset.y[split.indices(b)])
-            for b in range(n_batches)
-        ]
-        full_batch = (dataset.x, dataset.y)
+        batch_data = shard_data(dataset, split)
     else:
         n_batches = args.batches
         batch_data = [None] * n_batches
-        full_batch = None
 
     if args.convention == "inflated":
         model = target.with_powers(1.0, float(n_batches)) if dataset is not None else target
@@ -133,7 +129,7 @@ def _cmd_sample(args) -> None:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.convention == "full":
-        batch = sample(model, full_batch, config, batch_id=0, stream_id=n_batches)
+        batch = sample(model, None, config, batch_id=0, stream_id=n_batches)
         write_batch(out / "full.csv", batch)
         print(f"wrote full-data chain ({batch.n_draws} draws) to {out / 'full.csv'}")
         return

@@ -51,6 +51,7 @@ from .targets import (
     gaussian_conjugate_suite,
     make_target,
     partition,
+    shard_data,
     simulate_rare_feature_data,
 )
 
@@ -284,14 +285,9 @@ def _run_repetition(config: ExperimentConfig, dataset, rep: int) -> ExperimentRe
                 config.partition_scheme,
                 seed=mix_seed(config.seed, rep, _PARTITION_STREAM),
             )
-            batch_data = [
-                (dataset.x[split.indices(b)], dataset.y[split.indices(b)])
-                for b in range(n_batches)
-            ]
-            full_batch = (dataset.x, dataset.y)
+            batch_data = shard_data(dataset, split)
         else:
             batch_data = [None] * n_batches
-            full_batch = None
 
         inflated_model = base.with_powers(1.0, float(n_batches)) if sharded else base
         subpost_model = base.with_powers(1.0 / n_batches, 1.0) if sharded else base
@@ -312,7 +308,8 @@ def _run_repetition(config: ExperimentConfig, dataset, rep: int) -> ExperimentRe
         )
 
         stage = "sampling (full-data reference)"
-        full_chain = sample(base, full_batch, chain_config, batch_id=0, stream_id=n_batches)
+        # no batch data: the model evaluates the full data it was built on
+        full_chain = sample(base, None, chain_config, batch_id=0, stream_id=n_batches)
         reference = full_chain.draws
 
         diagnostics = {"full": full_chain.diagnostics}

@@ -10,6 +10,7 @@ diagnostics.
 from __future__ import annotations
 
 import json
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +59,22 @@ def read_sample_csv(path) -> np.ndarray:
             raise ParseError(f"{path}:{line_no}: cannot parse a field as a number") from None
     if not rows:
         raise ParseError(f"{path}:2: no draws")
-    return np.asarray(rows)
+    draws = np.asarray(rows)
+    require_finite(path, lines, draws)
+    return draws
+
+
+def require_finite(path, lines: list, values: np.ndarray) -> None:
+    """Raise ParseError at the line of the first row of ``values`` that holds
+    a non-finite number; row i was parsed from the i-th non-blank line after
+    the header of ``lines``.  Only a failing check walks the lines."""
+    finite_rows = np.isfinite(values).all(axis=1)
+    if finite_rows.all():
+        return
+    bad_row = int(np.argmin(finite_rows))
+    line_nos = (no for no, line in enumerate(lines[1:], start=2) if line.strip())
+    line_no = next(islice(line_nos, bad_row, None))
+    raise ParseError(f"{path}:{line_no}: non-finite value (nan or inf)")
 
 
 def write_batch(path, batch: SampleBatch) -> None:

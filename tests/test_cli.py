@@ -213,6 +213,24 @@ class TestExitCodes:
         bad.write_text("param_0\n1.0\nzz\n")
         assert run_cli("evaluate", "--approx", str(bad), "--reference", str(bad)) == 1
 
+    def test_non_finite_token_in_input_is_usage_error(self, tmp_path, capsys):
+        good = tmp_path / "good.csv"
+        good.write_text("param_0,param_1\n0.5,0.1\n0.2,0.3\n0.4,0.7\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("param_0,param_1\n0.5,0.1\nnan,0.1\n0.4,0.7\n")
+        code = run_cli(
+            "combine", "--method", "swiss", "--out", str(tmp_path / "o.csv"), str(good), str(bad)
+        )
+        assert code == 1
+        assert "bad.csv:3" in capsys.readouterr().err
+        data = tmp_path / "d.csv"
+        data.write_text("y,x0\n1.0,1.0\n0.0,nan\n")
+        code = run_cli(
+            "partition", "--data", str(data), "--batches", "1", "--out", str(tmp_path / "a.csv")
+        )
+        assert code == 1
+        assert "d.csv:3" in capsys.readouterr().err
+
     def test_mutually_missing_assignment(self, tmp_path):
         data = tmp_path / "d.csv"
         run_cli("simulate", "--n", "50", "--seed", "0", "--out", str(data))

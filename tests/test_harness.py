@@ -17,7 +17,7 @@ from swissmc import (
     summarize_reports,
 )
 from swissmc.harness import laplace_pooling_moments
-from swissmc.targets import logistic_laplace
+from swissmc.targets import collapse_logistic, logistic_laplace
 
 
 def _tiny_config(**overrides):
@@ -146,8 +146,9 @@ class TestRunExperiment:
     def test_laplace_pooling_single_batch_is_full_laplace(self):
         data = simulate_rare_feature_data(2000, 27)
         model = make_target("logistic-rare", dataset=data).with_powers(1.0, 1.0)
-        oracle = laplace_pooling_moments(model, [(data.x, data.y)])
-        full = logistic_laplace(data.x, data.y)
+        whole = collapse_logistic(data.x, data.y)
+        oracle = laplace_pooling_moments(model, [whole])
+        full = logistic_laplace(whole)
         np.testing.assert_array_equal(oracle.mean, full.mean)
         np.testing.assert_array_equal(oracle.cov, full.cov)
 

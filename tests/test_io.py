@@ -35,6 +35,16 @@ class TestSampleCsv:
         with pytest.raises(ParseError, match=r"bad\.csv:3"):
             read_sample_csv(path)
 
+    def test_non_finite_value_is_parse_error_with_line(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        # the blank line is skipped, so the bad row is the third data row, line 5
+        path.write_text("param_0,param_1\n1.0,2.0\n\n3.0,4.0\nnan,0.1\n5.0,-inf\n")
+        with pytest.raises(ParseError, match=r"nan\.csv:5: non-finite"):
+            read_sample_csv(path)
+        path.write_text("param_0\n1.0\n-inf\n")
+        with pytest.raises(ParseError, match=r"nan\.csv:3: non-finite"):
+            read_batch(path)
+
     def test_ragged_row_line_number(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("param_0,param_1\n1.0,2.0\n3.0\n")

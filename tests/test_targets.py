@@ -24,9 +24,12 @@ from swissmc import (
 from swissmc.targets import (
     RARE_FEATURE_COEFS,
     RARE_FEATURE_RATES,
+    _logistic_grad_neg_hess,
+    collapse_logistic,
     logistic_laplace,
     logistic_log_likelihood_grad,
     logistic_mle,
+    shard_data,
     sigmoid,
 )
 
@@ -148,20 +151,22 @@ class TestLogisticModel:
     def test_zero_coefficients_give_n_log_half(self):
         x, y = self._toy()
         model = logistic_regression_model(x, y)
-        assert model.log_likelihood(np.zeros(3), (x, y)) == pytest.approx(-200 * math.log(2))
+        assert model.log_likelihood(np.zeros(3), collapse_logistic(x, y)) == pytest.approx(
+            -200 * math.log(2)
+        )
+        assert model.log_likelihood(np.zeros(3)) == pytest.approx(-200 * math.log(2))
 
     def test_gradient_matches_finite_differences(self):
         x, y = self._toy(seed=1)
         theta = np.array([0.3, -0.7, 1.1])
-        grad = logistic_log_likelihood_grad(theta, x, y)
+        grad = logistic_log_likelihood_grad(theta, collapse_logistic(x, y))
         model = logistic_regression_model(x, y)
         eps = 1e-6
         for j in range(3):
             bump = np.zeros(3)
             bump[j] = eps
             numeric = (
-                model.log_likelihood(theta + bump, (x, y))
-                - model.log_likelihood(theta - bump, (x, y))
+                model.log_likelihood(theta + bump) - model.log_likelihood(theta - bump)
             ) / (2 * eps)
             assert grad[j] == pytest.approx(numeric, rel=1e-5, abs=1e-5)
 
@@ -169,7 +174,7 @@ class TestLogisticModel:
         x = np.array([[1.0]])
         y = np.array([1.0])
         model = logistic_regression_model(x, y)
-        values = [model.log_likelihood(np.array([t]), (x, y)) for t in (0.0, 2.0, 5.0, 20.0)]
+        values = [model.log_likelihood(np.array([t])) for t in (0.0, 2.0, 5.0, 20.0)]
         assert all(a < b for a, b in zip(values, values[1:]))
         assert values[-1] == pytest.approx(0.0, abs=1e-8)
 
@@ -178,13 +183,13 @@ class TestLogisticModel:
         truth = np.array([0.8, -1.2])
         x = rng.standard_normal((20000, 2))
         y = (rng.random(20000) < sigmoid(x @ truth)).astype(float)
-        estimate = logistic_mle(x, y)
+        estimate = logistic_mle(collapse_logistic(x, y))
         np.testing.assert_allclose(estimate, truth, atol=0.08)
 
     def test_mle_handles_constant_column(self):
         x = np.column_stack([np.ones(100), np.zeros(100)])
         y = np.concatenate([np.ones(40), np.zeros(60)])
-        estimate = logistic_mle(x, y)
+        estimate = logistic_mle(collapse_logistic(x, y))
         assert abs(estimate[1]) < 1e-6  # flat direction pinned by the ridge
         assert estimate[0] == pytest.approx(math.log(40 / 60), abs=0.01)
 
@@ -194,14 +199,85 @@ class TestLogisticModel:
         inflated = model.with_powers(1.0, 5.0)
         theta = np.array([0.2, 0.1, -0.4])
         base_prior = model.log_prior(theta)
-        base_lik = model.log_likelihood(theta, (x, y))
-        assert inflated.log_density(theta, (x, y)) == pytest.approx(
+        base_lik = model.log_likelihood(theta)
+        assert inflated.log_density(theta) == pytest.approx(
             base_prior + 5.0 * base_lik, rel=1e-12
         )
 
     def test_rejects_non_binary_response(self):
         with pytest.raises(InvalidInputError):
             logistic_regression_model(np.zeros((5, 1)), np.array([0.0, 1.0, 2.0, 0.0, 1.0]))
+
+
+class TestSufficientStatistics:
+    """The collapsed (row, count, success sum) form against the row-wise formulas."""
+
+    @staticmethod
+    def _rare(seed=11):
+        data = simulate_rare_feature_data(4000, seed)
+        return data.x, data.y
+
+    @staticmethod
+    def _continuous(seed=12):
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([np.ones(500), rng.standard_normal((500, 3))])
+        y = (rng.random(500) < sigmoid(x @ np.array([-0.5, 1.0, -0.5, 0.25]))).astype(float)
+        return x, y
+
+    @staticmethod
+    def _row_wise(theta, x, y):
+        # reference: one term per data row
+        eta = x @ theta
+        p = 1.0 / (1.0 + np.exp(-eta))
+        loglik = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+        grad = x.T @ (y - p)
+        neg_hess = (x * (p * (1.0 - p))[:, None]).T @ x
+        return loglik, grad, neg_hess
+
+    @pytest.mark.parametrize("design", ["_rare", "_continuous"])
+    def test_matches_row_wise_formulas(self, design):
+        x, y = getattr(self, design)()
+        data = collapse_logistic(x, y)
+        model = logistic_regression_model(x, y)
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            theta = rng.standard_normal(x.shape[1])
+            loglik, grad, neg_hess = self._row_wise(theta, x, y)
+            assert model.log_likelihood(theta) == pytest.approx(loglik, rel=1e-12)
+            np.testing.assert_allclose(
+                logistic_log_likelihood_grad(theta, data), grad, rtol=1e-12,
+                atol=1e-12 * np.max(np.abs(grad)),
+            )
+            got_grad, got_neg_hess = _logistic_grad_neg_hess(theta, data, 0.0, 1.0)
+            np.testing.assert_allclose(got_grad, grad, rtol=1e-12, atol=1e-12 * np.max(np.abs(grad)))
+            np.testing.assert_allclose(
+                got_neg_hess, neg_hess, rtol=1e-12, atol=1e-12 * np.max(np.abs(neg_hess))
+            )
+
+    @pytest.mark.parametrize("design", ["_rare", "_continuous"])
+    def test_totals_and_distinct_rows(self, design):
+        x, y = getattr(self, design)()
+        data = collapse_logistic(x, y)
+        assert data.counts.sum() == x.shape[0]
+        assert data.successes.sum() == y.sum()
+        assert np.unique(data.rows, axis=0).shape == data.rows.shape
+        assert np.all((0 <= data.successes) & (data.successes <= data.counts))
+        if design == "_continuous":
+            assert data.rows.shape == x.shape  # all rows distinct: nothing to collapse
+
+    def test_rare_feature_target_holds_at_most_16_rows(self):
+        data = simulate_rare_feature_data(20000, 14)
+        rows = make_target("logistic-rare", dataset=data).log_likelihood.data.rows
+        assert rows.shape[0] <= 16
+        assert rows.shape[1] == 5
+
+    def test_shards_partition_the_full_statistics(self):
+        data = simulate_rare_feature_data(3000, 15)
+        split = partition(data, 4, seed=16)
+        shards = shard_data(data, split)
+        assert len(shards) == 4
+        assert [s.counts.sum() for s in shards] == list(split.sizes())
+        assert sum(s.successes.sum() for s in shards) == data.y.sum()
 
 
 class TestLogisticLaplace:
@@ -214,12 +290,11 @@ class TestLogisticLaplace:
         split = partition(data, self.N_BATCHES, seed=32)
         idx = split.indices(0)
         model = make_target("logistic-rare", dataset=data).with_powers(1.0, self.N_BATCHES)
-        return model, (data.x[idx], data.y[idx])
+        return model, collapse_logistic(data.x[idx], data.y[idx])
 
     def _grad(self, theta, batch):
         # gradient of the inflated log-density: B * loglik' - theta / prior variance
-        x, y = batch
-        return self.N_BATCHES * logistic_log_likelihood_grad(theta, x, y) - theta / 100.0
+        return self.N_BATCHES * logistic_log_likelihood_grad(theta, batch) - theta / 100.0
 
     def test_gradient_vanishes_at_mode(self):
         model, batch = self._shard()
@@ -249,9 +324,9 @@ class TestLogisticLaplace:
         np.testing.assert_allclose(laplace.cov @ neg_hess, np.eye(model.dim), atol=1e-6)
 
     def test_non_convergence_raises(self):
-        _, (x, y) = self._shard()
+        _, batch = self._shard()
         with pytest.raises(ConvergenceError, match="Newton"):
-            logistic_laplace(x, y, likelihood_power=float(self.N_BATCHES), max_iters=2)
+            logistic_laplace(batch, likelihood_power=float(self.N_BATCHES), max_iters=2)
 
 
 class TestRareFeatureData:
@@ -331,13 +406,8 @@ class TestLikelihoodFactorization:
         model = make_target("logistic-rare", dataset=data)
         split = partition(data, 4, seed=6)
         for theta in (np.zeros(5), np.array([-2.0, 1.0, 0.0, 0.5, 2.0])):
-            full = model.log_likelihood(theta, (data.x, data.y))
-            parts = sum(
-                model.log_likelihood(
-                    theta, (data.x[split.indices(b)], data.y[split.indices(b)])
-                )
-                for b in range(4)
-            )
+            full = model.log_likelihood(theta)
+            parts = sum(model.log_likelihood(theta, shard) for shard in shard_data(data, split))
             assert parts == pytest.approx(full, rel=1e-8)
 
 
@@ -365,6 +435,15 @@ class TestDatasetCsv:
         path = tmp_path / "broken.csv"
         path.write_text("y,x0\n1.0,2.0\n1.0,oops\n")
         with pytest.raises(ParseError, match=r"broken\.csv:3"):
+            read_dataset_csv(path)
+
+    def test_non_finite_value_is_parse_error_with_line(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("y,x0,x1\n1.0,2.0,0.5\n\n0.0,nan,0.1\n")
+        with pytest.raises(ParseError, match=r"nan\.csv:4: non-finite"):
+            read_dataset_csv(path)
+        path.write_text("y,x0\n1.0,2.0\ninf,1.0\n")
+        with pytest.raises(ParseError, match=r"nan\.csv:3: non-finite"):
             read_dataset_csv(path)
 
     def test_missing_feature_columns(self, tmp_path):
