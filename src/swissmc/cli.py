@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import InvalidInputError, ParseError, SwissError
 from .harness import (
+    _COMBINE,
     COMBINER_NAMES,
     ExperimentConfig,
     bench_dimension_scaling,
@@ -23,7 +24,6 @@ from .harness import (
 )
 from .io import read_batch, read_json, read_sample_csv, write_batch, write_json, write_sample_csv
 from .metrics import METRIC_NAMES, compute_metrics
-from .combiners import ar_combine, barycenter_combine, consensus_combine, swiss_combine
 from .sampler import SamplerConfig, sample, sample_all_batches
 from .targets import (
     DATA_BACKED_TARGETS,
@@ -37,14 +37,6 @@ from .targets import (
     simulate_rare_feature_data,
     write_dataset_csv,
 )
-
-_COMBINE = {
-    "swiss": swiss_combine,
-    "consensus": consensus_combine,
-    "ar": ar_combine,
-    "barycenter": barycenter_combine,
-}
-
 
 class _UsageError(Exception):
     pass
@@ -91,12 +83,11 @@ def _read_assignment(path) -> Partition:
 
 def _cmd_sample(args) -> None:
     params = json.loads(args.params) if args.params else {}
-    dataset = read_dataset_csv(args.data) if args.data else None
-    if args.target in DATA_BACKED_TARGETS and dataset is None:
-        raise InvalidInputError(f"target {args.target!r} needs --data")
-    target = make_target(args.target, params, dataset)
-
-    if dataset is not None:
+    if args.target in DATA_BACKED_TARGETS:
+        if not args.data:
+            raise InvalidInputError(f"target {args.target!r} needs --data")
+        dataset = read_dataset_csv(args.data)
+        model = make_target(args.target, params, dataset)
         if not args.assignment:
             raise InvalidInputError("data-backed sampling needs --assignment")
         split = _read_assignment(args.assignment)
@@ -106,18 +97,20 @@ def _cmd_sample(args) -> None:
             )
         n_batches = split.n_batches
         batch_data = shard_data(dataset, split)
+        if args.convention == "inflated":
+            model = model.with_powers(1.0, float(n_batches))
+        elif args.convention == "subposterior":
+            model = model.with_powers(1.0 / n_batches, 1.0)
     else:
+        # data-free targets keep (1, 1) under every convention, as in the harness
+        if args.data or args.assignment:
+            raise InvalidInputError(
+                f"target {args.target!r} is data-free and takes neither --data nor --assignment"
+            )
+        model = make_target(args.target, params)
         n_batches = args.batches
         batch_data = [None] * n_batches
-
-    if args.convention == "inflated":
-        model = target.with_powers(1.0, float(n_batches)) if dataset is not None else target
-        stream_offset = 0
-    elif args.convention == "subposterior":
-        model = target.with_powers(1.0 / n_batches, 1.0) if dataset is not None else target
-        stream_offset = n_batches + 1
-    else:  # full
-        model = target
+    stream_offset = n_batches + 1 if args.convention == "subposterior" else 0
 
     config = SamplerConfig(
         n_samples=args.n_samples,

@@ -24,8 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError, SwissError
-from .linalg import eigh, spd_inverse, spd_roots, spsq, symmetrize
-from .moments import Moments, SampleBatch, consensus_pool, estimate_moments, pool_moments
+from .linalg import spd_roots, spsq, symmetrize
+from .moments import (
+    Moments,
+    SampleBatch,
+    _check_common_dim,
+    _precision_pool,
+    estimate_moments,
+    pool_moments,
+)
 
 # Relative tolerance for the covariance-matching contract
 # map @ V_b @ map.T == V_target enforced on every constructed map.
@@ -49,13 +56,6 @@ class AffineMap:
             raise InvalidInputError(f"map matrix must be square, got {matrix.shape}")
         if center_in.size != d or center_out.size != d:
             raise InvalidInputError("map centers must match the matrix dimension")
-        gram = symmetrize(matrix.T @ matrix)
-        w = eigh(gram).eigenvalues
-        if w[-1] <= 1e-24 * max(1.0, float(w[0])):
-            raise InvalidInputError(
-                f"affine map matrix is numerically singular "
-                f"(smallest singular value^2 {w[-1]:.3e})"
-            )
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "center_in", center_in)
         object.__setattr__(self, "center_out", center_out)
@@ -72,7 +72,9 @@ class CombineResult:
     ``combined`` stacks the transformed batches in input order; for the
     consensus combiner it holds the draw-wise averages instead and
     ``per_batch_maps`` is empty.  ``pooled`` carries the moment estimate the
-    combiner targeted.  ``wall_time`` measures the merge call only.
+    combiner targeted; for ``ar``, which corrects no covariance, it holds the
+    plain averages of the batch means and of the batch covariances.
+    ``wall_time`` measures the merge call only.
     """
 
     combined: np.ndarray
@@ -91,13 +93,14 @@ def _resolve_moments(batches, moments) -> list[Moments]:
                 resolved.append(estimate_moments(batch))
             except SwissError as err:
                 raise type(err)(f"batch {batch.batch_id}: {err}") from err
-        return resolved
-    moments = list(moments)
-    if len(moments) != len(batches):
-        raise InvalidInputError(
-            f"got {len(moments)} moment sets for {len(batches)} batches"
-        )
-    return moments
+    else:
+        resolved = list(moments)
+        if len(resolved) != len(batches):
+            raise InvalidInputError(
+                f"got {len(resolved)} moment sets for {len(batches)} batches"
+            )
+    _check_common_dim(resolved)
+    return resolved
 
 
 def _check_cov_match(mapping: AffineMap, batch_cov, target_cov, batch_id: int) -> None:
@@ -111,26 +114,19 @@ def _check_cov_match(mapping: AffineMap, batch_cov, target_cov, batch_id: int) -
         )
 
 
-def _affine_merge(batches, per_batch, target: Moments, *, identity_maps: bool = False):
+def _affine_merge(batches, per_batch, target: Moments):
     """Build per-batch maps toward ``target`` moments and transform the draws."""
-    root, inv_root = (None, None)
-    if not identity_maps:
-        root, inv_root = spd_roots(target.cov)
+    root, inv_root = spd_roots(target.cov)
     maps = []
     blocks = []
     for batch, mom in zip(batches, per_batch):
-        if identity_maps:
-            matrix = np.eye(target.dim)
-        else:
-            try:
-                whitened_cov = symmetrize(inv_root @ mom.cov @ inv_root)
-                _, inv_local_root = spd_roots(whitened_cov)
-            except SwissError as err:
-                raise type(err)(f"batch {batch.batch_id}: {err}") from err
-            matrix = root @ inv_local_root @ inv_root
-        mapping = AffineMap(matrix, mom.mean, target.mean)
-        if not identity_maps:
-            _check_cov_match(mapping, mom.cov, target.cov, batch.batch_id)
+        try:
+            whitened_cov = symmetrize(inv_root @ mom.cov @ inv_root)
+            _, inv_local_root = spd_roots(whitened_cov)
+        except SwissError as err:
+            raise type(err)(f"batch {batch.batch_id}: {err}") from err
+        mapping = AffineMap(root @ inv_local_root @ inv_root, mom.mean, target.mean)
+        _check_cov_match(mapping, mom.cov, target.cov, batch.batch_id)
         maps.append(mapping)
         blocks.append(mapping.apply(batch.draws))
     return maps, np.concatenate(blocks, axis=0)
@@ -166,9 +162,12 @@ def ar_combine(batches: list[SampleBatch], *, moments=None) -> CombineResult:
     per_batch = _resolve_moments(batches, moments)
     center = Moments(
         np.mean([mom.mean for mom in per_batch], axis=0),
-        pool_moments(per_batch).cov,
+        np.mean([mom.cov for mom in per_batch], axis=0),
     )
-    maps, combined = _affine_merge(batches, per_batch, center, identity_maps=True)
+    maps = [AffineMap(np.eye(center.dim), mom.mean, center.mean) for mom in per_batch]
+    combined = np.concatenate(
+        [batch.draws - mom.mean + center.mean for batch, mom in zip(batches, per_batch)], axis=0
+    )
     return CombineResult(combined, maps, center, time.perf_counter() - start)
 
 
@@ -186,17 +185,13 @@ def consensus_combine(batches: list[SampleBatch], *, moments=None) -> CombineRes
         raise InvalidInputError(
             f"consensus pairs draws by index and needs equal batch sizes, got {sorted(sizes)}"
         )
-    pooled = consensus_pool(per_batch)
+    pooled, precisions = _precision_pool(per_batch, 1)
     if len(batches) == 1:
         combined = batches[0].draws.copy()
     else:
         weighted_sum = np.zeros_like(batches[0].draws)
-        for batch, mom in zip(batches, per_batch):
-            try:
-                weight = spd_inverse(mom.cov)
-            except SwissError as err:
-                raise type(err)(f"batch {batch.batch_id}: {err}") from err
-            weighted_sum += batch.draws @ weight
+        for batch, precision in zip(batches, precisions):
+            weighted_sum += batch.draws @ precision
         combined = weighted_sum @ pooled.cov
     return CombineResult(combined, [], pooled, time.perf_counter() - start)
 

@@ -111,6 +111,28 @@ def _check_common_dim(per_batch: list[Moments]) -> int:
     return dim
 
 
+def _precision_pool(per_batch: list[Moments], divisor: float) -> tuple[Moments, list]:
+    """Precision pooling shared by ``pool_moments`` and ``consensus_pool``.
+
+    Inverts each batch covariance once and returns the pooled moments
+    V = (sum_b V_b^-1 / divisor)^-1, mu = V (sum_b V_b^-1 mu_b / divisor)
+    together with the batch precisions.  A single input passes through
+    unchanged, with no precisions.
+    """
+    dim = _check_common_dim(per_batch)
+    if len(per_batch) == 1:
+        return per_batch[0], []
+    precisions = [spd_inverse(mom.cov) for mom in per_batch]
+    precision_sum = np.zeros((dim, dim))
+    weighted_mean_sum = np.zeros(dim)
+    for mom, precision in zip(per_batch, precisions):
+        precision_sum += precision
+        weighted_mean_sum += precision @ mom.mean
+    pooled_cov = spd_inverse(symmetrize(precision_sum / divisor))
+    pooled_mean = pooled_cov @ (weighted_mean_sum / divisor)
+    return Moments(pooled_mean, pooled_cov), precisions
+
+
 def pool_moments(per_batch: list[Moments]) -> Moments:
     """Pool batch moments with the mean of the precisions.
 
@@ -119,36 +141,14 @@ def pool_moments(per_batch: list[Moments]) -> Moments:
     already on the full-posterior scale.  A single input passes through
     unchanged.
     """
-    dim = _check_common_dim(per_batch)
-    if len(per_batch) == 1:
-        return per_batch[0]
-    n_batches = len(per_batch)
-    precision_sum = np.zeros((dim, dim))
-    weighted_mean_sum = np.zeros(dim)
-    for mom in per_batch:
-        precision = spd_inverse(mom.cov)
-        precision_sum += precision
-        weighted_mean_sum += precision @ mom.mean
-    pooled_cov = spd_inverse(symmetrize(precision_sum / n_batches))
-    pooled_mean = pooled_cov @ (weighted_mean_sum / n_batches)
-    return Moments(pooled_mean, pooled_cov)
+    return _precision_pool(per_batch, len(per_batch))[0]
 
 
 def consensus_pool(per_batch: list[Moments]) -> Moments:
     """Pool batch moments with the sum of the precisions.
 
     Returns W = (sum_b V_b^-1)^-1 and mu = W sum_b V_b^-1 mu_b: the
-    full-posterior moment estimate from un-inflated batch targets.
+    full-posterior moment estimate from un-inflated batch targets.  This is
+    ``pool_moments`` with the covariance divided by B.
     """
-    dim = _check_common_dim(per_batch)
-    if len(per_batch) == 1:
-        return per_batch[0]
-    precision_sum = np.zeros((dim, dim))
-    weighted_mean_sum = np.zeros(dim)
-    for mom in per_batch:
-        precision = spd_inverse(mom.cov)
-        precision_sum += precision
-        weighted_mean_sum += precision @ mom.mean
-    pooled_cov = spd_inverse(symmetrize(precision_sum))
-    pooled_mean = pooled_cov @ weighted_mean_sum
-    return Moments(pooled_mean, pooled_cov)
+    return _precision_pool(per_batch, 1)[0]

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .io import require_finite
 from .linalg import sample_inverse_wishart, spd_inverse, symmetrize
-from .moments import Moments
+from .moments import Moments, consensus_pool
 from .rng import RngStream
 
 # Rare-feature logistic benchmark: P(x_i = 1) per column and the true
@@ -500,7 +500,7 @@ def gaussian_conjugate_suite(d: int, n_batches: int, seed: int) -> tuple[list[Mo
 
     Batch means are standard normal, batch covariances are inverse-Wishart
     with 5d degrees of freedom and identity scale.  The full posterior is
-    N(V sum_b V_b^-1 mu_b, V) with V^-1 = sum_b V_b^-1.
+    N(V sum_b V_b^-1 mu_b, V) with V^-1 = sum_b V_b^-1 (``consensus_pool``).
     """
     if d < 1 or n_batches < 1:
         raise InvalidInputError(f"need d >= 1 and n_batches >= 1, got d={d}, B={n_batches}")
@@ -511,15 +511,7 @@ def gaussian_conjugate_suite(d: int, n_batches: int, seed: int) -> tuple[list[Mo
         mean = rng.standard_normal(d)
         cov = sample_inverse_wishart(5.0 * d, identity, rng)
         per_batch.append(Moments(mean, cov))
-    precision_sum = np.zeros((d, d))
-    weighted = np.zeros(d)
-    for mom in per_batch:
-        precision = spd_inverse(mom.cov)
-        precision_sum += precision
-        weighted += precision @ mom.mean
-    full_cov = spd_inverse(symmetrize(precision_sum))
-    full = Moments(full_cov @ weighted, full_cov)
-    return per_batch, full
+    return per_batch, consensus_pool(per_batch)
 
 
 # --------------------------------------------------------------------------

@@ -231,6 +231,38 @@ class TestExitCodes:
         assert code == 1
         assert "d.csv:3" in capsys.readouterr().err
 
+    def test_combine_dimension_mismatch_is_usage_error(self, tmp_path):
+        two = tmp_path / "two.csv"
+        two.write_text("param_0,param_1\n" + "".join(f"{i},{i * i % 7}\n" for i in range(8)))
+        three = tmp_path / "three.csv"
+        three.write_text(
+            "param_0,param_1,param_2\n" + "".join(f"{i},{i * i % 7},{i % 3}\n" for i in range(8))
+        )
+        for method in ("swiss", "consensus", "ar", "barycenter"):
+            out = str(tmp_path / "o.csv")
+            assert run_cli("combine", "--method", method, "--out", out, str(two), str(three)) == 1
+
+    def test_data_free_target_rejects_data_and_assignment(self, tmp_path, capsys):
+        noy = tmp_path / "noy.csv"
+        noy.write_text("x0,x1\n1.0,0.0\n0.0,1.0\n")
+        data = tmp_path / "d.csv"
+        assign = tmp_path / "a.csv"
+        run_cli("simulate", "--n", "50", "--seed", "0", "--out", str(data))
+        run_cli("partition", "--data", str(data), "--batches", "2", "--out", str(assign))
+        capsys.readouterr()
+        for flags in (
+            ("--data", str(noy)),  # a CSV without a response column
+            ("--data", str(data), "--assignment", str(assign)),  # a valid dataset and partition
+            ("--assignment", str(assign)),
+        ):
+            code = run_cli(
+                "sample", "--target", "warped-gaussian", *flags,
+                "--n-samples", "10", "--out-dir", str(tmp_path / "x"),
+            )
+            assert code == 1
+            assert "data-free" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_mutually_missing_assignment(self, tmp_path):
         data = tmp_path / "d.csv"
         run_cli("simulate", "--n", "50", "--seed", "0", "--out", str(data))

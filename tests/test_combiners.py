@@ -1,8 +1,11 @@
 """Combiner behavior: exactness, hand-worked values, displacement properties."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from swissmc import linalg
 from swissmc import (
     AffineMap,
     ConvergenceError,
@@ -294,6 +297,32 @@ class TestAffineMap:
         out = mapping.apply(np.array([[2.0, 2.0]]))
         np.testing.assert_allclose(out, [[2.0, 13.0]])
 
-    def test_singular_matrix_rejected(self):
-        with pytest.raises(InvalidInputError, match="singular"):
-            AffineMap(np.zeros((2, 2)), np.zeros(2), np.zeros(2))
+
+class TestDecompositionCount:
+    """Jacobi eigendecompositions per combine call: one per matrix that
+    needs one, counted at every module attribute bound to ``linalg.eigh``."""
+
+    @pytest.mark.parametrize(
+        "combine, expected",
+        [
+            (ar_combine, 0),  # shift only
+            (consensus_combine, 3 + 1),  # B precisions, one pooled inverse
+            (swiss_combine, 2 * 3 + 2),  # pooling B + 1, target root, B whitened roots
+        ],
+    )
+    def test_eigh_calls_at_three_batches(self, combine, expected, monkeypatch):
+        batches, _ = _gaussian_batches(3, 3, 50, seed=2)
+        original = linalg.eigh
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "swissmc":
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counting)
+        combine(batches)
+        assert len(calls) == expected

@@ -128,6 +128,10 @@ class TestConsensusPool:
         mu = w @ sum(p @ m.mean for p, m in zip(precisions, moments))
         np.testing.assert_allclose(pooled.cov, w, atol=1e-10)
         np.testing.assert_allclose(pooled.mean, mu, atol=1e-10)
+        # pool_moments averages the same precisions: same mean, B times the covariance
+        averaged = pool_moments(moments)
+        np.testing.assert_allclose(averaged.mean, pooled.mean, atol=1e-10)
+        np.testing.assert_allclose(averaged.cov, len(moments) * pooled.cov, atol=1e-10)
 
 
 class TestSampleBatchValidation:
