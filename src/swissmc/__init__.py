@@ -38,6 +38,7 @@ from .harness import (
     strip_timing,
     summarize_reports,
 )
+from .io import read_dataset_csv, write_dataset_csv
 from .linalg import (
     SpectralDecomposition,
     cholesky,
@@ -80,10 +81,8 @@ from .targets import (
     make_target,
     partition,
     rare_bernoulli_logpdf,
-    read_dataset_csv,
     simulate_rare_feature_data,
     warped_gaussian_logpdf,
-    write_dataset_csv,
 )
 
 __version__ = "0.1.0"

@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import InvalidInputError, ParseError, SwissError
 from .harness import (
     _COMBINE,
@@ -22,20 +20,28 @@ from .harness import (
     bench_dimension_scaling,
     run_experiment,
 )
-from .io import read_batch, read_json, read_sample_csv, write_batch, write_json, write_sample_csv
+from .io import (
+    read_assignment_csv,
+    read_batch,
+    read_dataset_csv,
+    read_json,
+    read_sample_csv,
+    write_assignment_csv,
+    write_batch,
+    write_dataset_csv,
+    write_json,
+    write_sample_csv,
+)
 from .metrics import METRIC_NAMES, compute_metrics
 from .sampler import SamplerConfig, sample, sample_all_batches
 from .targets import (
     DATA_BACKED_TARGETS,
     PARTITION_SCHEMES,
     TARGET_NAMES,
-    Partition,
     make_target,
     partition as partition_rows,
-    read_dataset_csv,
     shard_data,
     simulate_rare_feature_data,
-    write_dataset_csv,
 )
 
 class _UsageError(Exception):
@@ -56,29 +62,9 @@ def _cmd_simulate(args) -> None:
 def _cmd_partition(args) -> None:
     dataset = read_dataset_csv(args.data)
     split = partition_rows(dataset, args.batches, args.scheme, seed=args.seed)
-    with Path(args.out).open("w") as handle:
-        handle.write("batch\n")
-        for b in split.assignment:
-            handle.write(f"{b}\n")
+    write_assignment_csv(args.out, split)
     sizes = ",".join(str(s) for s in split.sizes())
     print(f"wrote assignment for {dataset.n_rows} rows ({args.batches} batches, sizes {sizes})")
-
-
-def _read_assignment(path) -> Partition:
-    path = Path(path)
-    with path.open() as handle:
-        lines = handle.read().splitlines()
-    if not lines or lines[0].strip() != "batch":
-        raise ParseError(f"{path}:1: expected header 'batch'")
-    ids = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            ids.append(int(line))
-        except ValueError:
-            raise ParseError(f"{path}:{line_no}: cannot parse {line!r} as a batch id") from None
-    return Partition(np.asarray(ids))
 
 
 def _cmd_sample(args) -> None:
@@ -90,7 +76,7 @@ def _cmd_sample(args) -> None:
         model = make_target(args.target, params, dataset)
         if not args.assignment:
             raise InvalidInputError("data-backed sampling needs --assignment")
-        split = _read_assignment(args.assignment)
+        split = read_assignment_csv(args.assignment)
         if split.assignment.size != dataset.n_rows:
             raise InvalidInputError(
                 f"assignment covers {split.assignment.size} rows, dataset has {dataset.n_rows}"

@@ -29,6 +29,7 @@ from .moments import (
     Moments,
     SampleBatch,
     _check_common_dim,
+    _naming_batch,
     _precision_pool,
     estimate_moments,
     pool_moments,
@@ -89,10 +90,8 @@ def _resolve_moments(batches, moments) -> list[Moments]:
     if moments is None:
         resolved = []
         for batch in batches:
-            try:
+            with _naming_batch(batch.batch_id):
                 resolved.append(estimate_moments(batch))
-            except SwissError as err:
-                raise type(err)(f"batch {batch.batch_id}: {err}") from err
     else:
         resolved = list(moments)
         if len(resolved) != len(batches):
@@ -120,11 +119,9 @@ def _affine_merge(batches, per_batch, target: Moments):
     maps = []
     blocks = []
     for batch, mom in zip(batches, per_batch):
-        try:
+        with _naming_batch(batch.batch_id):
             whitened_cov = symmetrize(inv_root @ mom.cov @ inv_root)
             _, inv_local_root = spd_roots(whitened_cov)
-        except SwissError as err:
-            raise type(err)(f"batch {batch.batch_id}: {err}") from err
         mapping = AffineMap(root @ inv_local_root @ inv_root, mom.mean, target.mean)
         _check_cov_match(mapping, mom.cov, target.cov, batch.batch_id)
         maps.append(mapping)
@@ -142,7 +139,7 @@ def swiss_combine(batches: list[SampleBatch], *, moments=None) -> CombineResult:
     """
     start = time.perf_counter()
     per_batch = _resolve_moments(batches, moments)
-    pooled = pool_moments(per_batch)
+    pooled = pool_moments(per_batch, batch_ids=[batch.batch_id for batch in batches])
     maps, combined = _affine_merge(batches, per_batch, pooled)
     return CombineResult(combined, maps, pooled, time.perf_counter() - start)
 
@@ -185,7 +182,7 @@ def consensus_combine(batches: list[SampleBatch], *, moments=None) -> CombineRes
         raise InvalidInputError(
             f"consensus pairs draws by index and needs equal batch sizes, got {sorted(sizes)}"
         )
-    pooled, precisions = _precision_pool(per_batch, 1)
+    pooled, precisions = _precision_pool(per_batch, 1, [batch.batch_id for batch in batches])
     if len(batches) == 1:
         combined = batches[0].draws.copy()
     else:
@@ -201,6 +198,7 @@ def gaussian_barycenter(
     *,
     tol: float = 1e-10,
     max_iters: int = 200,
+    batch_ids=None,
 ) -> Moments:
     """Equal-weight 2-Wasserstein barycenter of Gaussian approximations.
 
@@ -208,7 +206,8 @@ def gaussian_barycenter(
     solves the fixed point
     S = S^-1/2 ((1/B) sum_b (S^1/2 V_b S^1/2)^1/2)^2 S^-1/2,
     iterated from the arithmetic covariance average until the update falls
-    below ``tol`` relative to the current iterate.
+    below ``tol`` relative to the current iterate.  A V_b whose root fails
+    is reported under its ``batch_ids`` entry (default: its position).
     """
     if not per_batch:
         raise InvalidInputError("need at least one set of moments")
@@ -217,13 +216,15 @@ def gaussian_barycenter(
     if len(covs) == 1:
         return Moments(barycenter_mean, covs[0])
     n_batches = len(covs)
+    ids = range(n_batches) if batch_ids is None else batch_ids
     current = symmetrize(sum(covs) / n_batches)
     residual = np.inf
     for _ in range(max_iters):
         root, inv_root = spd_roots(current)
         inner = np.zeros_like(current)
-        for cov in covs:
-            inner += spsq(symmetrize(root @ cov @ root))
+        for batch_id, cov in zip(ids, covs):
+            with _naming_batch(batch_id):
+                inner += spsq(symmetrize(root @ cov @ root))
         inner /= n_batches
         updated = symmetrize(inv_root @ (inner @ inner) @ inv_root)
         residual = float(np.max(np.abs(updated - current)))
@@ -247,7 +248,9 @@ def barycenter_combine(
     """Merge by mapping each batch onto the Gaussian barycenter's moments."""
     start = time.perf_counter()
     per_batch = _resolve_moments(batches, moments)
-    target = gaussian_barycenter(per_batch, tol=tol, max_iters=max_iters)
+    target = gaussian_barycenter(
+        per_batch, tol=tol, max_iters=max_iters, batch_ids=[batch.batch_id for batch in batches]
+    )
     maps, combined = _affine_merge(batches, per_batch, target)
     return CombineResult(combined, maps, target, time.perf_counter() - start)
 

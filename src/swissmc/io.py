@@ -1,22 +1,111 @@
-"""File formats: sample-batch CSV with a JSON sidecar, and report JSON.
+"""File formats: the pipeline's CSV files, sample-batch sidecars and report JSON.
 
-Sample batches are stored as CSV with header ``param_0..param_{d-1}``, one
-draw per row, floats written with ``repr`` so a write/read round trip is
-lossless.  A sidecar named after the CSV with a ``.meta.json`` extension
-carries batch id, sizes, exponents, seed, target name and any chain
-diagnostics.
+Every CSV file has one header line and one row per non-blank line after it:
+sample batches (header ``param_0..param_{d-1}``, one draw per row), datasets
+(optional response ``y``, features ``x0..x{p-1}``, optional text column
+``group``) and batch assignments (header ``batch``, one batch id per row).
+Floats are written with ``%.17g``, so a write/read round trip is lossless.
+Input is UTF-8, blank lines are skipped, and every malformed line raises
+ParseError with ``path:line``.  A sidecar named after a sample CSV with a
+``.meta.json`` extension carries batch id, sizes, exponents, seed, target
+name and any chain diagnostics.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import islice
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError
 from .moments import BatchMeta, SampleBatch
+from .targets import Dataset, Partition
+
+
+def _read_csv(path, columns, dtype=float):
+    """Parse a CSV file into ``(header, values, text)``.
+
+    ``columns(header)`` checks the stripped header fields, or raises
+    ValueError, and returns the indices of the columns to read and whether
+    the last of them is text.  ``values`` holds the other columns of every
+    row as an (n, k) array of ``dtype``; ``text`` the stripped text, or None.
+    """
+    path = Path(path)
+    raw = path.read_bytes()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        line_no = len((raw[: err.start].decode("utf-8") + "?").splitlines())
+        raise ParseError(f"{path}:{line_no}: not UTF-8 text") from None
+    if not lines:
+        raise ParseError(f"{path}:1: empty file")
+    header = [field.strip() for field in lines[0].split(",")]
+    try:
+        usecols, has_text = columns(header)
+    except ValueError as err:
+        raise ParseError(f"{path}:1: {err}") from None
+    body = [(line_no, line) for line_no, line in enumerate(lines[1:], start=2) if line.strip()]
+    if not body:
+        raise ParseError(f"{path}:2: no rows")
+    for line_no, line in body:
+        if line.count(",") != len(header) - 1:
+            raise ParseError(
+                f"{path}:{line_no}: expected {len(header)} fields, got {line.count(',') + 1}"
+            )
+    fields = [("values", dtype, (len(usecols) - has_text,))] + [("text", object)] * has_text
+    load = partial(np.loadtxt, dtype=fields, delimiter=",", comments=None, usecols=usecols)
+    try:
+        rows = load([line for _, line in body], ndmin=1)
+    except ValueError:
+        # numpy names no file line, so find the first line it rejects
+        for line_no, line in body:
+            try:
+                load([line])
+            except ValueError:
+                raise ParseError(
+                    f"{path}:{line_no}: cannot parse a field as {np.dtype(dtype).name}"
+                ) from None
+        raise
+    values = rows["values"]
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        line_no = body[int(np.argmin(finite))][0]
+        raise ParseError(f"{path}:{line_no}: non-finite value (nan or inf)")
+    text = np.asarray([field.strip() for field in rows["text"]]) if has_text else None
+    return header, values, text
+
+
+def _write_csv(path, header: list, table: np.ndarray, fmt="%.17g") -> None:
+    np.savetxt(
+        path, table, fmt=fmt, delimiter=",", header=",".join(header), comments="", encoding="utf-8"
+    )
+
+
+def _sample_columns(header: list):
+    if header != [f"param_{j}" for j in range(len(header))]:
+        raise ValueError(f"expected header param_0..param_{{d-1}}, got {header}")
+    return range(len(header)), False
+
+
+def _dataset_columns(header: list):
+    features = sorted(
+        (h for h in header if h.startswith("x") and h[1:].isdigit()), key=lambda h: int(h[1:])
+    )
+    if not features:
+        raise ValueError(f"no feature columns x0..x{{p-1}} in header {header}")
+    if features != [f"x{j}" for j in range(len(features))]:
+        raise ValueError("feature columns must be contiguous x0..x{p-1}")
+    index = {h: i for i, h in enumerate(header)}
+    names = ["y"] * ("y" in index) + features + ["group"] * ("group" in index)
+    return [index[h] for h in names], "group" in index
+
+
+def _assignment_columns(header: list):
+    if header != ["batch"]:
+        raise ValueError(f"expected header 'batch', got {header}")
+    return [0], False
 
 
 def meta_path(sample_path) -> Path:
@@ -25,56 +114,38 @@ def meta_path(sample_path) -> Path:
 
 
 def write_sample_csv(path, draws: np.ndarray) -> None:
-    path = Path(path)
     draws = np.asarray(draws, dtype=float)
-    d = draws.shape[1]
-    with path.open("w") as handle:
-        handle.write(",".join(f"param_{j}" for j in range(d)) + "\n")
-        for row in draws:
-            handle.write(",".join(repr(float(v)) for v in row) + "\n")
+    _write_csv(path, [f"param_{j}" for j in range(draws.shape[1])], draws)
 
 
 def read_sample_csv(path) -> np.ndarray:
-    path = Path(path)
-    with path.open() as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        raise ParseError(f"{path}:1: empty file")
-    header = [h.strip() for h in lines[0].split(",")]
-    expected = [f"param_{j}" for j in range(len(header))]
-    if header != expected:
-        raise ParseError(f"{path}:1: expected header param_0..param_{{d-1}}, got {header}")
-    rows = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        tokens = line.split(",")
-        if len(tokens) != len(header):
-            raise ParseError(
-                f"{path}:{line_no}: expected {len(header)} fields, got {len(tokens)}"
-            )
-        try:
-            rows.append([float(t) for t in tokens])
-        except ValueError:
-            raise ParseError(f"{path}:{line_no}: cannot parse a field as a number") from None
-    if not rows:
-        raise ParseError(f"{path}:2: no draws")
-    draws = np.asarray(rows)
-    require_finite(path, lines, draws)
-    return draws
+    return _read_csv(path, _sample_columns)[1]
 
 
-def require_finite(path, lines: list, values: np.ndarray) -> None:
-    """Raise ParseError at the line of the first row of ``values`` that holds
-    a non-finite number; row i was parsed from the i-th non-blank line after
-    the header of ``lines``.  Only a failing check walks the lines."""
-    finite_rows = np.isfinite(values).all(axis=1)
-    if finite_rows.all():
-        return
-    bad_row = int(np.argmin(finite_rows))
-    line_nos = (no for no, line in enumerate(lines[1:], start=2) if line.strip())
-    line_no = next(islice(line_nos, bad_row, None))
-    raise ParseError(f"{path}:{line_no}: non-finite value (nan or inf)")
+def write_dataset_csv(dataset: Dataset, path) -> None:
+    """Write a dataset as CSV: response ``y``, features ``x0..``, optional ``group``."""
+    header = ["y"] * (dataset.y is not None) + [f"x{j}" for j in range(dataset.x.shape[1])]
+    table = dataset.x if dataset.y is None else np.column_stack([dataset.y, dataset.x])
+    fmt = ["%.17g"] * len(header)
+    if dataset.group is not None:
+        header, fmt = header + ["group"], fmt + ["%s"]
+        table = np.column_stack([table.astype(object), dataset.group])
+    _write_csv(path, header, table, fmt)
+
+
+def read_dataset_csv(path) -> Dataset:
+    header, values, group = _read_csv(path, _dataset_columns)
+    has_y = "y" in header
+    x = np.ascontiguousarray(values[:, has_y:])
+    return Dataset(x, values[:, 0] if has_y else None, group)
+
+
+def write_assignment_csv(path, split: Partition) -> None:
+    _write_csv(path, ["batch"], split.assignment[:, None], "%d")
+
+
+def read_assignment_csv(path) -> Partition:
+    return Partition(_read_csv(path, _assignment_columns, int)[1][:, 0])
 
 
 def write_batch(path, batch: SampleBatch) -> None:

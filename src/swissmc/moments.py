@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, InsufficientSamplesError, InvalidInputError
+from .errors import DataError, InsufficientSamplesError, InvalidInputError, SwissError
 from .linalg import as_symmetric, spd_inverse, symmetrize
 
 
@@ -111,21 +112,37 @@ def _check_common_dim(per_batch: list[Moments]) -> int:
     return dim
 
 
-def _precision_pool(per_batch: list[Moments], divisor: float) -> tuple[Moments, list]:
+@contextmanager
+def _naming_batch(batch_id):
+    """Prefix ``batch {batch_id}: `` to a SwissError raised in the block."""
+    try:
+        yield
+    except SwissError as err:
+        raise type(err)(f"batch {batch_id}: {err}") from err
+
+
+def _precision_pool(
+    per_batch: list[Moments], divisor: float, batch_ids=None
+) -> tuple[Moments, list]:
     """Precision pooling shared by ``pool_moments`` and ``consensus_pool``.
 
     Inverts each batch covariance once and returns the pooled moments
     V = (sum_b V_b^-1 / divisor)^-1, mu = V (sum_b V_b^-1 mu_b / divisor)
     together with the batch precisions.  A single input passes through
-    unchanged, with no precisions.
+    unchanged, with no precisions.  A failing inversion names its batch by
+    its ``batch_ids`` entry (default: its position).
     """
     dim = _check_common_dim(per_batch)
     if len(per_batch) == 1:
         return per_batch[0], []
-    precisions = [spd_inverse(mom.cov) for mom in per_batch]
+    ids = range(len(per_batch)) if batch_ids is None else batch_ids
+    precisions = []
     precision_sum = np.zeros((dim, dim))
     weighted_mean_sum = np.zeros(dim)
-    for mom, precision in zip(per_batch, precisions):
+    for batch_id, mom in zip(ids, per_batch):
+        with _naming_batch(batch_id):
+            precision = spd_inverse(mom.cov)
+        precisions.append(precision)
         precision_sum += precision
         weighted_mean_sum += precision @ mom.mean
     pooled_cov = spd_inverse(symmetrize(precision_sum / divisor))
@@ -133,15 +150,16 @@ def _precision_pool(per_batch: list[Moments], divisor: float) -> tuple[Moments, 
     return Moments(pooled_mean, pooled_cov), precisions
 
 
-def pool_moments(per_batch: list[Moments]) -> Moments:
+def pool_moments(per_batch: list[Moments], *, batch_ids=None) -> Moments:
     """Pool batch moments with the mean of the precisions.
 
     Returns V = ((1/B) sum_b V_b^-1)^-1 and mu = V (1/B) sum_b V_b^-1 mu_b.
     This is the pooling used for inflated batch targets, whose draws are
     already on the full-posterior scale.  A single input passes through
-    unchanged.
+    unchanged.  A singular V_b is reported under its ``batch_ids`` entry
+    (default: its position).
     """
-    return _precision_pool(per_batch, len(per_batch))[0]
+    return _precision_pool(per_batch, len(per_batch), batch_ids)[0]
 
 
 def consensus_pool(per_batch: list[Moments]) -> Moments:

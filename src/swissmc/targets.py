@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -25,9 +24,7 @@ from .errors import (
     DataError,
     InvalidInputError,
     NotPositiveDefiniteError,
-    ParseError,
 )
-from .io import require_finite
 from .linalg import sample_inverse_wishart, spd_inverse, symmetrize
 from .moments import Moments, consensus_pool
 from .rng import RngStream
@@ -531,9 +528,9 @@ class Partition:
         assignment = np.asarray(self.assignment, dtype=int).ravel()
         if assignment.size == 0 or assignment.min() < 0:
             raise InvalidInputError("assignment must be non-empty with ids >= 0")
-        n_batches = int(assignment.max()) + 1
-        counts = np.bincount(assignment, minlength=n_batches)
-        if np.any(counts == 0):
+        # an id past the row count leaves a batch empty: reject it before
+        # bincount allocates one counter per id
+        if assignment.max() >= assignment.size or np.any(np.bincount(assignment) == 0):
             raise InvalidInputError("every batch must receive at least one row")
         self.assignment = assignment
 
@@ -583,82 +580,6 @@ def shard_data(data: Dataset, split: Partition) -> list[LogisticData]:
         collapse_logistic(data.x[idx], data.y[idx])
         for idx in map(split.indices, range(split.n_batches))
     ]
-
-
-# --------------------------------------------------------------------------
-# Dataset CSV interface
-# --------------------------------------------------------------------------
-
-
-def write_dataset_csv(dataset: Dataset, path) -> None:
-    """Write a dataset as CSV: response column ``y``, features ``x0..``,
-    optional ``group``; floats keep full precision."""
-    path = Path(path)
-    n, p = dataset.x.shape
-    columns = []
-    if dataset.y is not None:
-        columns.append("y")
-    columns.extend(f"x{j}" for j in range(p))
-    if dataset.group is not None:
-        columns.append("group")
-    with path.open("w") as handle:
-        handle.write(",".join(columns) + "\n")
-        for i in range(n):
-            row = []
-            if dataset.y is not None:
-                row.append(repr(float(dataset.y[i])))
-            row.extend(repr(float(v)) for v in dataset.x[i])
-            if dataset.group is not None:
-                row.append(str(dataset.group[i]))
-            handle.write(",".join(row) + "\n")
-
-
-def _parse_float(token: str, path, line_no: int) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise ParseError(f"{path}:{line_no}: cannot parse {token!r} as a number") from None
-
-
-def read_dataset_csv(path) -> Dataset:
-    path = Path(path)
-    with path.open() as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        raise ParseError(f"{path}:1: empty file")
-    header = [h.strip() for h in lines[0].split(",")]
-    feature_cols = sorted(
-        (h for h in header if h.startswith("x") and h[1:].isdigit()),
-        key=lambda h: int(h[1:]),
-    )
-    if not feature_cols:
-        raise ParseError(f"{path}:1: no feature columns x0..x{{p-1}} in header {header}")
-    expected = [f"x{j}" for j in range(len(feature_cols))]
-    if feature_cols != expected:
-        raise ParseError(f"{path}:1: feature columns must be contiguous x0..x{{p-1}}")
-    col_index = {h: i for i, h in enumerate(header)}
-    has_y = "y" in col_index
-    has_group = "group" in col_index
-    x_rows, y_vals, groups = [], [], []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        tokens = line.split(",")
-        if len(tokens) != len(header):
-            raise ParseError(
-                f"{path}:{line_no}: expected {len(header)} fields, got {len(tokens)}"
-            )
-        x_rows.append([_parse_float(tokens[col_index[c]], path, line_no) for c in feature_cols])
-        if has_y:
-            y_vals.append(_parse_float(tokens[col_index["y"]], path, line_no))
-        if has_group:
-            groups.append(tokens[col_index["group"]].strip())
-    if not x_rows:
-        raise ParseError(f"{path}:2: no data rows")
-    x = np.asarray(x_rows)
-    y = np.asarray(y_vals) if has_y else None
-    require_finite(path, lines, x if y is None else np.column_stack([x, y]))
-    return Dataset(x, y, np.asarray(groups) if has_group else None)
 
 
 # --------------------------------------------------------------------------

@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from swissmc import BatchMeta, SampleBatch, draw_gaussian
+from swissmc import BatchMeta, SampleBatch, draw_gaussian, partition, read_dataset_csv
 from swissmc.cli import cli_main
-from swissmc.io import read_sample_csv, write_batch
+from swissmc.io import read_assignment_csv, read_sample_csv, write_batch
 from helpers import exact_gaussian_cloud
 
 
@@ -29,6 +29,8 @@ class TestSimulatePartitionSampleFlow:
             "partition", "--data", str(data), "--batches", "2", "--seed", "1",
             "--out", str(assign),
         ) == 0
+        expected = partition(read_dataset_csv(data), 2, seed=1).assignment
+        assert read_assignment_csv(assign).assignment.tobytes() == expected.tobytes()
         assert run_cli(
             "sample", "--target", "logistic-rare", "--data", str(data),
             "--assignment", str(assign), "--n-samples", "150", "--burn-in", "100",
@@ -104,6 +106,19 @@ class TestCombine:
         pa, pb = self._write_batches(tmp_path, constant, constant.copy())
         out = tmp_path / "combined.csv"
         assert run_cli("combine", "--method", "swiss", "--out", str(out), str(pa), str(pb)) == 2
+
+    @pytest.mark.parametrize("method", ["swiss", "consensus", "barycenter"])
+    def test_singular_batch_is_named(self, tmp_path, capsys, method):
+        # batch 7's second column is twice its first: a rank-1 covariance
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal(60)
+        pa = tmp_path / "good.csv"
+        pb = tmp_path / "flat.csv"
+        write_batch(pa, SampleBatch(4, rng.standard_normal((60, 2))))
+        write_batch(pb, SampleBatch(7, np.column_stack([z, 2.0 * z])))
+        out = tmp_path / "combined.csv"
+        assert run_cli("combine", "--method", method, "--out", str(out), str(pa), str(pb)) == 2
+        assert "batch 7: matrix is not positive definite" in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -230,6 +245,17 @@ class TestExitCodes:
         )
         assert code == 1
         assert "d.csv:3" in capsys.readouterr().err
+
+    def test_non_utf8_input_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"param_0,param_1\n0.5,0.1\n\n0.2,0.3\n0.4,0.\xff7\n")
+        assert run_cli("evaluate", "--approx", str(bad), "--reference", str(bad)) == 1
+        assert "bad.csv:5: not UTF-8" in capsys.readouterr().err
+        data = tmp_path / "d.csv"
+        data.write_bytes(b"y,x0\n1.0,1.0\n0.0,\xff\n")
+        out = str(tmp_path / "a.csv")
+        assert run_cli("partition", "--data", str(data), "--batches", "1", "--out", out) == 1
+        assert "d.csv:3: not UTF-8" in capsys.readouterr().err
 
     def test_combine_dimension_mismatch_is_usage_error(self, tmp_path):
         two = tmp_path / "two.csv"

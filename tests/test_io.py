@@ -3,13 +3,26 @@
 import numpy as np
 import pytest
 
-from swissmc import BatchMeta, ParseError, SampleBatch
+from swissmc import (
+    BatchMeta,
+    Dataset,
+    InvalidInputError,
+    ParseError,
+    SampleBatch,
+    partition,
+    simulate_rare_feature_data,
+)
+from swissmc.cli import cli_main
 from swissmc.io import (
     meta_path,
+    read_assignment_csv,
     read_batch,
+    read_dataset_csv,
     read_json,
     read_sample_csv,
+    write_assignment_csv,
     write_batch,
+    write_dataset_csv,
     write_sample_csv,
 )
 
@@ -18,10 +31,15 @@ class TestSampleCsv:
     def test_round_trip_is_lossless(self, tmp_path):
         rng = np.random.default_rng(0)
         draws = rng.standard_normal((200, 3)) * np.array([1e-7, 1.0, 1e9])
+        # signed zero, the smallest subnormal and the largest finite floats
+        big = 1.7976931348623157e308
+        draws[:2] = [[-0.0, 5e-324, big], [0.0, -5e-324, -big]]
         path = tmp_path / "draws.csv"
         write_sample_csv(path, draws)
         back = read_sample_csv(path)
         assert np.array_equal(back, draws)
+        # array_equal treats -0.0 as 0.0; the bytes do not
+        assert back.tobytes() == draws.tobytes()
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -56,6 +74,64 @@ class TestSampleCsv:
         path.write_text("")
         with pytest.raises(ParseError, match=":1"):
             read_sample_csv(path)
+
+
+class TestReaderFuzz:
+    """Random byte edits of valid sample, dataset and assignment files: every
+    outcome is a parsed file or ParseError/InvalidInputError, and the CLI
+    exits 0 or 1, never with a traceback."""
+
+    TOKENS = [b",", b"\n", *(bytes([c]) for c in b"0123456789"), b"nan", b"#", b"\xff"]
+
+    def _mutate(self, raw: bytes, rng) -> bytes:
+        data = bytearray(raw)
+        for _ in range(int(rng.integers(1, 4))):
+            pos = int(rng.integers(0, len(data) + 1))
+            token = self.TOKENS[int(rng.integers(len(self.TOKENS)))]
+            edit = int(rng.integers(3))
+            if edit == 0:
+                data[pos:pos] = token
+            elif edit == 1:
+                del data[pos : pos + 1]
+            else:
+                data[pos : pos + 1] = token
+        return bytes(data)
+
+    def test_byte_edits_parse_or_raise(self, tmp_path, capsys):
+        rng = np.random.default_rng(20261018)
+        dataset = simulate_rare_feature_data(40, seed=1)
+        dataset = Dataset(dataset.x, dataset.y, np.repeat(["a", "b"], 20))
+        sample_path = tmp_path / "sample.csv"
+        data_path = tmp_path / "data.csv"
+        assign_path = tmp_path / "assign.csv"
+        write_sample_csv(sample_path, rng.standard_normal((30, 2)))
+        write_dataset_csv(dataset, data_path)
+        write_assignment_csv(assign_path, partition(dataset, 2, seed=2))
+        bad = tmp_path / "mutated.csv"
+        out = str(tmp_path / "out")
+        cases = [
+            (sample_path, read_sample_csv,
+             ["evaluate", "--approx", str(bad), "--reference", str(sample_path)]),
+            (data_path, read_dataset_csv,
+             ["partition", "--data", str(bad), "--batches", "2", "--out", out + ".csv"]),
+            (assign_path, read_assignment_csv,
+             ["sample", "--target", "logistic-rare", "--data", str(data_path),
+              "--assignment", str(bad), "--n-samples", "10", "--burn-in", "10",
+              "--out-dir", out]),
+        ]
+        outcomes = set()
+        for valid, reader, argv in cases:
+            raw = valid.read_bytes()
+            for _ in range(40):
+                bad.write_bytes(self._mutate(raw, rng))
+                try:
+                    reader(bad)
+                    outcomes.add("parsed")
+                except (ParseError, InvalidInputError):
+                    outcomes.add("rejected")
+                assert cli_main(argv) in (0, 1)
+        capsys.readouterr()
+        assert outcomes == {"parsed", "rejected"}
 
 
 class TestBatchSidecar:

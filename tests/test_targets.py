@@ -10,6 +10,7 @@ from swissmc import (
     Dataset,
     InvalidInputError,
     ParseError,
+    Partition,
     gaussian_conjugate_suite,
     gaussian_mixture_logpdf,
     logistic_regression_model,
@@ -382,6 +383,11 @@ class TestPartition:
         c = partition(data, 5, seed=4)
         assert not np.array_equal(a.assignment, c.assignment)
 
+    @pytest.mark.parametrize("ids", [[0, 2, 2], [0, 1, 10**15]])
+    def test_empty_batch_rejected(self, ids):
+        with pytest.raises(InvalidInputError, match="at least one row"):
+            Partition(np.array(ids))
+
     def test_by_group_keeps_groups_whole(self):
         group = np.repeat(np.arange(6), 4)
         data = Dataset(np.zeros((24, 1)), group=group)
@@ -430,6 +436,8 @@ class TestDatasetCsv:
         write_dataset_csv(data, path)
         back = read_dataset_csv(path)
         assert list(back.group) == list(data.group)
+        assert back.x.tobytes() == data.x.tobytes()
+        assert back.y.tobytes() == data.y.tobytes()
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "broken.csv"
