@@ -10,7 +10,7 @@ class NotPositiveDefiniteError(SwissError):
 
 
 class DecompositionError(SwissError):
-    """The eigensolver did not converge within its sweep budget."""
+    """LAPACK did not converge on an eigendecomposition."""
 
 
 class InsufficientSamplesError(SwissError):

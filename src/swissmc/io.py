@@ -24,6 +24,16 @@ from .moments import BatchMeta, SampleBatch
 from .targets import Dataset, Partition
 
 
+def _read_text(path: Path) -> str:
+    """The file's text; bytes that are not UTF-8 raise ParseError at their line."""
+    raw = path.read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line_no = len((raw[: err.start].decode("utf-8") + "?").splitlines())
+        raise ParseError(f"{path}:{line_no}: not UTF-8 text") from None
+
+
 def _read_csv(path, columns, dtype=float):
     """Parse a CSV file into ``(header, values, text)``.
 
@@ -33,12 +43,7 @@ def _read_csv(path, columns, dtype=float):
     row as an (n, k) array of ``dtype``; ``text`` the stripped text, or None.
     """
     path = Path(path)
-    raw = path.read_bytes()
-    try:
-        lines = raw.decode("utf-8").splitlines()
-    except UnicodeDecodeError as err:
-        line_no = len((raw[: err.start].decode("utf-8") + "?").splitlines())
-        raise ParseError(f"{path}:{line_no}: not UTF-8 text") from None
+    lines = _read_text(path).splitlines()
     if not lines:
         raise ParseError(f"{path}:1: empty file")
     header = [field.strip() for field in lines[0].split(",")]
@@ -170,10 +175,7 @@ def read_batch(path, *, fallback_batch_id: int = 0) -> SampleBatch:
     draws = read_sample_csv(path)
     sidecar = meta_path(path)
     if sidecar.exists():
-        try:
-            payload = json.loads(sidecar.read_text())
-        except json.JSONDecodeError as err:
-            raise ParseError(f"{sidecar}:{err.lineno}: invalid JSON: {err.msg}") from None
+        payload = read_json(sidecar)
         meta = BatchMeta(
             inflation_exponent=float(payload.get("inflation_exponent", 1.0)),
             prior_exponent=float(payload.get("prior_exponent", 1.0)),
@@ -194,8 +196,10 @@ def write_json(path, payload: dict) -> None:
 
 
 def read_json(path) -> dict:
+    """Parse a UTF-8 JSON file; bad bytes or bad JSON raise ParseError at path:line."""
     path = Path(path)
+    text = _read_text(path)
     try:
-        return json.loads(path.read_text())
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}:{err.lineno}: invalid JSON: {err.msg}") from None

@@ -1,9 +1,10 @@
 """Dense symmetric linear algebra used by every combiner.
 
-Provides a cyclic-Jacobi eigendecomposition, the symmetric positive-definite
-square root and its inverse, a Cholesky factorization, SPD inversion and
-Gaussian / inverse-Wishart sampling.  All matrices are plain float64 numpy
-arrays.
+Provides the eigendecomposition and Cholesky factorization (both LAPACK,
+through numpy), the symmetric positive-definite square root and its inverse,
+SPD inversion and Gaussian / inverse-Wishart sampling.  All matrices are
+plain float64 numpy arrays, and no ``np.linalg.LinAlgError`` escapes this
+module: it surfaces as DecompositionError or NotPositiveDefiniteError.
 
 Every function that returns a mathematically symmetric matrix symmetrizes its
 result explicitly, so chained products such as ``inv_root @ cov @ inv_root``
@@ -16,7 +17,6 @@ must surface at the caller.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -31,12 +31,6 @@ from .errors import (
 # Relative eigenvalue floor below which a matrix counts as not positive
 # definite.
 SPD_REL_TOL = 1e-12
-
-# Off-diagonal magnitude (relative to the largest input entry) at which the
-# Jacobi sweep is considered converged.
-_JACOBI_CONVERGENCE = 1e-14
-
-_DEFAULT_MAX_SWEEPS = 100
 
 
 class SpectralDecomposition(NamedTuple):
@@ -74,119 +68,29 @@ def as_symmetric(a, *, name: str = "matrix") -> np.ndarray:
     return symmetrize(a)
 
 
-@lru_cache(maxsize=None)
-def _round_robin_rounds(d: int) -> tuple:
-    """Round-robin pairing schedule covering every index pair once per sweep.
+def eigh(v) -> SpectralDecomposition:
+    """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``).
 
-    Index 0 stays put while the remaining indices rotate; odd dimensions get
-    a padding "bye" slot that is filtered out.  Pairs within one round are
-    disjoint, so their rotations commute and can be applied together.
-    """
-    n = d + (d % 2)
-    movers = list(range(1, n))
-    rounds = []
-    for _ in range(n - 1):
-        order = [0] + movers
-        ps, qs = [], []
-        for k in range(n // 2):
-            p, q = order[k], order[n - 1 - k]
-            if p > q:
-                p, q = q, p
-            if q < d:
-                ps.append(p)
-                qs.append(q)
-        rounds.append((np.array(ps), np.array(qs)))
-        movers = movers[-1:] + movers[:-1]
-    return tuple(rounds)
-
-
-def _rotate_pairs(a: np.ndarray, u: np.ndarray, ps: np.ndarray, qs: np.ndarray) -> None:
-    """Apply one simultaneous batch of Jacobi rotations on disjoint pairs."""
-    apq = a[ps, qs]
-    app = a[ps, ps]
-    aqq = a[qs, qs]
-    # Entries negligible against their own diagonal pair are skipped; they
-    # sit far below the sweep convergence bar and cannot block it.
-    keep = np.abs(apq) > 1e-18 * (np.abs(app) + np.abs(aqq))
-    if not np.any(keep):
-        return
-    ps = ps[keep]
-    qs = qs[keep]
-    theta = (aqq[keep] - app[keep]) / (2.0 * apq[keep])
-    sign = np.where(theta >= 0.0, 1.0, -1.0)
-    t = sign / (np.abs(theta) + np.hypot(theta, 1.0))
-    c = 1.0 / np.sqrt(t * t + 1.0)
-    s = t * c
-
-    # A <- A J (columns) then A <- J^T A (rows); the angle choice zeroes
-    # every (p, q) entry of the round exactly.
-    col_p = a[:, ps]
-    col_q = a[:, qs]
-    a[:, ps] = c * col_p - s * col_q
-    a[:, qs] = s * col_p + c * col_q
-    row_p = a[ps, :]
-    row_q = a[qs, :]
-    a[ps, :] = c[:, None] * row_p - s[:, None] * row_q
-    a[qs, :] = s[:, None] * row_p + c[:, None] * row_q
-    a[ps, qs] = 0.0
-    a[qs, ps] = 0.0
-
-    u_p = u[:, ps]
-    u_q = u[:, qs]
-    u[:, ps] = c * u_p - s * u_q
-    u[:, qs] = s * u_p + c * u_q
-
-
-def eigh(v, *, max_sweeps: int = _DEFAULT_MAX_SWEEPS) -> SpectralDecomposition:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    One sweep visits every off-diagonal pair once, in the fixed round-robin
-    order of ``_round_robin_rounds``; rotations inside a round act on
-    disjoint pairs and are applied as one vectorized batch.  Eigenvalues are
-    returned in descending order.  Eigenvector signs are fixed by making the
-    largest-magnitude component of each column positive, so the output is
-    deterministic across runs and platforms at test tolerance.
+    Eigenvalues are returned in descending order.  Eigenvector signs are
+    fixed by making the largest-magnitude component of each column positive,
+    so the output is deterministic across runs and platforms at test
+    tolerance.
 
     Raises
     ------
     DecompositionError
-        If the off-diagonal mass has not vanished after ``max_sweeps``
-        full sweeps; the message carries the remaining residual.
+        If LAPACK does not converge.
     """
     a = as_symmetric(v)
-    d = a.shape[0]
-    u = np.eye(d)
-    if d == 1:
-        return SpectralDecomposition(a[0, :1].copy(), u)
-
-    scale = max(1.0, float(np.max(np.abs(a))))
-    rounds = _round_robin_rounds(d)
-    converged = False
-    off = 0.0
-    for _ in range(max_sweeps):
-        abs_a = np.abs(a)
-        np.fill_diagonal(abs_a, 0.0)
-        off = float(abs_a.max())
-        if off <= _JACOBI_CONVERGENCE * scale:
-            converged = True
-            break
-        for ps, qs in rounds:
-            _rotate_pairs(a, u, ps, qs)
-    if not converged:
-        raise DecompositionError(
-            f"Jacobi eigendecomposition did not converge after {max_sweeps} "
-            f"sweeps; off-diagonal residual {off:.3e}"
-        )
-
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(eigenvalues, kind="stable")[::-1]
-    eigenvalues = eigenvalues[order]
-    u = u[:, order]
+    try:
+        eigenvalues, u = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as err:
+        raise DecompositionError(f"LAPACK eigendecomposition did not converge: {err}") from None
+    eigenvalues = eigenvalues[::-1].copy()
+    u = u[:, ::-1]
     # Deterministic sign: largest-magnitude component of each column positive.
-    for j in range(d):
-        k = int(np.argmax(np.abs(u[:, j])))
-        if u[k, j] < 0.0:
-            u[:, j] = -u[:, j]
+    pivots = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    u = np.where(pivots < 0.0, -u, u)
     return SpectralDecomposition(eigenvalues, u)
 
 
@@ -236,20 +140,13 @@ def cholesky(v) -> np.ndarray:
     non-symmetric square root, used as the comparison root in the
     displacement tests.
     """
-    a = as_symmetric(v)
-    d = a.shape[0]
-    lower = np.zeros_like(a)
-    for j in range(d):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if not np.isfinite(pivot) or pivot <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"Cholesky pivot {j} is {pivot:.6e}; matrix is not positive definite"
-            )
-        diag = math.sqrt(pivot)
-        lower[j, j] = diag
-        if j + 1 < d:
-            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / diag
-    return lower
+    try:
+        return np.linalg.cholesky(as_symmetric(v))
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(
+            "Cholesky factorization met a non-positive pivot; matrix is not "
+            "positive definite"
+        ) from None
 
 
 def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:

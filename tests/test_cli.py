@@ -257,6 +257,24 @@ class TestExitCodes:
         assert run_cli("partition", "--data", str(data), "--batches", "1", "--out", out) == 1
         assert "d.csv:3: not UTF-8" in capsys.readouterr().err
 
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_bytes(b'{"target": "warped-gaussian",\n "n_batches": \xff1}\n')
+        assert run_cli("experiment", "--config", str(cfg_path)) == 1
+        assert "config.json:2: not UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_sidecar_is_usage_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for batch_id, path in enumerate(paths):
+            write_batch(path, SampleBatch(batch_id, rng.standard_normal((60, 2))))
+        sidecar = tmp_path / "b.meta.json"
+        sidecar.write_bytes(sidecar.read_bytes().replace(b'"seed"', b'"s\xffeed"'))
+        out = str(tmp_path / "o.csv")
+        assert run_cli("combine", "--method", "swiss", "--out", out, *map(str, paths)) == 1
+        err = capsys.readouterr().err
+        assert "b.meta.json:" in err and "not UTF-8" in err
+
     def test_combine_dimension_mismatch_is_usage_error(self, tmp_path):
         two = tmp_path / "two.csv"
         two.write_text("param_0,param_1\n" + "".join(f"{i},{i * i % 7}\n" for i in range(8)))
