@@ -52,11 +52,9 @@ from .linalg import (
     symmetrize,
 )
 from .metrics import (
-    Kde1D,
     MetricReport,
     compute_metrics,
     iad,
-    kde_1d,
     mahalanobis,
     silverman_bandwidth,
     skew_deviation,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import InvalidInputError, ParseError, SwissError
@@ -155,12 +156,10 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_experiment(args) -> None:
-    payload = read_json(args.config)
-    config = ExperimentConfig.from_dict(payload)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.workers is not None:
-        config.workers = args.workers
+    config = ExperimentConfig.from_dict(read_json(args.config))
+    # replace() re-runs the config's validation on the overridden fields
+    overrides = {k: v for k, v in vars(args).items() if k in ("seed", "workers") and v is not None}
+    config = replace(config, **overrides)
     summary = run_experiment(config, out_dir=args.out or config.out_dir)
     for name, entry in summary.aggregates["combiners"].items():
         parts = [
@@ -172,7 +171,10 @@ def _cmd_experiment(args) -> None:
 
 
 def _cmd_bench(args) -> None:
-    dims = [int(tok) for tok in args.dims.split(",") if tok.strip()]
+    try:
+        dims = [int(tok) for tok in args.dims.split(",") if tok.strip()]
+    except ValueError as err:
+        raise InvalidInputError(f"--dims must list integers: {err}") from None
     if not dims:
         raise InvalidInputError("--dims must list at least one dimension")
     rows = bench_dimension_scaling(

@@ -46,7 +46,6 @@ from .rng import RngStream, mix_seed
 from .sampler import SamplerConfig, sample, sample_all_batches
 from .targets import (
     DATA_BACKED_TARGETS,
-    PARTITION_SCHEMES,
     TARGET_NAMES,
     gaussian_conjugate_suite,
     make_target,
@@ -82,21 +81,13 @@ class ExperimentConfig:
     burn_in: int = 1000
     seed: int = 0
     n_observations: int = 0
-    partition_scheme: str = "random-equal"
     combiners: tuple = COMBINER_NAMES
     metrics: tuple = METRIC_NAMES
     n_runs: int = 1
     workers: int = 1
     thin: int = 1
     init: object = "prior-draw"
-    proposal_scale: float | None = None
-    target_accept: float = 0.234
     target_params: dict = field(default_factory=dict)
-    # Optional overrides for the batch-target exponents; by default inflated
-    # combiners get (1, B) and consensus gets (1/B, 1) on data-backed targets,
-    # while data-free targets keep (1, 1) everywhere.
-    prior_power: float | None = None
-    likelihood_power: float | None = None
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -112,8 +103,6 @@ class ExperimentConfig:
         unknown = set(self.metrics) - set(METRIC_NAMES)
         if unknown:
             raise InvalidInputError(f"unknown metrics: {sorted(unknown)}")
-        if self.partition_scheme not in PARTITION_SCHEMES:
-            raise InvalidInputError(f"unknown partition scheme {self.partition_scheme!r}")
         if self.n_batches < 1 or self.n_samples < 1 or self.n_runs < 1 or self.workers < 1:
             raise InvalidInputError("n_batches, n_samples, n_runs and workers must be >= 1")
         if self.target in DATA_BACKED_TARGETS and self.n_observations < self.n_batches:
@@ -121,6 +110,8 @@ class ExperimentConfig:
                 f"target {self.target!r} needs n_observations >= n_batches, "
                 f"got {self.n_observations} < {self.n_batches}"
             )
+        if not isinstance(self.target_params, dict):
+            raise InvalidInputError("target_params must be a JSON object")
         self.target_params = dict(self.target_params)
 
     def to_dict(self) -> dict:
@@ -133,6 +124,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
+        if not isinstance(payload, dict):
+            raise InvalidInputError(f"config must be a JSON object, got {type(payload).__name__}")
         known = set(cls.__dataclass_fields__)
         unknown = set(payload) - known
         if unknown:
@@ -278,31 +271,21 @@ def _run_repetition(config: ExperimentConfig, dataset, rep: int) -> ExperimentRe
 
         stage = "partition"
         if sharded:
-            split = partition(
-                dataset,
-                n_batches,
-                config.partition_scheme,
-                seed=mix_seed(config.seed, rep, _PARTITION_STREAM),
-            )
+            split = partition(dataset, n_batches, seed=mix_seed(config.seed, rep, _PARTITION_STREAM))
             batch_data = shard_data(dataset, split)
         else:
             batch_data = [None] * n_batches
 
+        # exponents (1, B) for inflated batch targets and (1/B, 1) for
+        # un-inflated ones; data-free targets keep (1, 1)
         inflated_model = base.with_powers(1.0, float(n_batches)) if sharded else base
         subpost_model = base.with_powers(1.0 / n_batches, 1.0) if sharded else base
-        if config.prior_power is not None or config.likelihood_power is not None:
-            prior_power = config.prior_power if config.prior_power is not None else 1.0
-            lik_power = config.likelihood_power if config.likelihood_power is not None else 1.0
-            inflated_model = base.with_powers(prior_power, lik_power)
-            subpost_model = inflated_model
 
         chain_config = SamplerConfig(
             n_samples=config.n_samples,
             burn_in=config.burn_in,
             thin=config.thin,
             init=config.init,
-            proposal_scale=config.proposal_scale,
-            target_accept=config.target_accept,
             seed=mix_seed(config.seed, rep),
         )
 
@@ -419,7 +402,6 @@ def bench_dimension_scaling(
     seed: int,
     *,
     n_runs: int = 1,
-    combiners=COMBINER_NAMES,
     out_dir=None,
 ) -> list:
     """Dimension-scaling study on exact Gaussian batch draws (no MCMC).
@@ -435,9 +417,6 @@ def bench_dimension_scaling(
     (d, method, iad, time_seconds, repetition).
     """
     dims = [int(d) for d in dims]
-    unknown = set(combiners) - set(COMBINER_NAMES)
-    if unknown:
-        raise InvalidInputError(f"unknown combiners: {sorted(unknown)}")
     rows = []
     for d in dims:
         for rep in range(n_runs):
@@ -473,7 +452,7 @@ def bench_dimension_scaling(
                 )
                 for b, mom in enumerate(per_batch)
             ]
-            for name in combiners:
+            for name in COMBINER_NAMES:
                 if name == "consensus":
                     result = _COMBINE[name](uninflated, moments=per_batch)
                 else:

@@ -94,42 +94,42 @@ def eigh(v) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues, u)
 
 
-def _spd_eigh(v, *, rel_tol: float = SPD_REL_TOL) -> SpectralDecomposition:
+def _spd_eigh(v) -> SpectralDecomposition:
     """Eigendecomposition plus the positive-definiteness check."""
     dec = eigh(v)
     lam_max = float(dec.eigenvalues[0])
     lam_min = float(dec.eigenvalues[-1])
-    if lam_max <= 0.0 or lam_min <= rel_tol * lam_max:
+    if lam_max <= 0.0 or lam_min <= SPD_REL_TOL * lam_max:
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite: smallest eigenvalue "
-            f"{lam_min:.6e} (largest {lam_max:.6e}, tolerance {rel_tol:g})"
+            f"{lam_min:.6e} (largest {lam_max:.6e}, tolerance {SPD_REL_TOL:g})"
         )
     return dec
 
 
-def spsq(v, *, rel_tol: float = SPD_REL_TOL) -> np.ndarray:
+def spsq(v) -> np.ndarray:
     """Symmetric positive-definite square root of an SPD matrix.
 
     Returns M = U diag(sqrt(lambda)) U^T, the unique SPD root; M @ M
     reconstructs the input.  Among all square roots this one applies a pure
     scaling along each eigenvector, which is why the combiners use it.
     """
-    w, u = _spd_eigh(v, rel_tol=rel_tol)
+    w, u = _spd_eigh(v)
     return symmetrize((u * np.sqrt(w)) @ u.T)
 
 
-def spd_roots(v, *, rel_tol: float = SPD_REL_TOL) -> tuple[np.ndarray, np.ndarray]:
+def spd_roots(v) -> tuple[np.ndarray, np.ndarray]:
     """SPD square root and its inverse from a single decomposition."""
-    w, u = _spd_eigh(v, rel_tol=rel_tol)
+    w, u = _spd_eigh(v)
     sqrt_w = np.sqrt(w)
     root = symmetrize((u * sqrt_w) @ u.T)
     inv_root = symmetrize((u / sqrt_w) @ u.T)
     return root, inv_root
 
 
-def spd_inverse(v, *, rel_tol: float = SPD_REL_TOL) -> np.ndarray:
+def spd_inverse(v) -> np.ndarray:
     """Inverse of an SPD matrix, symmetrized before return."""
-    w, u = _spd_eigh(v, rel_tol=rel_tol)
+    w, u = _spd_eigh(v)
     return symmetrize((u / w) @ u.T)
 
 

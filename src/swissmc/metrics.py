@@ -5,9 +5,8 @@ reference-covariance metric, mean absolute deviation of the per-dimension
 standardized skewness, and the integrated absolute distance (IAD) between
 marginal Gaussian kernel density estimates.
 
-The IAD grid, kernel and bandwidth rule are configurable knobs with
-deterministic defaults: Gaussian kernel, Silverman bandwidth, one shared
-512-point grid per dimension, trapezoid integration.
+The IAD uses a Gaussian kernel with Silverman's bandwidth, one shared
+512-point grid per dimension and trapezoid integration.
 """
 
 from __future__ import annotations
@@ -19,7 +18,8 @@ import numpy as np
 from .errors import DataError, InvalidInputError
 from .linalg import spd_inverse, symmetrize
 
-DEFAULT_GRID_SIZE = 512
+# Points in the shared per-dimension IAD grid.
+_GRID_SIZE = 512
 
 # Samples are folded into the KDE grid in blocks of this many points to keep
 # the (block x grid) kernel matrix small.
@@ -27,33 +27,6 @@ _KDE_CHUNK = 4096
 
 # Kernel reach in bandwidths: past 38.6 the Gaussian kernel underflows to 0.0.
 _KDE_CUTOFF = 39.0
-
-
-@dataclass(eq=False)
-class Kde1D:
-    """A kernel density estimate evaluated on a fixed grid."""
-
-    grid: np.ndarray
-    density: np.ndarray
-    bandwidth: float
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        density = np.asarray(self.density, dtype=float)
-        if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-            raise InvalidInputError("grid must be a strictly increasing vector")
-        if density.shape != grid.shape or np.any(density < 0):
-            raise InvalidInputError("density must be non-negative and match the grid")
-        if self.bandwidth <= 0:
-            raise InvalidInputError("bandwidth must be positive")
-        mass = float(np.trapezoid(density, grid))
-        if not 0.98 <= mass <= 1.02:
-            raise DataError(
-                f"KDE grid captures mass {mass:.4f}, outside [0.98, 1.02]; "
-                "widen the grid or the bandwidth"
-            )
-        self.grid = grid
-        self.density = density
 
 
 def _as_matrix(samples) -> np.ndarray:
@@ -135,32 +108,7 @@ def _gaussian_kde_on_grid(x: np.ndarray, bandwidth: float, grid: np.ndarray) -> 
     return density
 
 
-def kde_1d(
-    samples,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    bandwidth: float | None = None,
-    grid_range: tuple[float, float] | None = None,
-) -> Kde1D:
-    """Gaussian-kernel density estimate on an equally spaced grid.
-
-    The grid spans [lo - 3h, hi + 3h] where (lo, hi) is the sample range or,
-    when combining several sample sets, the pooled range supplied by the
-    caller via ``grid_range``.
-    """
-    x = np.asarray(samples, dtype=float).ravel()
-    if x.size < 2:
-        raise InvalidInputError("need at least two samples")
-    if not np.all(np.isfinite(x)):
-        raise DataError("samples contain non-finite values")
-    h = silverman_bandwidth(x) if bandwidth is None else float(bandwidth)
-    if h <= 0:
-        raise InvalidInputError("bandwidth must be positive")
-    lo, hi = grid_range if grid_range is not None else (float(x.min()), float(x.max()))
-    grid = np.linspace(lo - 3.0 * h, hi + 3.0 * h, grid_size)
-    return Kde1D(grid, _gaussian_kde_on_grid(x, h, grid), h)
-
-
-def iad(approx, reference, *, grid_size: int = DEFAULT_GRID_SIZE) -> tuple[float, np.ndarray]:
+def iad(approx, reference) -> tuple[float, np.ndarray]:
     """Integrated absolute distance between marginal KDEs.
 
     Per dimension both density estimates are evaluated on one shared grid
@@ -186,7 +134,7 @@ def iad(approx, reference, *, grid_size: int = DEFAULT_GRID_SIZE) -> tuple[float
         pad = max(ha, hf)
         lo = min(float(xa.min()), float(xf.min()))
         hi = max(float(xa.max()), float(xf.max()))
-        grid = np.linspace(lo - 3.0 * pad, hi + 3.0 * pad, grid_size)
+        grid = np.linspace(lo - 3.0 * pad, hi + 3.0 * pad, _GRID_SIZE)
         da = _gaussian_kde_on_grid(xa, ha, grid)
         df = _gaussian_kde_on_grid(xf, hf, grid)
         per_dim[j] = 0.5 * float(np.trapezoid(np.abs(da - df), grid))

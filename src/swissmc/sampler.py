@@ -25,10 +25,12 @@ from .moments import BatchMeta, SampleBatch
 from .rng import RngStream
 from .targets import TargetModel
 
-# Proposal covariance regularizer and the iteration block size used when
-# pre-generating proposal noise.
+# Proposal covariance regularizer, the iteration block size used when
+# pre-generating proposal noise, and how many burn-in iterations pass
+# between refreshes of the proposal covariance.
 _COV_JITTER = 1e-6
 _BLOCK = 512
+_COV_UPDATE_INTERVAL = 25
 
 # Burn-in acceptance below this rate is flagged as a tuning failure.
 _TUNING_FLOOR = 0.01
@@ -43,10 +45,8 @@ class SamplerConfig:
     thin: int = 1
     init: object = "prior-draw"  # length-d vector, "prior-draw" or "mle"
     proposal_scale: float | None = None  # default 2.38 / sqrt(dim)
-    adapt: bool = True
     target_accept: float = 0.234
     seed: int = 0
-    cov_update_interval: int = 25
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -112,8 +112,7 @@ def sample(
     shape_chol = np.eye(d)
     scaled_chol = math.exp(log_scale) * shape_chol
 
-    # Welford accumulators for the running covariance used during adaptation.
-    run_n = 0
+    # Welford accumulators for the running covariance of the burn-in draws.
     run_mean = np.zeros(d)
     run_m2 = np.zeros((d, d))
 
@@ -150,17 +149,16 @@ def sample(
 
         if it < burn:
             accepted_burn += accept
-            if config.adapt:
-                alpha = math.exp(min(0.0, log_alpha)) if math.isfinite(log_alpha) else 0.0
-                log_scale += (it + 1) ** -0.6 * (alpha - config.target_accept)
-                run_n += 1
-                delta = x - run_mean
-                run_mean += delta / run_n
-                run_m2 += np.outer(delta, x - run_mean)
-                if run_n > max(20, 2 * d) and run_n % config.cov_update_interval == 0:
-                    cov = run_m2 / (run_n - 1) + _COV_JITTER * np.eye(d)
-                    shape_chol = cholesky(symmetrize(cov))
-                scaled_chol = math.exp(log_scale) * shape_chol
+            alpha = math.exp(min(0.0, log_alpha)) if math.isfinite(log_alpha) else 0.0
+            log_scale += (it + 1) ** -0.6 * (alpha - config.target_accept)
+            run_n = it + 1
+            delta = x - run_mean
+            run_mean += delta / run_n
+            run_m2 += np.outer(delta, x - run_mean)
+            if run_n > max(20, 2 * d) and run_n % _COV_UPDATE_INTERVAL == 0:
+                cov = run_m2 / (run_n - 1) + _COV_JITTER * np.eye(d)
+                shape_chol = cholesky(symmetrize(cov))
+            scaled_chol = math.exp(log_scale) * shape_chol
             if it == burn - 1:
                 # Freeze: nothing past this point touches the proposal.
                 scale_at_freeze = math.exp(log_scale)

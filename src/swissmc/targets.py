@@ -343,21 +343,20 @@ def _newton_step(neg_hess, grad, what: str) -> np.ndarray:
         raise NotPositiveDefiniteError(f"{what}: {err}") from None
 
 
-def logistic_mle(
-    data: LogisticData, *, ridge: float = 1e-4, max_iters: int = 60, tol: float = 1e-10
-):
+def logistic_mle(data: LogisticData):
     """Ridge-stabilized Newton iteration for the logistic ML estimate.
 
-    The ridge keeps the Hessian invertible when a feature column is constant
-    within a batch (common with rare features), in which case the matching
-    coefficient simply stays near zero.
+    A ridge of 1e-4 keeps the Hessian invertible when a feature column is
+    constant within a batch (common with rare features), in which case the
+    matching coefficient simply stays near zero.  At most 60 steps; it stops
+    once a step moves no coordinate by 1e-10.
     """
     theta = np.zeros(data.rows.shape[1])
-    for _ in range(max_iters):
-        grad, hess = _logistic_grad_neg_hess(theta, data, ridge, 1.0)
+    for _ in range(60):
+        grad, hess = _logistic_grad_neg_hess(theta, data, 1e-4, 1.0)
         step = _newton_step(hess, grad, "ML estimate")
         theta = theta + step
-        if float(np.max(np.abs(step))) < tol:
+        if float(np.max(np.abs(step))) < 1e-10:
             break
     return theta
 
@@ -586,13 +585,30 @@ def shard_data(data: Dataset, split: Partition) -> list[LogisticData]:
 # Target registry
 # --------------------------------------------------------------------------
 
-TARGET_NAMES = ("rare-bernoulli", "warped-gaussian", "gaussian-mixture", "logistic-rare")
+# Registered targets and the keys each accepts in its ``params`` dict.
+_TARGET_PARAMS = {
+    "rare-bernoulli": (),
+    "warped-gaussian": (),
+    "gaussian-mixture": ("mode_a", "mode_b"),
+    "logistic-rare": ("prior_variance",),
+}
+TARGET_NAMES = tuple(_TARGET_PARAMS)
 DATA_BACKED_TARGETS = ("logistic-rare",)
 
 
 def make_target(name: str, params: dict | None = None, dataset: Dataset | None = None) -> TargetModel:
-    """Instantiate a registered target by name."""
-    params = dict(params or {})
+    """Instantiate a registered target by name; unknown ``params`` keys are rejected."""
+    if name not in _TARGET_PARAMS:
+        raise InvalidInputError(f"unknown target {name!r}, expected one of {TARGET_NAMES}")
+    params = {} if params is None else params
+    if not isinstance(params, dict):
+        raise InvalidInputError(f"target parameters must be a dict, got {type(params).__name__}")
+    unknown = sorted(set(params) - set(_TARGET_PARAMS[name]))
+    if unknown:
+        raise InvalidInputError(
+            f"unknown parameters {unknown} for target {name!r}, "
+            f"expected a subset of {list(_TARGET_PARAMS[name])}"
+        )
     if name == "rare-bernoulli":
         return rare_bernoulli_model()
     if name == "warped-gaussian":
@@ -601,10 +617,8 @@ def make_target(name: str, params: dict | None = None, dataset: Dataset | None =
         return gaussian_mixture_model(
             params.get("mode_a", (-2.0, 0.0)), params.get("mode_b", (2.0, 0.0))
         )
-    if name == "logistic-rare":
-        if dataset is None or dataset.y is None:
-            raise InvalidInputError("logistic-rare needs a dataset with responses")
-        return logistic_regression_model(
-            dataset.x, dataset.y, prior_variance=params.get("prior_variance", 100.0)
-        )
-    raise InvalidInputError(f"unknown target {name!r}, expected one of {TARGET_NAMES}")
+    if dataset is None or dataset.y is None:
+        raise InvalidInputError("logistic-rare needs a dataset with responses")
+    return logistic_regression_model(
+        dataset.x, dataset.y, prior_variance=params.get("prior_variance", 100.0)
+    )

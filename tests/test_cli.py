@@ -307,6 +307,52 @@ class TestExitCodes:
             assert "data-free" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_bench_non_integer_dimension_is_usage_error(self, capsys):
+        assert run_cli("bench", "--dims", "5,x") == 1
+        assert "'x'" in capsys.readouterr().err
+
+    def test_experiment_override_is_validated(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"target": "warped-gaussian", "n_batches": 1,
+                                        "n_samples": 10, "burn_in": 10}))
+        out = tmp_path / "out"
+        assert run_cli("experiment", "--config", str(cfg_path), "--out", str(out),
+                       "--workers", "0") == 1
+        assert "workers" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("payload", ["[1]", "5", '["target"]'])
+    def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, payload):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(payload)
+        assert run_cli("experiment", "--config", str(cfg_path), "--seed", "1") == 1
+
+    def test_unknown_target_params_are_usage_errors(self, tmp_path, capsys):
+        code = run_cli(
+            "sample", "--target", "warped-gaussian", "--params", '{"bogus": 1}',
+            "--n-samples", "10", "--out-dir", str(tmp_path / "x"),
+        )
+        assert code == 1
+        assert "bogus" in capsys.readouterr().err
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"target": "logistic-rare", "n_batches": 2,
+                                        "n_samples": 10, "burn_in": 10,
+                                        "n_observations": 100,
+                                        "target_params": {"prior_varience": 10}}))
+        assert run_cli("experiment", "--config", str(cfg_path)) == 1
+        assert "prior_varience" in capsys.readouterr().err
+
+    def test_target_params_that_are_not_an_object_are_usage_errors(self, tmp_path):
+        code = run_cli(
+            "sample", "--target", "warped-gaussian", "--params", "[1]",
+            "--n-samples", "10", "--out-dir", str(tmp_path / "x"),
+        )
+        assert code == 1
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"target": "warped-gaussian", "n_batches": 1,
+                                        "n_samples": 10, "target_params": [1]}))
+        assert run_cli("experiment", "--config", str(cfg_path)) == 1
+
     def test_mutually_missing_assignment(self, tmp_path):
         data = tmp_path / "d.csv"
         run_cli("simulate", "--n", "50", "--seed", "0", "--out", str(data))

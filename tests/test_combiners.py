@@ -299,7 +299,7 @@ class TestAffineMap:
 
 
 class TestDecompositionCount:
-    """Jacobi eigendecompositions per combine call: one per matrix that
+    """Eigendecompositions per combine call: one per matrix that
     needs one, counted at every module attribute bound to ``linalg.eigh``."""
 
     @pytest.mark.parametrize(

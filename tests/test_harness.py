@@ -1,6 +1,8 @@
 """Experiment orchestration: determinism, serialization, aggregation."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +40,16 @@ class TestConfig:
         config = _tiny_config(target_params={"x": 1.0})
         clone = ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert clone.to_dict() == config.to_dict()
+
+    def test_readme_config_block_loads(self):
+        # README documents the config schema as commented JSON; every field
+        # it shows must exist, so the block has to load as a config.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("### Experiment config schema", 1)[1]
+        block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        payload = json.loads(re.sub(r"\s*//.*", "", block))
+        config = ExperimentConfig.from_dict(payload)
+        assert set(payload) == set(config.to_dict())
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(InvalidInputError, match="unknown config keys"):
@@ -231,7 +243,3 @@ class TestBench:
         a = bench_dimension_scaling([3], 3, 300, seed=26)
         b = bench_dimension_scaling([3], 3, 300, seed=26)
         assert [r["iad"] for r in a] == [r["iad"] for r in b]
-
-    def test_unknown_combiner(self):
-        with pytest.raises(InvalidInputError):
-            bench_dimension_scaling([2], 2, 100, seed=0, combiners=("swiss", "bad"))

@@ -10,12 +10,11 @@ from swissmc import (
     InvalidInputError,
     compute_metrics,
     iad,
-    kde_1d,
     mahalanobis,
     silverman_bandwidth,
     skew_deviation,
 )
-from swissmc.metrics import _direct_kde_sum, _gaussian_kde_on_grid
+from swissmc.metrics import _GRID_SIZE, _direct_kde_sum, _gaussian_kde_on_grid
 from helpers import random_spd
 
 
@@ -75,34 +74,30 @@ class TestSkewDeviation:
             skew_deviation(np.ones((10, 1)), np.random.default_rng(6).standard_normal((10, 1)))
 
 
+def _kde_on_iad_grid(draws):
+    """One sample's density on the grid iad builds when both sets are ``draws``."""
+    h = silverman_bandwidth(draws)
+    grid = np.linspace(draws.min() - 3.0 * h, draws.max() + 3.0 * h, _GRID_SIZE)
+    return grid, _gaussian_kde_on_grid(draws, h, grid)
+
+
 class TestKde1D:
     def test_standard_normal_consistency(self):
         rng = np.random.default_rng(7)
         draws = rng.standard_normal(100_000)
-        estimate = kde_1d(draws)
-        true = np.exp(-0.5 * estimate.grid**2) / np.sqrt(2.0 * np.pi)
-        assert np.max(np.abs(estimate.density - true)) < 0.01
+        grid, density = _kde_on_iad_grid(draws)
+        true = np.exp(-0.5 * grid**2) / np.sqrt(2.0 * np.pi)
+        assert np.max(np.abs(density - true)) < 0.01
 
     def test_density_non_negative_and_normalized(self):
         rng = np.random.default_rng(8)
-        estimate = kde_1d(rng.exponential(2.0, size=5000))
-        assert np.all(estimate.density >= 0)
-        assert 0.98 <= np.trapezoid(estimate.density, estimate.grid) <= 1.02
-
-    def test_bandwidth_override_honored(self):
-        draws = np.random.default_rng(9).standard_normal(500)
-        estimate = kde_1d(draws, bandwidth=0.5)
-        assert estimate.bandwidth == 0.5
+        grid, density = _kde_on_iad_grid(rng.exponential(2.0, size=5000))
+        assert np.all(density >= 0)
+        assert 0.98 <= np.trapezoid(density, grid) <= 1.02
 
     def test_zero_spread_raises(self):
         with pytest.raises(DataError, match="spread"):
-            kde_1d(np.ones(100))
-
-    def test_grid_size_and_span(self):
-        draws = np.random.default_rng(10).standard_normal(1000)
-        estimate = kde_1d(draws, grid_size=256)
-        assert estimate.grid.size == 256
-        assert estimate.grid[0] < draws.min() and estimate.grid[-1] > draws.max()
+            _kde_on_iad_grid(np.ones(100))
 
     def test_binned_evaluation_matches_direct_sum(self):
         rng = np.random.default_rng(11)
@@ -120,15 +115,6 @@ class TestKde1D:
         iqr = np.subtract(*np.percentile(draws, [75, 25]))
         expected = 0.9 * min(sd, iqr / 1.34) * 2000 ** (-0.2)
         assert silverman_bandwidth(draws) == pytest.approx(expected, rel=1e-12)
-
-    def test_grid_must_capture_the_mass(self):
-        # a grid covering half the density violates the mass invariant
-        from swissmc import Kde1D
-
-        grid = np.linspace(0.0, 5.0, 200)
-        half_density = np.exp(-0.5 * grid**2) / np.sqrt(2 * np.pi)
-        with pytest.raises(DataError, match="mass"):
-            Kde1D(grid, half_density, 0.3)
 
 
 class TestIad:

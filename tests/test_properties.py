@@ -1,5 +1,6 @@
-"""Properties of the LAPACK-backed decompositions, the swiss maps and the
-exact KDE sum, checked over generated inputs rather than pinned seeds.
+"""Properties of the LAPACK-backed decompositions, the swiss maps, the four
+combiners and the exact KDE sum, checked over generated inputs rather than
+pinned seeds.
 
 Hypothesis draws the structure (dimension, spectrum, condition number,
 bandwidth); a numpy generator seeded by Hypothesis fills in the entries.
@@ -16,6 +17,9 @@ from hypothesis import given, strategies as st  # noqa: E402
 from swissmc import (  # noqa: E402
     Moments,
     SampleBatch,
+    ar_combine,
+    barycenter_combine,
+    consensus_combine,
     eigh,
     random_orthogonal,
     spd_roots,
@@ -96,6 +100,51 @@ class TestSwissCovarianceMatching:
         for mom, mapping in zip(moments, result.per_batch_maps):
             transported = mapping.matrix @ mom.cov @ mapping.matrix.T
             assert np.max(np.abs(transported - target)) <= 1e-7 * np.max(np.abs(target))
+
+
+COMBINERS = [swiss_combine, consensus_combine, ar_combine, barycenter_combine]
+
+
+def _random_batches(d, n_batches, n_draws, seed):
+    """Batches of standard-normal draws with random SPD moments supplied."""
+    rng = np.random.default_rng(seed)
+    moments = [Moments(rng.standard_normal(d), random_spd(d, rng)) for _ in range(n_batches)]
+    batches = [SampleBatch(b, rng.standard_normal((n_draws, d))) for b in range(n_batches)]
+    return batches, moments
+
+
+def _close(actual, expected, rtol):
+    return np.max(np.abs(actual - expected)) <= rtol * max(1.0, float(np.max(np.abs(expected))))
+
+
+class TestCombinerProperties:
+    @pytest.mark.parametrize("combine", COMBINERS)
+    @given(d=st.integers(1, 8), n_draws=st.integers(2, 40), seed=seeds)
+    def test_single_batch_passes_through(self, combine, d, n_draws, seed):
+        batches, moments = _random_batches(d, 1, n_draws, seed)
+        result = combine(batches, moments=moments)
+        assert _close(result.combined, batches[0].draws, 1e-9)
+
+    @pytest.mark.parametrize("combine", COMBINERS)
+    @given(
+        d=st.integers(1, 8),
+        n_batches=st.integers(2, 6),
+        n_draws=st.integers(2, 20),
+        seed=seeds,
+    )
+    def test_batch_order_only_permutes(self, combine, d, n_batches, n_draws, seed):
+        batches, moments = _random_batches(d, n_batches, n_draws, seed)
+        forward = combine(batches, moments=moments)
+        backward = combine(batches[::-1], moments=moments[::-1])
+        assert _close(backward.pooled.mean, forward.pooled.mean, 1e-12)
+        assert _close(backward.pooled.cov, forward.pooled.cov, 1e-12)
+        if combine is consensus_combine:
+            # draw-wise averages: the rows pair up by index in either order
+            assert _close(backward.combined, forward.combined, 1e-10)
+        else:
+            blocks = forward.combined.reshape(n_batches, n_draws, d)
+            reversed_blocks = blocks[::-1].reshape(-1, d)
+            assert _close(backward.combined, reversed_blocks, 1e-10)
 
 
 def _full_grid_kde_sum(x, bandwidth, grid):

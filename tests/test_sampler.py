@@ -118,17 +118,15 @@ class TestAdaptation:
         assert batch.diagnostics["final_scale"] == batch.diagnostics["scale_at_freeze"]
 
     def test_adaptation_disabled_keeps_initial_scale(self):
-        config = SamplerConfig(
-            n_samples=500, burn_in=500, seed=12, adapt=False, proposal_scale=0.7
-        )
+        # without burn-in nothing adapts the proposal
+        config = SamplerConfig(n_samples=500, burn_in=0, seed=12, proposal_scale=0.7)
         batch = sample(_gaussian_target(), None, config)
         assert batch.diagnostics["final_scale"] == pytest.approx(0.7)
 
     def test_tuning_failure_warning(self):
-        # a proposal scale of 1e6 on a unit-scale target rejects everything
-        config = SamplerConfig(
-            n_samples=200, burn_in=300, seed=13, adapt=False, proposal_scale=1e6
-        )
+        # a proposal scale of 1e6 on a unit-scale target rejects nearly every
+        # move; 300 burn-in steps of adaptation shrink it only about 180-fold
+        config = SamplerConfig(n_samples=200, burn_in=300, seed=13, proposal_scale=1e6)
         batch = sample(_gaussian_target(), None, config)
         warnings = batch.diagnostics["warnings"]
         assert any("tuning-failure" in w for w in warnings)

@@ -476,6 +476,20 @@ class TestMakeTarget:
         with pytest.raises(InvalidInputError, match="dataset"):
             make_target("logistic-rare")
 
+    @pytest.mark.parametrize(
+        "name, params, bad",
+        [
+            ("rare-bernoulli", {"bogus": 1}, "bogus"),
+            ("warped-gaussian", {"bogus": 1}, "bogus"),
+            ("gaussian-mixture", {"mode_a": (0.0, 0.0), "mode_c": (1.0, 0.0)}, "mode_c"),
+            ("logistic-rare", {"prior_varience": 10.0}, "prior_varience"),
+        ],
+    )
+    def test_unknown_params_rejected(self, name, params, bad):
+        data = simulate_rare_feature_data(50, seed=0)
+        with pytest.raises(InvalidInputError, match=rf"unknown parameters \['{bad}'\]"):
+            make_target(name, params, data)
+
     def test_mixture_modes_configurable(self):
         model = make_target("gaussian-mixture", {"mode_a": (0.0, 0.0), "mode_b": (6.0, 0.0)})
         assert model.log_density(np.array([6.0, 0.0])) > model.log_density(np.array([3.0, 0.0]))
