@@ -36,6 +36,7 @@ from .io import (
 from .metrics import METRIC_NAMES, compute_metrics
 from .sampler import SamplerConfig, sample, sample_all_batches
 from .targets import (
+    CONVENTIONS,
     DATA_BACKED_TARGETS,
     PARTITION_SCHEMES,
     TARGET_NAMES,
@@ -74,7 +75,7 @@ def _cmd_sample(args) -> None:
         if not args.data:
             raise InvalidInputError(f"target {args.target!r} needs --data")
         dataset = read_dataset_csv(args.data)
-        model = make_target(args.target, params, dataset)
+        base = make_target(args.target, params, dataset)
         if not args.assignment:
             raise InvalidInputError("data-backed sampling needs --assignment")
         split = read_assignment_csv(args.assignment)
@@ -84,19 +85,15 @@ def _cmd_sample(args) -> None:
             )
         n_batches = split.n_batches
         batch_data = shard_data(dataset, split)
-        if args.convention == "inflated":
-            model = model.with_powers(1.0, float(n_batches))
-        elif args.convention == "subposterior":
-            model = model.with_powers(1.0 / n_batches, 1.0)
     else:
-        # data-free targets keep (1, 1) under every convention, as in the harness
         if args.data or args.assignment:
             raise InvalidInputError(
                 f"target {args.target!r} is data-free and takes neither --data nor --assignment"
             )
-        model = make_target(args.target, params)
+        base = make_target(args.target, params)
         n_batches = args.batches
         batch_data = [None] * n_batches
+    model = base.for_convention(args.convention, n_batches)
     stream_offset = n_batches + 1 if args.convention == "subposterior" else 0
 
     config = SamplerConfig(
@@ -212,7 +209,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sample", help="run per-batch (or full-data) chains")
     p.add_argument("--target", choices=TARGET_NAMES, required=True)
-    p.add_argument("--convention", choices=("inflated", "subposterior", "full"), default="inflated")
+    p.add_argument("--convention", choices=CONVENTIONS, default="inflated")
     p.add_argument("--n-samples", type=int, required=True)
     p.add_argument("--burn-in", type=int, default=1000)
     p.add_argument("--thin", type=int, default=1)

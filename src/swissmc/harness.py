@@ -243,9 +243,7 @@ def laplace_pooling_moments(model, batch_data: list) -> Moments:
     pooled with ``pool_moments``, the pooling ``swiss`` applies to its
     sampled batch moments.  No chain is run.
     """
-    return pool_moments(
-        [model.laplace(data, model.prior_power, model.likelihood_power) for data in batch_data]
-    )
+    return pool_moments([model.laplace(data) for data in batch_data])
 
 
 def _score_baselines(model, batch_data, reference, seed: int, n_samples: int, which) -> dict:
@@ -267,19 +265,16 @@ def _run_repetition(config: ExperimentConfig, dataset, rep: int) -> ExperimentRe
     try:
         base = make_target(config.target, config.target_params, dataset)
         n_batches = config.n_batches
-        sharded = dataset is not None
 
         stage = "partition"
-        if sharded:
+        if dataset is not None:
             split = partition(dataset, n_batches, seed=mix_seed(config.seed, rep, _PARTITION_STREAM))
             batch_data = shard_data(dataset, split)
         else:
             batch_data = [None] * n_batches
 
-        # exponents (1, B) for inflated batch targets and (1/B, 1) for
-        # un-inflated ones; data-free targets keep (1, 1)
-        inflated_model = base.with_powers(1.0, float(n_batches)) if sharded else base
-        subpost_model = base.with_powers(1.0 / n_batches, 1.0) if sharded else base
+        inflated_model = base.for_convention("inflated", n_batches)
+        subpost_model = base.for_convention("subposterior", n_batches)
 
         chain_config = SamplerConfig(
             n_samples=config.n_samples,
@@ -417,6 +412,8 @@ def bench_dimension_scaling(
     (d, method, iad, time_seconds, repetition).
     """
     dims = [int(d) for d in dims]
+    if n_runs < 1:
+        raise InvalidInputError(f"the run count must be >= 1, got {n_runs}")
     rows = []
     for d in dims:
         for rep in range(n_runs):

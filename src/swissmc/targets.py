@@ -1,21 +1,24 @@
 """Log-density targets, synthetic data generators and the data partitioner.
 
-Targets are built from small picklable callables so that chains can run in
-worker processes.  A TargetModel evaluates
+Each target is a frozen dataclass subclass of TargetModel, defined at module
+level so that chains can run in worker processes.  Its only base fields are
+the two exponents, and ``log_density`` evaluates
 
     prior_power * log_prior(theta) + likelihood_power * log_likelihood(theta, batch)
 
 plus an optional fixed reparameterization (Jacobian) term that is never
-tempered.  The exponent pair encodes the batch-target convention: (1, B) for
-inflated targets, (1/B, 1) for un-inflated ones, (1, 1) for the full-data
-posterior.
+tempered.  The exponent pair encodes the batch-target convention, which
+``TargetModel.for_convention`` alone decides: (1, B) for inflated targets,
+(1/B, 1) for un-inflated ones, (1, 1) for the full-data posterior.
+``make_target`` builds a registered target by name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+import numbers
+from dataclasses import dataclass, fields, replace
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -38,6 +41,9 @@ RARE_FEATURE_COEFS = (-3.0, 1.2, -0.5, 0.8, 3.0)
 # and a flat prior, i.e. density proportional to theta * (1 - theta)^999.
 RARE_BERNOULLI_FAILURES = 999
 
+# Batch-target conventions of for_convention.
+CONVENTIONS = ("inflated", "subposterior", "full")
+
 
 def _softplus(x: float) -> float:
     """log(1 + exp(x)) without overflow."""
@@ -54,23 +60,41 @@ def sigmoid(x):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TargetModel:
-    """An evaluatable log-density split into prior and likelihood terms."""
+    """An evaluatable log-density split into prior and likelihood terms.
 
-    name: str
-    dim: int
-    log_prior: Callable
-    log_likelihood: Callable
+    A subclass sets ``name`` and ``dim`` and defines ``log_likelihood``; it
+    may override ``log_prior`` (flat by default) and ``report`` (identity),
+    and may replace any of the ``None`` hooks below with a method.  It never
+    overrides ``log_density``.
+    """
+
+    name: ClassVar[str]
+    dim: ClassVar[int]
+    # Data-backed targets evaluate per-batch data; data-free ones ignore it
+    # and keep exponents (1, 1) under every convention.
+    data_backed: ClassVar[bool] = False
+
     prior_power: float = 1.0
     likelihood_power: float = 1.0
-    log_jacobian: Callable | None = None
-    to_reported: Callable | None = None
-    init_sampler: Callable | None = None
-    mle: Callable | None = None
-    # (data_batch, prior_power, likelihood_power) -> Moments of the Laplace
-    # approximation; only targets with a closed-form Hessian provide it.
-    laplace: Callable | None = None
+
+    # Optional hooks, None when the target lacks them:
+    # log_jacobian(theta): fixed reparameterization term, never tempered;
+    # init_sampler(rng): starting point for init="prior-draw";
+    # mle(data_batch): starting point for init="mle";
+    # laplace(data_batch): Moments of the Laplace approximation of this
+    #     target at its own exponents (needs a closed-form Hessian).
+    log_jacobian = None
+    init_sampler = None
+    mle = None
+    laplace = None
+
+    def log_prior(self, theta) -> float:
+        return 0.0
+
+    def log_likelihood(self, theta, data_batch=None) -> float:
+        raise NotImplementedError
 
     def log_density(self, theta, data_batch=None) -> float:
         theta = np.asarray(theta, dtype=float)
@@ -85,73 +109,29 @@ class TargetModel:
     def with_powers(self, prior_power: float, likelihood_power: float) -> "TargetModel":
         return replace(self, prior_power=prior_power, likelihood_power=likelihood_power)
 
+    def for_convention(self, convention: str, n_batches: int) -> "TargetModel":
+        """This target as the batch target of ``convention`` over ``n_batches``.
+
+        Exponents (prior, likelihood) are (1, B) for "inflated" batch targets,
+        (1/B, 1) for "subposterior" (un-inflated) ones and (1, 1) for the
+        "full"-data posterior.  A data-free target has no likelihood to split
+        and stays at (1, 1) under every convention.
+        """
+        if convention not in CONVENTIONS:
+            raise InvalidInputError(
+                f"unknown convention {convention!r}, expected one of {CONVENTIONS}"
+            )
+        if n_batches < 1:
+            raise InvalidInputError(f"the batch count must be >= 1, got {n_batches}")
+        if not self.data_backed or convention == "full":
+            return self.with_powers(1.0, 1.0)
+        if convention == "inflated":
+            return self.with_powers(1.0, float(n_batches))
+        return self.with_powers(1.0 / n_batches, 1.0)
+
     def report(self, draws: np.ndarray) -> np.ndarray:
         """Map chain-scale draws to the reported parameterization."""
-        return draws if self.to_reported is None else self.to_reported(draws)
-
-
-# --------------------------------------------------------------------------
-# Priors and init samplers
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FlatPrior:
-    def __call__(self, theta) -> float:
-        return 0.0
-
-
-@dataclass(frozen=True)
-class GaussianPrior:
-    """Zero-mean isotropic Gaussian prior with the given variance."""
-
-    variance: float = 100.0
-
-    def __call__(self, theta) -> float:
-        theta = np.asarray(theta, dtype=float)
-        d = theta.size
-        return float(
-            -0.5 * float(theta @ theta) / self.variance
-            - 0.5 * d * math.log(2.0 * math.pi * self.variance)
-        )
-
-
-@dataclass(frozen=True)
-class StandardNormalInit:
-    dim: int = 1
-
-    def __call__(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.standard_normal(self.dim)
-
-
-@dataclass(frozen=True)
-class GaussianPriorInit:
-    dim: int
-    variance: float = 100.0
-
-    def __call__(self, rng: np.random.Generator) -> np.ndarray:
-        return math.sqrt(self.variance) * rng.standard_normal(self.dim)
-
-
-@dataclass(frozen=True)
-class LogitUniformInit:
-    """Uniform draw on the unit interval, mapped to the logit scale."""
-
-    def __call__(self, rng: np.random.Generator) -> np.ndarray:
-        u = min(max(rng.random(), 1e-12), 1.0 - 1e-12)
-        return np.array([math.log(u) - math.log1p(-u)])
-
-
-@dataclass(frozen=True)
-class MixtureModeInit:
-    """Standard-normal draw around one of the two modes, chosen by coin flip."""
-
-    mode_a: tuple
-    mode_b: tuple
-
-    def __call__(self, rng: np.random.Generator) -> np.ndarray:
-        mode = self.mode_a if rng.random() < 0.5 else self.mode_b
-        return np.asarray(mode, dtype=float) + rng.standard_normal(len(mode))
+        return draws
 
 
 # --------------------------------------------------------------------------
@@ -167,41 +147,29 @@ def rare_bernoulli_logpdf(theta: float) -> float:
 
 
 @dataclass(frozen=True)
-class RareBernoulliLikelihood:
-    """Rare-Bernoulli log-density evaluated at theta = sigmoid(phi)."""
+class RareBernoulli(TargetModel):
+    """Rare-Bernoulli posterior; chains run unconstrained on phi = logit(theta)."""
 
-    def __call__(self, phi, data_batch=None) -> float:
+    name = "rare-bernoulli"
+    dim = 1
+
+    def log_likelihood(self, phi, data_batch=None) -> float:
         p = float(np.asarray(phi, dtype=float).ravel()[0])
         # log sigmoid(p) - 999 * softplus(p) == log theta + 999 log(1 - theta)
         return -_softplus(-p) - RARE_BERNOULLI_FAILURES * _softplus(p)
 
-
-@dataclass(frozen=True)
-class LogitJacobian:
-    """log |d theta / d phi| for theta = sigmoid(phi)."""
-
-    def __call__(self, phi) -> float:
+    def log_jacobian(self, phi) -> float:
+        """log |d theta / d phi| for theta = sigmoid(phi)."""
         p = float(np.asarray(phi, dtype=float).ravel()[0])
         return -_softplus(-p) - _softplus(p)
 
+    def init_sampler(self, rng: np.random.Generator) -> np.ndarray:
+        """Uniform draw on the unit interval, mapped to the logit scale."""
+        u = min(max(rng.random(), 1e-12), 1.0 - 1e-12)
+        return np.array([math.log(u) - math.log1p(-u)])
 
-@dataclass(frozen=True)
-class SigmoidReport:
-    def __call__(self, draws: np.ndarray) -> np.ndarray:
+    def report(self, draws: np.ndarray) -> np.ndarray:
         return sigmoid(draws)
-
-
-def rare_bernoulli_model() -> TargetModel:
-    """Rare-Bernoulli target; chains run unconstrained on the logit scale."""
-    return TargetModel(
-        name="rare-bernoulli",
-        dim=1,
-        log_prior=FlatPrior(),
-        log_likelihood=RareBernoulliLikelihood(),
-        log_jacobian=LogitJacobian(),
-        to_reported=SigmoidReport(),
-        init_sampler=LogitUniformInit(),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -218,19 +186,15 @@ def warped_gaussian_logpdf(theta) -> float:
 
 
 @dataclass(frozen=True)
-class WarpedGaussianDensity:
-    def __call__(self, theta, data_batch=None) -> float:
+class WarpedGaussian(TargetModel):
+    name = "warped-gaussian"
+    dim = 2
+
+    def log_likelihood(self, theta, data_batch=None) -> float:
         return warped_gaussian_logpdf(theta)
 
-
-def warped_gaussian_model() -> TargetModel:
-    return TargetModel(
-        name="warped-gaussian",
-        dim=2,
-        log_prior=FlatPrior(),
-        log_likelihood=WarpedGaussianDensity(),
-        init_sampler=StandardNormalInit(2),
-    )
+    def init_sampler(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.standard_normal(2)
 
 
 def gaussian_mixture_logpdf(theta, mode_a=(-2.0, 0.0), mode_b=(2.0, 0.0)) -> float:
@@ -243,27 +207,42 @@ def gaussian_mixture_logpdf(theta, mode_a=(-2.0, 0.0), mode_b=(2.0, 0.0)) -> flo
     return float(np.logaddexp(log_a, log_b))
 
 
+def _finite_vector(key: str, value, length: int) -> tuple:
+    """``value`` as a tuple of ``length`` finite floats, else InvalidInputError naming ``key``."""
+    try:
+        ok = len(value) == length and all(
+            isinstance(v, numbers.Real) and math.isfinite(v) for v in value
+        )
+    except TypeError:
+        ok = False
+    if not ok:
+        raise InvalidInputError(
+            f"{key} must be a list of {length} finite numbers, got {value!r}"
+        )
+    return tuple(float(v) for v in value)
+
+
 @dataclass(frozen=True)
-class MixtureDensity:
+class GaussianMixture(TargetModel):
+    """Equal mix of unit-covariance Gaussians at ``mode_a`` and ``mode_b``."""
+
+    name = "gaussian-mixture"
+    dim = 2
+
     mode_a: tuple = (-2.0, 0.0)
     mode_b: tuple = (2.0, 0.0)
 
-    def __call__(self, theta, data_batch=None) -> float:
+    def __post_init__(self):
+        object.__setattr__(self, "mode_a", _finite_vector("mode_a", self.mode_a, 2))
+        object.__setattr__(self, "mode_b", _finite_vector("mode_b", self.mode_b, 2))
+
+    def log_likelihood(self, theta, data_batch=None) -> float:
         return gaussian_mixture_logpdf(theta, self.mode_a, self.mode_b)
 
-
-def gaussian_mixture_model(mode_a=(-2.0, 0.0), mode_b=(2.0, 0.0)) -> TargetModel:
-    mode_a = tuple(float(v) for v in mode_a)
-    mode_b = tuple(float(v) for v in mode_b)
-    if len(mode_a) != 2 or len(mode_b) != 2:
-        raise InvalidInputError("mixture modes must be length-2 vectors")
-    return TargetModel(
-        name="gaussian-mixture",
-        dim=2,
-        log_prior=FlatPrior(),
-        log_likelihood=MixtureDensity(mode_a, mode_b),
-        init_sampler=MixtureModeInit(mode_a, mode_b),
-    )
+    def init_sampler(self, rng: np.random.Generator) -> np.ndarray:
+        """Standard-normal draw around one of the two modes, chosen by coin flip."""
+        mode = self.mode_a if rng.random() < 0.5 else self.mode_b
+        return np.asarray(mode, dtype=float) + rng.standard_normal(len(mode))
 
 
 # --------------------------------------------------------------------------
@@ -301,22 +280,6 @@ def collapse_logistic(x, y) -> LogisticData:
     successes = np.bincount(group, weights=y[order], minlength=rows.shape[0])
     counts = np.bincount(group, minlength=rows.shape[0]).astype(float)
     return LogisticData(rows, successes, counts)
-
-
-@dataclass(frozen=True, eq=False)
-class LogisticLikelihood:
-    """Bernoulli log-likelihood under the logit link.
-
-    Holds the full data; per-batch evaluation passes that batch's
-    LogisticData instead.
-    """
-
-    data: LogisticData
-
-    def __call__(self, theta, data_batch=None) -> float:
-        rows, successes, counts = data_batch if data_batch is not None else self.data
-        eta = rows @ np.asarray(theta, dtype=float)
-        return float(successes @ eta - counts @ np.logaddexp(0.0, eta))
 
 
 def logistic_log_likelihood_grad(theta, data: LogisticData) -> np.ndarray:
@@ -391,34 +354,64 @@ def logistic_laplace(
 
 
 @dataclass(frozen=True, eq=False)
-class LogisticMle:
-    data: LogisticData
+class LogisticRegression(TargetModel):
+    """Bernoulli likelihood under the logit link with a N(0, prior_variance I) prior.
 
-    def __call__(self, data_batch=None) -> np.ndarray:
-        return logistic_mle(data_batch if data_batch is not None else self.data)
+    ``data`` is the full data, collapsed by collapse_logistic; per-batch
+    evaluation passes that batch's LogisticData instead.
+    """
 
-
-@dataclass(frozen=True, eq=False)
-class LogisticLaplace:
-    """Laplace moments of the tempered posterior on one batch (see logistic_laplace)."""
+    name = "logistic"
+    data_backed = True
 
     data: LogisticData
     prior_variance: float = 100.0
 
-    def __call__(self, data_batch=None, prior_power=1.0, likelihood_power=1.0) -> Moments:
+    def __post_init__(self):
+        variance = self.prior_variance
+        if not (isinstance(variance, numbers.Real) and math.isfinite(variance) and variance > 0):
+            raise InvalidInputError(
+                f"prior_variance must be a finite number > 0, got {variance!r}"
+            )
+        object.__setattr__(self, "prior_variance", float(variance))
+
+    @property
+    def dim(self) -> int:
+        return self.data.rows.shape[1]
+
+    def log_prior(self, theta) -> float:
+        theta = np.asarray(theta, dtype=float)
+        d = theta.size
+        return float(
+            -0.5 * float(theta @ theta) / self.prior_variance
+            - 0.5 * d * math.log(2.0 * math.pi * self.prior_variance)
+        )
+
+    def log_likelihood(self, theta, data_batch=None) -> float:
+        rows, successes, counts = data_batch if data_batch is not None else self.data
+        eta = rows @ np.asarray(theta, dtype=float)
+        return float(successes @ eta - counts @ np.logaddexp(0.0, eta))
+
+    def init_sampler(self, rng: np.random.Generator) -> np.ndarray:
+        return math.sqrt(self.prior_variance) * rng.standard_normal(self.dim)
+
+    def mle(self, data_batch=None) -> np.ndarray:
+        return logistic_mle(data_batch if data_batch is not None else self.data)
+
+    def laplace(self, data_batch=None) -> Moments:
         return logistic_laplace(
             data_batch if data_batch is not None else self.data,
             prior_variance=self.prior_variance,
-            prior_power=prior_power,
-            likelihood_power=likelihood_power,
+            prior_power=self.prior_power,
+            likelihood_power=self.likelihood_power,
         )
 
 
-def logistic_regression_model(x, y, *, prior_variance: float = 100.0) -> TargetModel:
+def logistic_regression_model(x, y, *, prior_variance: float = 100.0) -> LogisticRegression:
     """Logistic regression with a weakly informative Gaussian prior.
 
     The data are collapsed once (see collapse_logistic); batch data passed to
-    the model's callables must be in the same LogisticData form.
+    the model's methods must be in the same LogisticData form.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -428,16 +421,7 @@ def logistic_regression_model(x, y, *, prior_variance: float = 100.0) -> TargetM
         )
     if not np.all((y == 0) | (y == 1)):
         raise InvalidInputError("responses must be 0/1")
-    data = collapse_logistic(x, y)
-    return TargetModel(
-        name="logistic",
-        dim=x.shape[1],
-        log_prior=GaussianPrior(prior_variance),
-        log_likelihood=LogisticLikelihood(data),
-        init_sampler=GaussianPriorInit(x.shape[1], prior_variance),
-        mle=LogisticMle(data),
-        laplace=LogisticLaplace(data, prior_variance),
-    )
+    return LogisticRegression(collapse_logistic(x, y), prior_variance)
 
 
 # --------------------------------------------------------------------------
@@ -585,40 +569,44 @@ def shard_data(data: Dataset, split: Partition) -> list[LogisticData]:
 # Target registry
 # --------------------------------------------------------------------------
 
-# Registered targets and the keys each accepts in its ``params`` dict.
-_TARGET_PARAMS = {
-    "rare-bernoulli": (),
-    "warped-gaussian": (),
-    "gaussian-mixture": ("mode_a", "mode_b"),
-    "logistic-rare": ("prior_variance",),
+# Registered targets by name.
+_TARGETS = {
+    "rare-bernoulli": RareBernoulli,
+    "warped-gaussian": WarpedGaussian,
+    "gaussian-mixture": GaussianMixture,
+    "logistic-rare": LogisticRegression,
 }
-TARGET_NAMES = tuple(_TARGET_PARAMS)
-DATA_BACKED_TARGETS = ("logistic-rare",)
+TARGET_NAMES = tuple(_TARGETS)
+DATA_BACKED_TARGETS = tuple(name for name, cls in _TARGETS.items() if cls.data_backed)
+
+
+def _param_keys(cls) -> tuple:
+    """The ``params`` keys a target accepts: its own dataclass fields but the data."""
+    base = {f.name for f in fields(TargetModel)} | {"data"}
+    return tuple(f.name for f in fields(cls) if f.name not in base)
 
 
 def make_target(name: str, params: dict | None = None, dataset: Dataset | None = None) -> TargetModel:
-    """Instantiate a registered target by name; unknown ``params`` keys are rejected."""
-    if name not in _TARGET_PARAMS:
+    """Instantiate a registered target by name at exponents (1, 1).
+
+    Unknown ``params`` keys are rejected, and the target's constructor checks
+    the values.
+    """
+    if name not in _TARGETS:
         raise InvalidInputError(f"unknown target {name!r}, expected one of {TARGET_NAMES}")
     params = {} if params is None else params
     if not isinstance(params, dict):
         raise InvalidInputError(f"target parameters must be a dict, got {type(params).__name__}")
-    unknown = sorted(set(params) - set(_TARGET_PARAMS[name]))
+    cls = _TARGETS[name]
+    accepted = _param_keys(cls)
+    unknown = sorted(set(params) - set(accepted))
     if unknown:
         raise InvalidInputError(
             f"unknown parameters {unknown} for target {name!r}, "
-            f"expected a subset of {list(_TARGET_PARAMS[name])}"
+            f"expected a subset of {list(accepted)}"
         )
-    if name == "rare-bernoulli":
-        return rare_bernoulli_model()
-    if name == "warped-gaussian":
-        return warped_gaussian_model()
-    if name == "gaussian-mixture":
-        return gaussian_mixture_model(
-            params.get("mode_a", (-2.0, 0.0)), params.get("mode_b", (2.0, 0.0))
-        )
+    if not cls.data_backed:
+        return cls(**params)
     if dataset is None or dataset.y is None:
-        raise InvalidInputError("logistic-rare needs a dataset with responses")
-    return logistic_regression_model(
-        dataset.x, dataset.y, prior_variance=params.get("prior_variance", 100.0)
-    )
+        raise InvalidInputError(f"{name} needs a dataset with responses")
+    return logistic_regression_model(dataset.x, dataset.y, **params)

@@ -342,6 +342,58 @@ class TestExitCodes:
         assert run_cli("experiment", "--config", str(cfg_path)) == 1
         assert "prior_varience" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "target, params, key",
+        [
+            ("gaussian-mixture", {"mode_a": "ab"}, "mode_a"),
+            ("gaussian-mixture", {"mode_a": [1, "nan"]}, "mode_a"),
+            ("logistic-rare", {"prior_variance": -1}, "prior_variance"),
+            ("logistic-rare", {"prior_variance": 0}, "prior_variance"),
+        ],
+    )
+    def test_bad_target_param_values_are_usage_errors(self, tmp_path, capsys, target, params, key):
+        flags = ()
+        if target == "logistic-rare":
+            data, assign = tmp_path / "d.csv", tmp_path / "a.csv"
+            run_cli("simulate", "--n", "50", "--seed", "0", "--out", str(data))
+            run_cli("partition", "--data", str(data), "--batches", "2", "--out", str(assign))
+            flags = ("--data", str(data), "--assignment", str(assign))
+        capsys.readouterr()
+        code = run_cli(
+            "sample", "--target", target, *flags, "--params", json.dumps(params),
+            "--n-samples", "10", "--out-dir", str(tmp_path / "x"),
+        )
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"target": target, "n_batches": 2, "n_samples": 10,
+                                        "burn_in": 10, "n_observations": 100,
+                                        "target_params": params}))
+        assert run_cli("experiment", "--config", str(cfg_path)) == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("convention", ["inflated", "subposterior", "full"])
+    @pytest.mark.parametrize("batches", ["0", "-2"])
+    def test_sample_batch_count_below_one_is_usage_error(
+        self, tmp_path, capsys, convention, batches
+    ):
+        out = tmp_path / "x"
+        code = run_cli(
+            "sample", "--target", "warped-gaussian", "--convention", convention,
+            "--batches", batches, "--n-samples", "10", "--burn-in", "0", "--out-dir", str(out),
+        )
+        assert code == 1
+        assert "batch count" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("runs", ["0", "-1"])
+    def test_bench_run_count_below_one_is_usage_error(self, tmp_path, capsys, runs):
+        out = tmp_path / "bench"
+        assert run_cli("bench", "--dims", "2", "--runs", runs, "--out", str(out)) == 1
+        assert "run count" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_target_params_that_are_not_an_object_are_usage_errors(self, tmp_path):
         code = run_cli(
             "sample", "--target", "warped-gaussian", "--params", "[1]",

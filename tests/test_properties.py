@@ -1,6 +1,7 @@
 """Properties of the LAPACK-backed decompositions, the swiss maps, the four
-combiners and the exact KDE sum, checked over generated inputs rather than
-pinned seeds.
+combiners (including consensus averaging and the rotation-plus-translation
+equivariance of swiss and barycenter) and the exact KDE sum, checked over
+generated inputs rather than pinned seeds.
 
 Hypothesis draws the structure (dimension, spectrum, condition number,
 bandwidth); a numpy generator seeded by Hypothesis fills in the entries.
@@ -145,6 +146,46 @@ class TestCombinerProperties:
             blocks = forward.combined.reshape(n_batches, n_draws, d)
             reversed_blocks = blocks[::-1].reshape(-1, d)
             assert _close(backward.combined, reversed_blocks, 1e-10)
+
+    @given(
+        d=st.integers(1, 8),
+        n_batches=st.integers(2, 6),
+        n_draws=st.integers(2, 20),
+        seed=seeds,
+    )
+    def test_consensus_with_equal_covariances_is_plain_average(
+        self, d, n_batches, n_draws, seed
+    ):
+        # equal precisions weigh every batch by 1/B, whatever the means
+        batches, moments = _random_batches(d, n_batches, n_draws, seed)
+        shared = moments[0].cov
+        equal = [Moments(mom.mean, shared) for mom in moments]
+        result = consensus_combine(batches, moments=equal)
+        average = np.mean([batch.draws for batch in batches], axis=0)
+        assert _close(result.combined, average, 1e-10)
+
+    @pytest.mark.parametrize("combine", [swiss_combine, barycenter_combine])
+    @given(
+        d=st.integers(1, 8),
+        n_batches=st.integers(1, 6),
+        n_draws=st.integers(2, 20),
+        seed=seeds,
+    )
+    def test_rotation_and_translation_equivariance(self, combine, d, n_batches, n_draws, seed):
+        # x -> Qx + c on every batch (draws and moments) maps the combined
+        # draws the same way: the symmetric root is orthogonally equivariant
+        batches, moments = _random_batches(d, n_batches, n_draws, seed)
+        rng = np.random.default_rng(seed + 1)
+        q = random_orthogonal(d, rng)
+        c = rng.uniform(-10.0, 10.0, d)
+        moved_batches = [SampleBatch(b.batch_id, b.draws @ q.T + c) for b in batches]
+        moved_moments = [
+            Moments(q @ mom.mean + c, (q @ mom.cov @ q.T + (q @ mom.cov @ q.T).T) / 2.0)
+            for mom in moments
+        ]
+        plain = combine(batches, moments=moments)
+        moved = combine(moved_batches, moments=moved_moments)
+        assert _close(moved.combined, plain.combined @ q.T + c, 1e-9)
 
 
 def _full_grid_kde_sum(x, bandwidth, grid):

@@ -13,32 +13,27 @@ from swissmc import (
     sample,
     sample_all_batches,
 )
-from swissmc.targets import FlatPrior, StandardNormalInit
 from helpers import block_mean_se
 
 
-class _ScalarGaussian:
-    """Picklable standard-normal log-density."""
+class _UnitGaussian(TargetModel):
+    """Standard-normal target, defined at module level so it pickles."""
 
-    def __call__(self, theta, data_batch=None):
+    name = "unit-gaussian"
+    dim = 1
+
+    def log_likelihood(self, theta, data_batch=None):
         t = float(np.asarray(theta).ravel()[0])
         return -0.5 * t * t
 
-
-def _gaussian_target():
-    return TargetModel(
-        name="unit-gaussian",
-        dim=1,
-        log_prior=FlatPrior(),
-        log_likelihood=_ScalarGaussian(),
-        init_sampler=StandardNormalInit(1),
-    )
+    def init_sampler(self, rng):
+        return rng.standard_normal(1)
 
 
 class TestSampleBasics:
     def test_standard_normal_moments(self):
         config = SamplerConfig(n_samples=50_000, burn_in=2000, seed=1, target_accept=0.44)
-        batch = sample(_gaussian_target(), None, config)
+        batch = sample(_UnitGaussian(), None, config)
         draws = batch.draws.ravel()
         se = block_mean_se(draws)
         assert abs(draws.mean()) <= 3 * se
@@ -71,13 +66,13 @@ class TestSampleBasics:
     def test_seed_changes_draws(self):
         base = SamplerConfig(n_samples=500, burn_in=100, seed=4)
         other = SamplerConfig(n_samples=500, burn_in=100, seed=5)
-        a = sample(_gaussian_target(), None, base)
-        b = sample(_gaussian_target(), None, other)
+        a = sample(_UnitGaussian(), None, base)
+        b = sample(_UnitGaussian(), None, other)
         assert not np.array_equal(a.draws, b.draws)
 
     def test_thinning_returns_requested_draws(self):
         config = SamplerConfig(n_samples=300, burn_in=50, thin=5, seed=6)
-        batch = sample(_gaussian_target(), None, config)
+        batch = sample(_UnitGaussian(), None, config)
         assert batch.draws.shape == (300, 1)
 
     def test_metadata_reflects_target(self):
@@ -97,11 +92,14 @@ class TestSampleBasics:
     def test_infinite_density_at_init_raises(self):
         config = SamplerConfig(n_samples=10, burn_in=0, seed=9, init=np.array([0.0]))
 
-        class _Rejecting:
-            def __call__(self, theta, data_batch=None):
+        class _Rejecting(TargetModel):
+            name = "broken"
+            dim = 1
+
+            def log_likelihood(self, theta, data_batch=None):
                 return -math.inf
 
-        target = TargetModel("broken", 1, FlatPrior(), _Rejecting())
+        target = _Rejecting()
         with pytest.raises(InvalidInputError, match="not finite"):
             sample(target, None, config)
 
@@ -114,20 +112,20 @@ class TestAdaptation:
 
     def test_proposal_frozen_after_burn_in(self):
         config = SamplerConfig(n_samples=5000, burn_in=2000, seed=11)
-        batch = sample(_gaussian_target(), None, config)
+        batch = sample(_UnitGaussian(), None, config)
         assert batch.diagnostics["final_scale"] == batch.diagnostics["scale_at_freeze"]
 
     def test_adaptation_disabled_keeps_initial_scale(self):
         # without burn-in nothing adapts the proposal
         config = SamplerConfig(n_samples=500, burn_in=0, seed=12, proposal_scale=0.7)
-        batch = sample(_gaussian_target(), None, config)
+        batch = sample(_UnitGaussian(), None, config)
         assert batch.diagnostics["final_scale"] == pytest.approx(0.7)
 
     def test_tuning_failure_warning(self):
         # a proposal scale of 1e6 on a unit-scale target rejects nearly every
         # move; 300 burn-in steps of adaptation shrink it only about 180-fold
         config = SamplerConfig(n_samples=200, burn_in=300, seed=13, proposal_scale=1e6)
-        batch = sample(_gaussian_target(), None, config)
+        batch = sample(_UnitGaussian(), None, config)
         warnings = batch.diagnostics["warnings"]
         assert any("tuning-failure" in w for w in warnings)
 
@@ -137,16 +135,17 @@ class TestDetailedBalance:
         # skewed 1-D target on the unit interval (Beta(2, 8) kernel),
         # discretized; total-variation gap of the histogram < 0.02
 
-        class _BetaKernel:
-            def __call__(self, theta, data_batch=None):
+        class _BetaKernel(TargetModel):
+            name = "beta-kernel"
+            dim = 1
+
+            def log_likelihood(self, theta, data_batch=None):
                 t = float(np.asarray(theta).ravel()[0])
                 if not 0.0 < t < 1.0:
                     return -math.inf
                 return math.log(t) + 7.0 * math.log1p(-t)
 
-        target = TargetModel(
-            "beta-kernel", 1, FlatPrior(), _BetaKernel(), init_sampler=StandardNormalInit(1)
-        )
+        target = _BetaKernel()
         config = SamplerConfig(
             n_samples=500_000, burn_in=2000, seed=14, target_accept=0.44, init=np.array([0.2])
         )
@@ -179,7 +178,7 @@ class TestSampleAllBatches:
 
     def test_identical_targets_agree_across_batches(self):
         config = SamplerConfig(n_samples=20_000, burn_in=2000, seed=17, target_accept=0.44)
-        batches = sample_all_batches(_gaussian_target(), [None] * 4, config)
+        batches = sample_all_batches(_UnitGaussian(), [None] * 4, config)
         means = [b.draws.mean() for b in batches]
         ses = [block_mean_se(b.draws.ravel()) for b in batches]
         spread = 3 * math.sqrt(2) * max(ses)
@@ -195,11 +194,14 @@ class TestSampleAllBatches:
         assert not np.array_equal(plain[0].draws, offset[0].draws)
 
     def test_batch_error_carries_batch_id(self):
-        class _SecondBatchFails:
-            def __call__(self, theta, data_batch=None):
+        class _SecondBatchFails(TargetModel):
+            name = "partial"
+            dim = 1
+
+            def log_likelihood(self, theta, data_batch=None):
                 return -math.inf if data_batch == "bad" else 0.0
 
-        target = TargetModel("partial", 1, FlatPrior(), _SecondBatchFails())
+        target = _SecondBatchFails()
         config = SamplerConfig(n_samples=10, burn_in=0, seed=19, init=np.array([0.0]))
         with pytest.raises(InvalidInputError, match="batch 1"):
             sample_all_batches(target, ["good", "bad"], config)

@@ -1,6 +1,7 @@
 """Targets, generators, the partitioner and the dataset CSV interface."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -23,8 +24,13 @@ from swissmc import (
     write_dataset_csv,
 )
 from swissmc.targets import (
+    DATA_BACKED_TARGETS,
     RARE_FEATURE_COEFS,
     RARE_FEATURE_RATES,
+    TARGET_NAMES,
+    GaussianMixture,
+    LogisticRegression,
+    TargetModel,
     _logistic_grad_neg_hess,
     collapse_logistic,
     logistic_laplace,
@@ -268,7 +274,7 @@ class TestSufficientStatistics:
 
     def test_rare_feature_target_holds_at_most_16_rows(self):
         data = simulate_rare_feature_data(20000, 14)
-        rows = make_target("logistic-rare", dataset=data).log_likelihood.data.rows
+        rows = make_target("logistic-rare", dataset=data).data.rows
         assert rows.shape[0] <= 16
         assert rows.shape[1] == 5
 
@@ -299,7 +305,7 @@ class TestLogisticLaplace:
 
     def test_gradient_vanishes_at_mode(self):
         model, batch = self._shard()
-        mode = model.laplace(batch, model.prior_power, model.likelihood_power).mean
+        mode = model.laplace(batch).mean
         assert np.max(np.abs(self._grad(mode, batch))) < 1e-8
         # the same holds for the target's own log-density, by central differences
         eps = 1e-5
@@ -313,7 +319,7 @@ class TestLogisticLaplace:
 
     def test_covariance_is_inverse_negative_hessian(self):
         model, batch = self._shard()
-        laplace = model.laplace(batch, model.prior_power, model.likelihood_power)
+        laplace = model.laplace(batch)
         eps = 1e-5
         neg_hess = np.empty((model.dim, model.dim))
         for j in range(model.dim):
@@ -493,3 +499,74 @@ class TestMakeTarget:
     def test_mixture_modes_configurable(self):
         model = make_target("gaussian-mixture", {"mode_a": (0.0, 0.0), "mode_b": (6.0, 0.0)})
         assert model.log_density(np.array([6.0, 0.0])) > model.log_density(np.array([3.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "params, key",
+        [
+            ({"mode_a": "ab"}, "mode_a"),
+            ({"mode_a": [1, "nan"]}, "mode_a"),
+            ({"mode_b": [0.0, math.inf]}, "mode_b"),
+            ({"mode_b": [1.0, 2.0, 3.0]}, "mode_b"),
+            ({"mode_a": 5}, "mode_a"),
+        ],
+    )
+    def test_mixture_rejects_bad_modes(self, params, key):
+        with pytest.raises(InvalidInputError, match=key):
+            GaussianMixture(**params)
+
+    @pytest.mark.parametrize("variance", [-1, 0, 0.0, math.inf, math.nan, "10", None])
+    def test_logistic_rejects_bad_prior_variance(self, variance):
+        data = collapse_logistic(np.ones((4, 1)), np.array([0.0, 1.0, 1.0, 0.0]))
+        with pytest.raises(InvalidInputError, match="prior_variance"):
+            LogisticRegression(data, prior_variance=variance)
+
+
+@pytest.mark.parametrize("name", TARGET_NAMES)
+class TestTargetContract:
+    """What every registered target owes the sampler, the harness and worker processes."""
+
+    @staticmethod
+    def _target_and_points(name):
+        data = simulate_rare_feature_data(600, seed=41)
+        target = make_target(name, dataset=data)
+        batch = shard_data(data, partition(data, 3, seed=42))[1] if target.data_backed else None
+        points = 0.5 * np.random.default_rng(43).standard_normal((5, target.dim))
+        return target, batch, points
+
+    def test_log_density_is_not_overridden(self, name):
+        target, _, _ = self._target_and_points(name)
+        assert type(target).log_density is TargetModel.log_density
+
+    def test_pickle_round_trip_keeps_log_density_bits(self, name):
+        target, batch, points = self._target_and_points(name)
+        target = target.for_convention("inflated", 3)
+        clone = pickle.loads(pickle.dumps(target))
+        assert type(clone) is type(target)
+        for theta in points:
+            for data in (None, batch):
+                assert clone.log_density(theta, data) == target.log_density(theta, data)
+
+    def test_for_convention_exponents(self, name):
+        target, _, _ = self._target_and_points(name)
+        data_backed = name in DATA_BACKED_TARGETS
+        assert data_backed == target.data_backed
+        expected = {"inflated": (1.0, 4.0), "subposterior": (0.25, 1.0), "full": (1.0, 1.0)}
+        for convention, powers in expected.items():
+            batch_target = target.for_convention(convention, 4)
+            assert type(batch_target) is type(target)
+            got = (batch_target.prior_power, batch_target.likelihood_power)
+            assert got == (powers if data_backed else (1.0, 1.0))
+        with pytest.raises(InvalidInputError, match="batch count"):
+            target.for_convention("inflated", 0)
+        with pytest.raises(InvalidInputError, match="convention"):
+            target.for_convention("tempered", 2)
+
+    def test_log_density_is_the_tempered_sum(self, name):
+        target, batch, points = self._target_and_points(name)
+        target = target.with_powers(0.3, 2.5)
+        for theta in points:
+            for data in (None, batch):
+                expected = 0.3 * target.log_prior(theta) + 2.5 * target.log_likelihood(theta, data)
+                if target.log_jacobian is not None:
+                    expected += target.log_jacobian(theta)
+                assert target.log_density(theta, data) == expected
