@@ -68,7 +68,7 @@ from .moments import (
     pool_moments,
 )
 from .rng import RngStream, mix_seed, splitmix64
-from .sampler import SamplerConfig, sample, sample_all_batches
+from .sampler import Chain, SamplerConfig, sample, sample_all_batches
 from .targets import (
     Dataset,
     Partition,

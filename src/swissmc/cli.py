@@ -34,7 +34,7 @@ from .io import (
     write_sample_csv,
 )
 from .metrics import METRIC_NAMES, compute_metrics
-from .sampler import SamplerConfig, sample, sample_all_batches
+from .sampler import INIT_MODES, Chain, SamplerConfig, sample, sample_all_batches
 from .targets import (
     CONVENTIONS,
     DATA_BACKED_TARGETS,
@@ -69,7 +69,21 @@ def _cmd_partition(args) -> None:
     print(f"wrote assignment for {dataset.n_rows} rows ({args.batches} batches, sizes {sizes})")
 
 
+def _split_list(text: str, flag: str, convert, what: str) -> list:
+    """A comma-separated flag value as a non-empty list of ``convert``ed items."""
+    try:
+        items = [convert(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as err:
+        raise InvalidInputError(f"{flag} must list {what}: {err}") from None
+    if not items:
+        raise InvalidInputError(f"{flag} must list at least one value")
+    return items
+
+
 def _cmd_sample(args) -> None:
+    init = args.init
+    if init not in INIT_MODES:
+        init = _split_list(init, "--init", float, f"{' or '.join(INIT_MODES)} or numbers")
     params = json.loads(args.params) if args.params else {}
     if args.target in DATA_BACKED_TARGETS:
         if not args.data:
@@ -100,7 +114,7 @@ def _cmd_sample(args) -> None:
         n_samples=args.n_samples,
         burn_in=args.burn_in,
         thin=args.thin,
-        init=args.init,
+        init=init,
         seed=args.seed,
     )
     out = Path(args.out_dir)
@@ -111,7 +125,7 @@ def _cmd_sample(args) -> None:
         print(f"wrote full-data chain ({batch.n_draws} draws) to {out / 'full.csv'}")
         return
     batches = sample_all_batches(
-        model, batch_data, config, workers=args.workers, stream_offset=stream_offset
+        [Chain(model, data, b, stream_offset + b) for b, data in enumerate(batch_data)], config
     )
     for batch in batches:
         write_batch(out / f"batch_{batch.batch_id}.csv", batch)
@@ -168,12 +182,7 @@ def _cmd_experiment(args) -> None:
 
 
 def _cmd_bench(args) -> None:
-    try:
-        dims = [int(tok) for tok in args.dims.split(",") if tok.strip()]
-    except ValueError as err:
-        raise InvalidInputError(f"--dims must list integers: {err}") from None
-    if not dims:
-        raise InvalidInputError("--dims must list at least one dimension")
+    dims = _split_list(args.dims, "--dims", int, "integers")
     rows = bench_dimension_scaling(
         dims,
         args.batches,
@@ -214,12 +223,13 @@ def build_parser() -> _Parser:
     p.add_argument("--burn-in", type=int, default=1000)
     p.add_argument("--thin", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--init", default="prior-draw")
+    p.add_argument(
+        "--init", default="prior-draw", help="prior-draw, mle or comma-separated numbers"
+    )
     p.add_argument("--batches", type=int, default=1, help="batch count for data-free targets")
     p.add_argument("--data", help="dataset CSV (data-backed targets)")
     p.add_argument("--assignment", help="partition CSV from the partition subcommand")
     p.add_argument("--params", help="JSON dict of target parameters")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_sample)
 
@@ -241,7 +251,9 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out", help="output directory (overrides the config)")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--workers", type=int, help="override the config worker count")
+    p.add_argument(
+        "--workers", type=int, help="override the config worker count (starts no process)"
+    )
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("bench", help="dimension-scaling study on exact Gaussian draws")

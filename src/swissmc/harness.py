@@ -2,7 +2,10 @@
 
 An experiment samples a full-data reference chain plus per-batch chains,
 runs the requested combiners, scores each against the reference and repeats
-with derived seeds.  Seed layout (see ``rng.mix_seed``):
+with derived seeds.  A repetition's chains (the full-data chain, then the
+inflated and the un-inflated batch chains) run as one lockstep group in this
+process; ``workers`` is accepted and validated but starts no process.  Seed
+layout (see ``rng.mix_seed``):
 
 * dataset:            mix_seed(seed, _DATA_STREAM)
 * repetition r:       chain master = mix_seed(seed, r)
@@ -12,7 +15,7 @@ with derived seeds.  Seed layout (see ``rng.mix_seed``):
 * oracle draws:       chain master, stream 2B + 1 (Laplace-pooling baseline)
 
 so reports are identical for a fixed config and seed regardless of worker
-count or scheduling.
+count or of which chains share a group.
 
 Baselines.  On targets with a Laplace hook (the data-backed ones) every
 repetition that runs ``swiss`` also scores two references that involve no
@@ -43,7 +46,7 @@ from .linalg import draw_gaussian
 from .metrics import METRIC_NAMES, MetricReport, compute_metrics
 from .moments import Moments, SampleBatch, pool_moments
 from .rng import RngStream, mix_seed
-from .sampler import SamplerConfig, sample, sample_all_batches
+from .sampler import Chain, SamplerConfig, sample_all_batches
 from .targets import (
     DATA_BACKED_TARGETS,
     TARGET_NAMES,
@@ -105,6 +108,10 @@ class ExperimentConfig:
             raise InvalidInputError(f"unknown metrics: {sorted(unknown)}")
         if self.n_batches < 1 or self.n_samples < 1 or self.n_runs < 1 or self.workers < 1:
             raise InvalidInputError("n_batches, n_samples, n_runs and workers must be >= 1")
+        # the chain settings are checked here, before any output exists
+        SamplerConfig(
+            n_samples=self.n_samples, burn_in=self.burn_in, thin=self.thin, init=self.init
+        )
         if self.target in DATA_BACKED_TARGETS and self.n_observations < self.n_batches:
             raise InvalidInputError(
                 f"target {self.target!r} needs n_observations >= n_batches, "
@@ -259,14 +266,12 @@ def _score_baselines(model, batch_data, reference, seed: int, n_samples: int, wh
     }
 
 
-def _run_repetition(config: ExperimentConfig, dataset, rep: int) -> ExperimentReport:
+def _run_repetition(config: ExperimentConfig, base, dataset, rep: int) -> ExperimentReport:
     started = time.perf_counter()
-    stage = "setup"
+    stage = "partition"
     try:
-        base = make_target(config.target, config.target_params, dataset)
         n_batches = config.n_batches
 
-        stage = "partition"
         if dataset is not None:
             split = partition(dataset, n_batches, seed=mix_seed(config.seed, rep, _PARTITION_STREAM))
             batch_data = shard_data(dataset, split)
@@ -284,28 +289,32 @@ def _run_repetition(config: ExperimentConfig, dataset, rep: int) -> ExperimentRe
             seed=mix_seed(config.seed, rep),
         )
 
-        stage = "sampling (full-data reference)"
-        # no batch data: the model evaluates the full data it was built on
-        full_chain = sample(base, None, chain_config, batch_id=0, stream_id=n_batches)
+        stage = "sampling"
+        # the full-data chain has no batch data: it evaluates the data the
+        # model was built on
+        chains = [Chain(base, None, 0, n_batches, "full-data chain")]
+        run_inflated = any(name in INFLATED_COMBINERS for name in config.combiners)
+        run_subpost = "consensus" in config.combiners
+        if run_inflated:
+            chains += [
+                Chain(inflated_model, data, b, b, f"inflated batch {b}")
+                for b, data in enumerate(batch_data)
+            ]
+        if run_subpost:
+            chains += [
+                Chain(subpost_model, data, b, n_batches + 1 + b, f"un-inflated batch {b}")
+                for b, data in enumerate(batch_data)
+            ]
+        full_chain, *batches = sample_all_batches(chains, chain_config)
         reference = full_chain.draws
 
         diagnostics = {"full": full_chain.diagnostics}
         inflated_batches = subpost_batches = None
-        if any(name in INFLATED_COMBINERS for name in config.combiners):
-            stage = "sampling (inflated batch chains)"
-            inflated_batches = sample_all_batches(
-                inflated_model, batch_data, chain_config, workers=config.workers, stream_offset=0
-            )
+        if run_inflated:
+            inflated_batches, batches = batches[:n_batches], batches[n_batches:]
             diagnostics["inflated"] = [b.diagnostics for b in inflated_batches]
-        if "consensus" in config.combiners:
-            stage = "sampling (un-inflated batch chains)"
-            subpost_batches = sample_all_batches(
-                subpost_model,
-                batch_data,
-                chain_config,
-                workers=config.workers,
-                stream_offset=n_batches + 1,
-            )
+        if run_subpost:
+            subpost_batches = batches
             diagnostics["subposterior"] = [b.diagnostics for b in subpost_batches]
 
         combiner_metrics = {}
@@ -370,16 +379,19 @@ def run_experiment(config: ExperimentConfig, *, out_dir=None) -> ExperimentSumma
     """Run every repetition of an experiment and aggregate the metrics.
 
     Per-run reports are written as soon as each repetition completes, so a
-    failure in a later repetition leaves the finished ones on disk.
+    failure in a later repetition leaves the finished ones on disk.  The
+    target is built (and its parameters checked) before the output
+    directory is made.
     """
+    dataset = _build_dataset(config)
+    base = make_target(config.target, config.target_params, dataset)
     out = out_dir if out_dir is not None else config.out_dir
     out = Path(out) if out is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-    dataset = _build_dataset(config)
     reports = []
     for rep in range(config.n_runs):
-        report = _run_repetition(config, dataset, rep)
+        report = _run_repetition(config, base, dataset, rep)
         reports.append(report)
         if out is not None:
             write_json(out / f"run_{rep}.json", report.to_dict())

@@ -41,8 +41,8 @@ class SpectralDecomposition(NamedTuple):
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Average a matrix with its transpose."""
-    return (a + a.T) / 2.0
+    """Average a matrix, or each matrix of a stack, with its transpose."""
+    return (a + a.swapaxes(-1, -2)) / 2.0
 
 
 def as_symmetric(a, *, name: str = "matrix") -> np.ndarray:

@@ -1,21 +1,30 @@
-"""Seeded adaptive random-walk Metropolis sampling.
+"""Seeded adaptive random-walk Metropolis sampling, every chain in lockstep.
 
-One chain per batch, each owning its own RngStream keyed by
-(config.seed, stream_id), so results are reproducible bit for bit and do not
-depend on how many chains run at once.
+A group of K chains advances together: each iteration proposes, evaluates
+and accepts for all K at once as (K, d) arrays, with one stacked
+``log_density`` call.  The chains of a group share one target model (each at
+its own exponents, on its own batch data) and one SamplerConfig.  A single
+chain is the K = 1 case.
 
-Proposals are Gaussian with covariance scale^2 * Sigma_hat.  During burn-in
-the scalar scale follows a Robbins-Monro recursion toward the target
-acceptance rate and Sigma_hat tracks the running sample covariance
-(regularized by +1e-6 I); both freeze when burn-in ends, so the retained
-chain is Markov.
+Each chain owns its own RngStream keyed by (config.seed, stream_id) and
+draws its proposal noise from it in blocks of 512 iterations, and every
+per-chain quantity (proposal, log-density, acceptance, adaptation) is
+computed from that chain's values alone in a fixed order.  A chain's draws
+and diagnostics are therefore bit-identical whether it runs alone or in any
+group, in any position.
+
+Proposals are Gaussian with covariance scale^2 * Sigma_hat: a chain steps by
+scale * (L z) with L the Cholesky factor of Sigma_hat.  During burn-in the
+scalar scale follows a Robbins-Monro recursion toward the target acceptance
+rate and Sigma_hat tracks the running sample covariance (regularized by
++1e-6 I); both freeze when burn-in ends, so the retained chain is Markov.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +44,12 @@ _COV_UPDATE_INTERVAL = 25
 # Burn-in acceptance below this rate is flagged as a tuning failure.
 _TUNING_FLOOR = 0.01
 
+INIT_MODES = ("prior-draw", "mle")
+
+# A density of -inf or NaN at a proposal (inf - inf, log 0, exp overflow) is
+# a rejection, not an error.
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -43,7 +58,7 @@ class SamplerConfig:
     n_samples: int
     burn_in: int = 1000
     thin: int = 1
-    init: object = "prior-draw"  # length-d vector, "prior-draw" or "mle"
+    init: object = "prior-draw"  # "prior-draw", "mle" or a vector of finite numbers
     proposal_scale: float | None = None  # default 2.38 / sqrt(dim)
     target_accept: float = 0.234
     seed: int = 0
@@ -59,25 +74,65 @@ class SamplerConfig:
             raise InvalidInputError("proposal_scale must be positive")
         if not 0.0 < self.target_accept < 1.0:
             raise InvalidInputError("target_accept must lie in (0, 1)")
+        if not (isinstance(self.init, str) and self.init in INIT_MODES):
+            object.__setattr__(self, "init", _init_vector(self.init))
+
+
+def _init_vector(init) -> tuple:
+    """``init`` as a tuple of finite floats, else InvalidInputError."""
+    try:
+        # a string would parse as a number here; only the two modes are strings
+        vector = None if isinstance(init, str) else np.asarray(init, dtype=float).ravel()
+    except (TypeError, ValueError):
+        vector = None
+    if vector is None or vector.size == 0 or not np.all(np.isfinite(vector)):
+        raise InvalidInputError(
+            f"init must be one of {INIT_MODES} or a vector of finite numbers, got {init!r}"
+        )
+    return tuple(float(v) for v in vector)
+
+
+class Chain(NamedTuple):
+    """One chain of a lockstep group.
+
+    ``data`` is the batch data the target evaluates (None: the data the
+    target was built on), ``batch_id`` tags the returned SampleBatch,
+    ``stream_id`` keys its RngStream (default: the batch id) and ``label``
+    names the chain in errors (default: ``batch <batch_id>``).
+    """
+
+    target: TargetModel
+    data: object = None
+    batch_id: int = 0
+    stream_id: int | None = None
+    label: str | None = None
+
+
+def _per_chain(labels: list, fn, *items) -> list:
+    """``[fn(*args) for args in zip(*items)]``; an error names its chain."""
+    out = []
+    for label, args in zip(labels, zip(*items)):
+        try:
+            out.append(fn(*args))
+        except SwissError as err:
+            raise type(err)(f"{label}: {err}") from err
+    return out
 
 
 def _initial_point(target: TargetModel, data_batch, config: SamplerConfig, rng) -> np.ndarray:
     init = config.init
-    if isinstance(init, str):
-        if init == "prior-draw":
-            if target.init_sampler is None:
-                raise InvalidInputError(
-                    f"target {target.name!r} has no init sampler; pass an explicit vector"
-                )
-            point = np.asarray(target.init_sampler(rng), dtype=float).ravel()
-        elif init == "mle":
-            if target.mle is None:
-                raise InvalidInputError(f"target {target.name!r} has no ML-estimate hook")
-            point = np.asarray(target.mle(data_batch), dtype=float).ravel()
-        else:
-            raise InvalidInputError(f"unknown init mode {init!r}")
+    if init == "prior-draw":
+        if target.init_sampler is None:
+            raise InvalidInputError(
+                f"target {target.name!r} has no init sampler; pass an explicit vector"
+            )
+        point = np.asarray(target.init_sampler(rng), dtype=float).ravel()
+    elif init == "mle":
+        if target.mle is None:
+            raise InvalidInputError(f"target {target.name!r} has no ML-estimate hook")
+        point = np.asarray(target.mle(data_batch), dtype=float).ravel()
     else:
-        point = np.asarray(init, dtype=float).ravel()
+        point = np.asarray(init, dtype=float)
     if point.size != target.dim:
         raise InvalidInputError(
             f"initial point has length {point.size}, target dimension is {target.dim}"
@@ -99,122 +154,170 @@ def sample(
     on the sampling scale.  Diagnostics carry the post-burn-in acceptance
     rate, the frozen proposal scale and any tuning warnings.
     """
-    d = target.dim
-    rng = RngStream(config.seed, batch_id if stream_id is None else stream_id).generator()
-    x = _initial_point(target, data_batch, config, rng)
-    logp = target.log_density(x, data_batch)
-    if not math.isfinite(logp):
+    return _lockstep([Chain(target, data_batch, batch_id, stream_id)], config)[0]
+
+
+def _sample_one(target, data_batch, config, batch_id, stream_id):
+    # Nothing in the package calls this; perfbench/tracer.py wraps it by name.
+    return _lockstep([Chain(target, data_batch, batch_id, stream_id)], config)[0]
+
+
+def sample_all_batches(chains: list, config: SamplerConfig) -> list[SampleBatch]:
+    """Run a group of chains (``Chain`` tuples) in lockstep, in this process.
+
+    Results come back in the order of ``chains``, each identical to what
+    ``sample`` returns for that chain alone.  Errors name the failing
+    chain's batch id.
+    """
+    return _lockstep(list(chains), config)
+
+
+def _proposal_steps(chol: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """chol[k] @ z[..., k, :] for every chain k, with z of shape (..., K, d).
+
+    The sum over j runs left to right whatever the shapes, so a chain's step
+    does not depend on the group or on how many iterations are stacked.  L
+    changes only every 25 burn-in iterations, so L z is taken for the rest
+    of a noise block at once.
+    """
+    steps = chol[:, :, 0] * z[..., :1]
+    for j in range(1, z.shape[-1]):
+        steps += chol[:, :, j] * z[..., j : j + 1]
+    return steps
+
+
+def _lockstep(chains: list, config: SamplerConfig) -> list[SampleBatch]:
+    if not chains:
+        return []
+    model = chains[0].target
+    if not all(model.same_model(chain.target) for chain in chains):
         raise InvalidInputError(
-            f"log-density is not finite at the initial point {x.tolist()}"
+            "the chains of one group must share one target model up to its exponents"
+        )
+    k, d = len(chains), model.dim
+    labels = [chain.label or f"batch {chain.batch_id}" for chain in chains]
+    rngs = [
+        RngStream(config.seed, c.batch_id if c.stream_id is None else c.stream_id).generator()
+        for c in chains
+    ]
+    x = np.array(
+        _per_chain(
+            labels,
+            lambda chain, rng: _initial_point(chain.target, chain.data, config, rng),
+            chains,
+            rngs,
+        )
+    )
+    data = model.stack_data([chain.data for chain in chains])
+    powers = (
+        np.array([chain.target.prior_power for chain in chains]),
+        np.array([chain.target.likelihood_power for chain in chains]),
+    )
+    with np.errstate(**_QUIET):
+        logp = model.log_density(x, data, powers)
+    if not np.all(np.isfinite(logp)):
+        i = int(np.argmin(np.isfinite(logp)))
+        raise InvalidInputError(
+            f"{labels[i]}: log-density is not finite at the initial point {x[i].tolist()}"
         )
 
-    log_scale = math.log(config.proposal_scale if config.proposal_scale is not None else 2.38 / math.sqrt(d))
-    shape_chol = np.eye(d)
-    scaled_chol = math.exp(log_scale) * shape_chol
+    initial_scale = config.proposal_scale
+    if initial_scale is None:
+        initial_scale = 2.38 / math.sqrt(d)
+    log_scale = np.full(k, math.log(initial_scale))
+    scale = np.exp(log_scale)[:, None]
+    shape_chol = np.broadcast_to(np.eye(d), (k, d, d))
+    scale_at_freeze = np.exp(log_scale)
 
     # Welford accumulators for the running covariance of the burn-in draws.
-    run_mean = np.zeros(d)
-    run_m2 = np.zeros((d, d))
+    run_mean = np.zeros((k, d))
+    run_m2 = np.zeros((k, d, d))
+    jitter = _COV_JITTER * np.eye(d)
+    min_cov_draws = max(20, 2 * d)
 
     burn = config.burn_in
     post_iters = config.n_samples * config.thin
     total_iters = burn + post_iters
-    draws = np.empty((config.n_samples, d))
+    draws = np.empty((config.n_samples, k, d))
     kept = 0
-    accepted_burn = 0
-    accepted_post = 0
-    warnings: list[str] = []
-    scale_at_freeze = math.exp(log_scale)
+    accepted_burn = np.zeros(k, dtype=np.int64)
+    accepted_post = np.zeros(k, dtype=np.int64)
+    warnings: list[list[str]] = [[] for _ in chains]
+    accept = np.empty(k, dtype=bool)
+    accept_rows = accept[:, None]
 
-    noise = np.empty((0, d))
-    uniforms = np.empty(0)
-    cursor = 0
-    for it in range(total_iters):
-        if cursor >= uniforms.size:
-            block = min(_BLOCK, total_iters - it)
-            noise = rng.standard_normal((block, d))
-            uniforms = rng.random(block)
-            cursor = 0
-        z = noise[cursor]
-        u = uniforms[cursor]
-        cursor += 1
+    cursor = block = 0
+    with np.errstate(**_QUIET):
+        for it in range(total_iters):
+            if cursor == block:
+                block = min(_BLOCK, total_iters - it)
+                noise = np.empty((block, k, d))
+                log_u = np.empty((block, k))
+                for i, rng in enumerate(rngs):
+                    noise[:, i] = rng.standard_normal((block, d))
+                    log_u[:, i] = rng.random(block)
+                log_u = np.log(log_u)  # log(0) = -inf never accepts
+                shape_steps = _proposal_steps(shape_chol, noise)
+                cursor = 0
+            proposal = x + scale * shape_steps[cursor]
+            logp_prop = model.log_density(proposal, data, powers)
+            log_alpha = logp_prop - logp
+            np.less(log_u[cursor], log_alpha, out=accept)
+            cursor += 1
+            np.copyto(x, proposal, where=accept_rows)
+            np.copyto(logp, logp_prop, where=accept)
 
-        proposal = x + scaled_chol @ z
-        logp_prop = target.log_density(proposal, data_batch)
-        log_alpha = logp_prop - logp
-        accept = (math.log(u) if u > 0.0 else -math.inf) < log_alpha
-        if accept:
-            x = proposal
-            logp = logp_prop
+            if it < burn:
+                accepted_burn += accept
+                alpha = np.where(np.isfinite(log_alpha), np.exp(np.minimum(0.0, log_alpha)), 0.0)
+                log_scale += (it + 1) ** -0.6 * (alpha - config.target_accept)
+                run_n = it + 1
+                delta = x - run_mean
+                run_mean += delta / run_n
+                run_m2 += delta[:, :, None] * (x - run_mean)[:, None, :]
+                if run_n > min_cov_draws and run_n % _COV_UPDATE_INTERVAL == 0:
+                    cov = symmetrize(run_m2 / (run_n - 1) + jitter)
+                    try:
+                        shape_chol = np.linalg.cholesky(cov)
+                        factored = np.all(np.isfinite(shape_chol))  # NaN passes LAPACK
+                    except np.linalg.LinAlgError:
+                        factored = False
+                    if not factored:
+                        # chain by chain, so that the error names the failing one
+                        shape_chol = np.array(_per_chain(labels, cholesky, cov))
+                    shape_steps[cursor:] = _proposal_steps(shape_chol, noise[cursor:])
+                scale = np.exp(log_scale)[:, None]
+                if it == burn - 1:
+                    # Freeze: nothing past this point touches the proposal.
+                    scale_at_freeze = np.exp(log_scale)
+                    for i in np.flatnonzero(accepted_burn / burn < _TUNING_FLOOR):
+                        warnings[i].append(
+                            f"tuning-failure: burn-in acceptance rate "
+                            f"{accepted_burn[i] / burn:.4f} below {_TUNING_FLOOR}"
+                        )
+            else:
+                accepted_post += accept
+                if (it - burn + 1) % config.thin == 0:
+                    draws[kept] = x
+                    kept += 1
 
-        if it < burn:
-            accepted_burn += accept
-            alpha = math.exp(min(0.0, log_alpha)) if math.isfinite(log_alpha) else 0.0
-            log_scale += (it + 1) ** -0.6 * (alpha - config.target_accept)
-            run_n = it + 1
-            delta = x - run_mean
-            run_mean += delta / run_n
-            run_m2 += np.outer(delta, x - run_mean)
-            if run_n > max(20, 2 * d) and run_n % _COV_UPDATE_INTERVAL == 0:
-                cov = run_m2 / (run_n - 1) + _COV_JITTER * np.eye(d)
-                shape_chol = cholesky(symmetrize(cov))
-            scaled_chol = math.exp(log_scale) * shape_chol
-            if it == burn - 1:
-                # Freeze: nothing past this point touches the proposal.
-                scale_at_freeze = math.exp(log_scale)
-                if burn > 0 and accepted_burn / burn < _TUNING_FLOOR:
-                    warnings.append(
-                        f"tuning-failure: burn-in acceptance rate "
-                        f"{accepted_burn / burn:.4f} below {_TUNING_FLOOR}"
-                    )
-        else:
-            accepted_post += accept
-            if (it - burn + 1) % config.thin == 0:
-                draws[kept] = x
-                kept += 1
-
-    diagnostics = {
-        "acceptance_rate": accepted_post / post_iters,
-        "burn_in_acceptance": (accepted_burn / burn) if burn else None,
-        "final_scale": math.exp(log_scale),
-        "scale_at_freeze": scale_at_freeze,
-        "warnings": warnings,
-    }
-    meta = BatchMeta(
-        inflation_exponent=target.likelihood_power,
-        prior_exponent=target.prior_power,
-        seed=config.seed,
-        target_name=target.name,
-    )
-    return SampleBatch(batch_id, target.report(draws), meta=meta, diagnostics=diagnostics)
-
-
-def _sample_one(target, data_batch, config, batch_id, stream_id):
-    try:
-        return sample(target, data_batch, config, batch_id=batch_id, stream_id=stream_id)
-    except SwissError as err:
-        raise type(err)(f"batch {batch_id}: {err}") from err
-
-
-def sample_all_batches(
-    target: TargetModel,
-    batch_data: list,
-    config: SamplerConfig,
-    *,
-    workers: int = 1,
-    stream_offset: int = 0,
-) -> list[SampleBatch]:
-    """Run one independent chain per batch, stream_id = stream_offset + batch_id.
-
-    Results come back ordered by batch id and are identical whether the
-    chains run serially or across worker processes.
-    """
-    jobs = [(b, data) for b, data in enumerate(batch_data)]
-    if workers <= 1 or len(jobs) <= 1:
-        return [_sample_one(target, data, config, b, stream_offset + b) for b, data in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_sample_one, target, data, config, b, stream_offset + b)
-            for b, data in jobs
-        ]
-        return [future.result() for future in futures]
+    final_scale = np.exp(log_scale)
+    batches = []
+    for i, chain in enumerate(chains):
+        target = chain.target
+        diagnostics = {
+            "acceptance_rate": int(accepted_post[i]) / post_iters,
+            "burn_in_acceptance": (int(accepted_burn[i]) / burn) if burn else None,
+            "final_scale": float(final_scale[i]),
+            "scale_at_freeze": float(scale_at_freeze[i]),
+            "warnings": warnings[i],
+        }
+        meta = BatchMeta(
+            inflation_exponent=target.likelihood_power,
+            prior_exponent=target.prior_power,
+            seed=config.seed,
+            target_name=target.name,
+        )
+        chain_draws = target.report(np.ascontiguousarray(draws[:, i]))
+        batches.append(SampleBatch(chain.batch_id, chain_draws, meta, diagnostics))
+    return batches

@@ -1,13 +1,15 @@
 """Log-density targets, synthetic data generators and the data partitioner.
 
-Each target is a frozen dataclass subclass of TargetModel, defined at module
-level so that chains can run in worker processes.  Its only base fields are
-the two exponents, and ``log_density`` evaluates
+Each target is a frozen dataclass subclass of TargetModel.  Its only base
+fields are the two exponents, and ``log_density`` evaluates
 
     prior_power * log_prior(theta) + likelihood_power * log_likelihood(theta, batch)
 
 plus an optional fixed reparameterization (Jacobian) term that is never
-tempered.  The exponent pair encodes the batch-target convention, which
+tempered.  Every term takes one point (a float comes back) or a (K, d) stack
+of points, one per chain of a lockstep group (a (K,) array comes back); a
+stack comes with per-chain exponents and the per-chain data of
+``stack_data``.  The exponent pair encodes the batch-target convention, which
 ``TargetModel.for_convention`` alone decides: (1, B) for inflated targets,
 (1/B, 1) for un-inflated ones, (1, 1) for the full-data posterior.
 ``make_target`` builds a registered target by name.
@@ -45,9 +47,35 @@ RARE_BERNOULLI_FAILURES = 999
 CONVENTIONS = ("inflated", "subposterior", "full")
 
 
-def _softplus(x: float) -> float:
-    """log(1 + exp(x)) without overflow."""
-    return float(np.logaddexp(0.0, x))
+def _softplus(x):
+    """log(1 + exp(x)) without overflow, elementwise."""
+    return np.logaddexp(0.0, x)
+
+
+def _coordinate(theta, j: int):
+    """Coordinate ``j`` of one point (a float) or of each row of a (K, d) stack."""
+    theta = np.asarray(theta, dtype=float)
+    return theta[:, j] if theta.ndim == 2 else float(theta.ravel()[j])
+
+
+def _sum_planes(terms: np.ndarray) -> np.ndarray:
+    """terms[0] + terms[1] + ..., added left to right.
+
+    ``sum`` and ``@`` pick their summation order by array length and layout,
+    so a chain's value could depend on the group it runs in.  A fixed order
+    keeps each chain of a lockstep group bit-identical to the same chain run
+    alone.  Meant for a short leading axis (one plane per coordinate).
+    """
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def _sum_last(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, left to right (``cumsum`` adds in index
+    order), so trailing zeros leave a row's total unchanged; see _sum_planes."""
+    return terms.cumsum(axis=-1)[..., -1]
 
 
 def sigmoid(x):
@@ -67,7 +95,9 @@ class TargetModel:
     A subclass sets ``name`` and ``dim`` and defines ``log_likelihood``; it
     may override ``log_prior`` (flat by default) and ``report`` (identity),
     and may replace any of the ``None`` hooks below with a method.  It never
-    overrides ``log_density``.
+    overrides ``log_density``.  ``log_prior``, ``log_likelihood`` and
+    ``log_jacobian`` take one point or a (K, d) stack (see the module
+    docstring); a data-backed target also overrides ``stack_data``.
     """
 
     name: ClassVar[str]
@@ -96,15 +126,39 @@ class TargetModel:
     def log_likelihood(self, theta, data_batch=None) -> float:
         raise NotImplementedError
 
-    def log_density(self, theta, data_batch=None) -> float:
+    def log_density(self, theta, data_batch=None, powers=None):
+        """Log-density at one point, or at each row of a (K, d) stack.
+
+        For a stack, ``data_batch`` is ``stack_data``'s per-chain data and
+        ``powers`` an optional (prior, likelihood) pair of (K,) exponent
+        arrays, by default this target's exponents.  NaN becomes -inf.
+        """
         theta = np.asarray(theta, dtype=float)
-        total = self.prior_power * self.log_prior(theta)
-        total += self.likelihood_power * self.log_likelihood(theta, data_batch)
+        prior_power, likelihood_power = (
+            (self.prior_power, self.likelihood_power) if powers is None else powers
+        )
+        total = prior_power * self.log_prior(theta)
+        total += likelihood_power * self.log_likelihood(theta, data_batch)
         if self.log_jacobian is not None:
             total += self.log_jacobian(theta)
+        if theta.ndim == 2:
+            return np.fmax(total, -np.inf)  # NaN -> -inf, every other value kept
         if math.isnan(total):
             return -math.inf
         return float(total)
+
+    def stack_data(self, batches: list):
+        """The per-chain data of a lockstep group in the form ``log_density``
+        takes with (K, d) points; an entry of None stands for the target's
+        own data.  The base passes the list through."""
+        return list(batches)
+
+    def same_model(self, other: "TargetModel") -> bool:
+        """Whether ``other`` is this target up to its exponents, so that one
+        stacked ``log_density`` call can evaluate both."""
+        return type(other) is type(self) and self == other.with_powers(
+            self.prior_power, self.likelihood_power
+        )
 
     def with_powers(self, prior_power: float, likelihood_power: float) -> "TargetModel":
         return replace(self, prior_power=prior_power, likelihood_power=likelihood_power)
@@ -153,14 +207,14 @@ class RareBernoulli(TargetModel):
     name = "rare-bernoulli"
     dim = 1
 
-    def log_likelihood(self, phi, data_batch=None) -> float:
-        p = float(np.asarray(phi, dtype=float).ravel()[0])
+    def log_likelihood(self, phi, data_batch=None):
+        p = _coordinate(phi, 0)
         # log sigmoid(p) - 999 * softplus(p) == log theta + 999 log(1 - theta)
         return -_softplus(-p) - RARE_BERNOULLI_FAILURES * _softplus(p)
 
-    def log_jacobian(self, phi) -> float:
+    def log_jacobian(self, phi):
         """log |d theta / d phi| for theta = sigmoid(phi)."""
-        p = float(np.asarray(phi, dtype=float).ravel()[0])
+        p = _coordinate(phi, 0)
         return -_softplus(-p) - _softplus(p)
 
     def init_sampler(self, rng: np.random.Generator) -> np.ndarray:
@@ -179,10 +233,13 @@ class RareBernoulli(TargetModel):
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def warped_gaussian_logpdf(theta) -> float:
-    """Banana-shaped density: standard normal in (theta_1, theta_2 + theta_1^2)."""
-    t = np.asarray(theta, dtype=float).ravel()
-    return float(-0.5 * t[0] ** 2 - 0.5 * (t[1] + t[0] ** 2) ** 2 - _LOG_2PI)
+def warped_gaussian_logpdf(theta):
+    """Banana-shaped density: standard normal in (theta_1, theta_2 + theta_1^2).
+
+    A (K, 2) stack of points gives (K,) values.
+    """
+    first, second = _coordinate(theta, 0), _coordinate(theta, 1)
+    return -0.5 * first**2 - 0.5 * (second + first**2) ** 2 - _LOG_2PI
 
 
 @dataclass(frozen=True)
@@ -190,18 +247,26 @@ class WarpedGaussian(TargetModel):
     name = "warped-gaussian"
     dim = 2
 
-    def log_likelihood(self, theta, data_batch=None) -> float:
+    def log_likelihood(self, theta, data_batch=None):
         return warped_gaussian_logpdf(theta)
 
     def init_sampler(self, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(2)
 
 
-def gaussian_mixture_logpdf(theta, mode_a=(-2.0, 0.0), mode_b=(2.0, 0.0)) -> float:
-    """Equal mix of two unit-covariance bivariate Gaussian bumps."""
-    t = np.asarray(theta, dtype=float).ravel()
+def gaussian_mixture_logpdf(theta, mode_a=(-2.0, 0.0), mode_b=(2.0, 0.0)):
+    """Equal mix of two unit-covariance bivariate Gaussian bumps.
+
+    A (K, 2) stack of points gives (K,) values.
+    """
+    t = np.asarray(theta, dtype=float)
     a = np.asarray(mode_a, dtype=float)
     b = np.asarray(mode_b, dtype=float)
+    if t.ndim == 2:
+        log_a = -0.5 * _sum_planes(((t - a) ** 2).T) - _LOG_2PI
+        log_b = -0.5 * _sum_planes(((t - b) ** 2).T) - _LOG_2PI
+        return np.logaddexp(log_a, log_b)
+    t = t.ravel()
     log_a = -0.5 * float((t - a) @ (t - a)) - _LOG_2PI
     log_b = -0.5 * float((t - b) @ (t - b)) - _LOG_2PI
     return float(np.logaddexp(log_a, log_b))
@@ -236,7 +301,7 @@ class GaussianMixture(TargetModel):
         object.__setattr__(self, "mode_a", _finite_vector("mode_a", self.mode_a, 2))
         object.__setattr__(self, "mode_b", _finite_vector("mode_b", self.mode_b, 2))
 
-    def log_likelihood(self, theta, data_batch=None) -> float:
+    def log_likelihood(self, theta, data_batch=None):
         return gaussian_mixture_logpdf(theta, self.mode_a, self.mode_b)
 
     def init_sampler(self, rng: np.random.Generator) -> np.ndarray:
@@ -379,18 +444,48 @@ class LogisticRegression(TargetModel):
     def dim(self) -> int:
         return self.data.rows.shape[1]
 
-    def log_prior(self, theta) -> float:
+    def log_prior(self, theta):
         theta = np.asarray(theta, dtype=float)
-        d = theta.size
-        return float(
-            -0.5 * float(theta @ theta) / self.prior_variance
-            - 0.5 * d * math.log(2.0 * math.pi * self.prior_variance)
-        )
+        d = theta.shape[-1]
+        norm = 0.5 * d * math.log(2.0 * math.pi * self.prior_variance)
+        if theta.ndim == 2:
+            return -0.5 * _sum_planes(theta.T * theta.T) / self.prior_variance - norm
+        return float(-0.5 * float(theta @ theta) / self.prior_variance - norm)
 
-    def log_likelihood(self, theta, data_batch=None) -> float:
+    def log_likelihood(self, theta, data_batch=None):
+        theta = np.asarray(theta, dtype=float)
+        if theta.ndim == 2:
+            rows, successes, counts = data_batch
+            eta = _sum_planes(rows * theta.T[:, :, None])
+            return _sum_last(successes * eta - counts * np.logaddexp(0.0, eta))
         rows, successes, counts = data_batch if data_batch is not None else self.data
-        eta = rows @ np.asarray(theta, dtype=float)
+        eta = rows @ theta
         return float(successes @ eta - counts @ np.logaddexp(0.0, eta))
+
+    def stack_data(self, batches: list) -> LogisticData:
+        """Per-chain LogisticData padded with zero-count rows to one width R.
+
+        ``successes`` and ``counts`` are (K, R); ``rows`` is (d, K, R), one
+        plane per feature, so that eta sums d contiguous planes.  A padded
+        row adds 0 to its chain's log-likelihood.
+        """
+        parts = [self.data if part is None else part for part in batches]
+        width = max(part.rows.shape[0] for part in parts)
+        rows = np.zeros((self.dim, len(parts), width))
+        successes = np.zeros((len(parts), width))
+        counts = np.zeros((len(parts), width))
+        for i, (part_rows, part_successes, part_counts) in enumerate(parts):
+            n = part_rows.shape[0]
+            rows[:, i, :n] = part_rows.T
+            successes[i, :n], counts[i, :n] = part_successes, part_counts
+        return LogisticData(rows, successes, counts)
+
+    def same_model(self, other: TargetModel) -> bool:
+        return (
+            type(other) is type(self)
+            and other.data is self.data
+            and other.prior_variance == self.prior_variance
+        )
 
     def init_sampler(self, rng: np.random.Generator) -> np.ndarray:
         return math.sqrt(self.prior_variance) * rng.standard_normal(self.dim)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from swissmc import (
+    Chain,
     ExperimentConfig,
     Moments,
     SampleBatch,
@@ -191,9 +192,9 @@ def rare_bernoulli_chains():
     config = SamplerConfig(n_samples=10_000, burn_in=1000, seed=106, target_accept=0.44)
     n_batches = 10
     full = sample(target, None, config, batch_id=0, stream_id=n_batches)
-    inflated = sample_all_batches(target, [None] * n_batches, config, stream_offset=0)
+    inflated = sample_all_batches([Chain(target, None, b, b) for b in range(n_batches)], config)
     uninflated = sample_all_batches(
-        target, [None] * n_batches, config, stream_offset=n_batches + 1
+        [Chain(target, None, b, n_batches + 1 + b) for b in range(n_batches)], config
     )
     return full, inflated, uninflated
 

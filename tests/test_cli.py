@@ -71,6 +71,15 @@ class TestSimulatePartitionSampleFlow:
             assert draws.shape == (200, 1)
             assert np.all((0 < draws) & (draws < 1))
 
+    def test_init_vector_from_comma_separated_numbers(self, tmp_path):
+        chains = tmp_path / "chains"
+        code = run_cli(
+            "sample", "--target", "warped-gaussian", "--init", "0.5, -0.25",
+            "--n-samples", "50", "--burn-in", "0", "--seed", "3", "--out-dir", str(chains),
+        )
+        assert code == 0
+        assert read_sample_csv(chains / "batch_0.csv").shape == (50, 2)
+
 
 class TestCombine:
     def _write_batches(self, tmp_path, draws_a, draws_b):
@@ -413,3 +422,27 @@ class TestExitCodes:
             "--n-samples", "10", "--out-dir", str(tmp_path / "x"),
         )
         assert code == 1
+
+    @pytest.mark.parametrize("init", ["bogus", "1,x", "1,nan", ","])
+    def test_bad_init_is_usage_error_before_output(self, tmp_path, capsys, init):
+        out = tmp_path / "x"
+        code = run_cli(
+            "sample", "--target", "warped-gaussian", "--init", init,
+            "--n-samples", "10", "--out-dir", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "init" in err and "batch" not in err
+        assert not out.exists()
+
+    def test_bad_target_params_fail_before_any_output(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"target": "logistic-rare", "n_batches": 2,
+                                        "n_samples": 10, "burn_in": 10,
+                                        "n_observations": 100,
+                                        "target_params": {"prior_variance": -1}}))
+        out = tmp_path / "out"
+        assert run_cli("experiment", "--config", str(cfg_path), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "prior_variance" in err and "repetition" not in err
+        assert not out.exists()

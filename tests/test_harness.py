@@ -19,7 +19,7 @@ from swissmc import (
     summarize_reports,
 )
 from swissmc.harness import laplace_pooling_moments
-from swissmc.targets import collapse_logistic, logistic_laplace
+from swissmc.targets import LogisticRegression, collapse_logistic, logistic_laplace
 
 
 def _tiny_config(**overrides):
@@ -178,6 +178,31 @@ class TestRunExperiment:
                 run_experiment(config)
         finally:
             hz._COMBINE["barycenter"] = co.barycenter_combine
+
+    @pytest.mark.parametrize(
+        "combiners, failing_data, label",
+        [
+            (("swiss",), "full", "full-data chain"),
+            (("swiss",), "shard", "inflated batch 0"),
+            (("consensus",), "shard", "un-inflated batch 0"),
+        ],
+    )
+    def test_sampling_failure_names_its_chain(self, monkeypatch, combiners, failing_data, label):
+        # the full-data chain and both shard sets share one group; an error
+        # must still say which of them failed
+        def mle(self, data_batch=None):
+            if (data_batch is None) == (failing_data == "full"):
+                raise InvalidInputError("no ML estimate")
+            return np.zeros(self.dim)
+
+        monkeypatch.setattr(LogisticRegression, "mle", mle)
+        config = ExperimentConfig(
+            target="logistic-rare", n_observations=400, n_batches=2, n_samples=50,
+            burn_in=10, init="mle", combiners=combiners, seed=3,
+        )
+        with pytest.raises(InvalidInputError,
+                           match=f"^repetition 0 failed during sampling: {label}: no ML"):
+            run_experiment(config)
 
     def test_completed_repetitions_survive_later_failure(self, tmp_path):
         config = _tiny_config(n_runs=3, combiners=("swiss",))

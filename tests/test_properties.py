@@ -1,7 +1,8 @@
 """Properties of the LAPACK-backed decompositions, the swiss maps, the four
 combiners (including consensus averaging and the rotation-plus-translation
-equivariance of swiss and barycenter) and the exact KDE sum, checked over
-generated inputs rather than pinned seeds.
+equivariance of swiss and barycenter), the exact KDE sum and the lossless
+sample-CSV round trip, checked over generated inputs rather than pinned
+seeds.
 
 Hypothesis draws the structure (dimension, spectrum, condition number,
 bandwidth); a numpy generator seeded by Hypothesis fills in the entries.
@@ -9,11 +10,15 @@ The settings profile registered in ``conftest.py`` makes the runs
 deterministic.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from swissmc import (  # noqa: E402
     Moments,
@@ -26,6 +31,7 @@ from swissmc import (  # noqa: E402
     spd_roots,
     swiss_combine,
 )
+from swissmc.io import read_sample_csv, write_sample_csv  # noqa: E402
 from swissmc.metrics import _KDE_CHUNK, _direct_kde_sum  # noqa: E402
 from helpers import random_spd  # noqa: E402
 
@@ -223,3 +229,27 @@ class TestDirectKdeSum:
         bandwidth = h_over_step * float(grid[1] - grid[0])
         windowed = _direct_kde_sum(x, bandwidth, grid)
         assert windowed.tobytes() == _full_grid_kde_sum(x, bandwidth, grid).tobytes()
+
+
+# Every finite float64, with the hard cases drawn often: signed zeros,
+# subnormals, the ends of the normal range and integer-valued floats.
+edge_floats = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
+     1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+     1.0, -3.0, 2.0**53, 2.0**53 + 2.0, -(2.0**62), 0.1, 1.0 / 3.0]
+)
+finite_floats = st.one_of(edge_floats, st.floats(allow_nan=False, allow_infinity=False))
+sample_matrices = st.tuples(st.integers(1, 6), st.integers(1, 4)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=finite_floats)
+)
+
+
+class TestSampleCsvRoundTrip:
+    @given(draws=sample_matrices)
+    def test_write_then_read_is_bytewise_lossless(self, draws):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "draws.csv"
+            write_sample_csv(path, draws)
+            back = read_sample_csv(path)
+        assert back.dtype == np.float64 and back.shape == draws.shape
+        assert back.tobytes() == draws.tobytes()

@@ -5,25 +5,32 @@ import math
 import numpy as np
 import pytest
 
+import swissmc.sampler
 from swissmc import (
+    Chain,
     InvalidInputError,
+    NotPositiveDefiniteError,
     SamplerConfig,
     TargetModel,
     make_target,
+    partition,
     sample,
     sample_all_batches,
+    simulate_rare_feature_data,
 )
+from swissmc.targets import shard_data
 from helpers import block_mean_se
 
 
 class _UnitGaussian(TargetModel):
-    """Standard-normal target, defined at module level so it pickles."""
+    """Standard-normal target; like every target it takes one point or a
+    (K, d) stack of points."""
 
     name = "unit-gaussian"
     dim = 1
 
     def log_likelihood(self, theta, data_batch=None):
-        t = float(np.asarray(theta).ravel()[0])
+        t = np.asarray(theta)[..., 0]
         return -0.5 * t * t
 
     def init_sampler(self, rng):
@@ -97,7 +104,7 @@ class TestSampleBasics:
             dim = 1
 
             def log_likelihood(self, theta, data_batch=None):
-                return -math.inf
+                return np.full(np.shape(theta)[:-1], -math.inf)
 
         target = _Rejecting()
         with pytest.raises(InvalidInputError, match="not finite"):
@@ -140,10 +147,9 @@ class TestDetailedBalance:
             dim = 1
 
             def log_likelihood(self, theta, data_batch=None):
-                t = float(np.asarray(theta).ravel()[0])
-                if not 0.0 < t < 1.0:
-                    return -math.inf
-                return math.log(t) + 7.0 * math.log1p(-t)
+                # outside (0, 1) this is NaN or -inf, which log_density maps to -inf
+                t = np.asarray(theta)[..., 0]
+                return np.log(t) + 7.0 * np.log1p(-t)
 
         target = _BetaKernel()
         config = SamplerConfig(
@@ -159,26 +165,39 @@ class TestDetailedBalance:
         assert 0.5 * np.abs(observed - cell).sum() < 0.02
 
 
+def _same_chain(a, b) -> bool:
+    return (
+        a.batch_id == b.batch_id
+        and a.meta == b.meta
+        and np.array_equal(a.draws, b.draws)
+        and a.diagnostics == b.diagnostics
+    )
+
+
 class TestSampleAllBatches:
     def test_single_batch_equals_direct_call(self):
         config = SamplerConfig(n_samples=400, burn_in=100, seed=15)
         target = make_target("warped-gaussian")
         direct = sample(target, None, config, batch_id=0, stream_id=0)
-        batched = sample_all_batches(target, [None], config)
+        batched = sample_all_batches([Chain(target)], config)
         assert np.array_equal(direct.draws, batched[0].draws)
 
-    def test_serial_matches_parallel(self):
-        config = SamplerConfig(n_samples=300, burn_in=100, seed=16)
-        target = make_target("warped-gaussian")
-        serial = sample_all_batches(target, [None] * 4, config, workers=1)
-        parallel = sample_all_batches(target, [None] * 4, config, workers=2)
-        for a, b in zip(serial, parallel):
-            assert a.batch_id == b.batch_id
-            assert np.array_equal(a.draws, b.draws)
+    @pytest.mark.parametrize("name", ["warped-gaussian", "gaussian-mixture", "rare-bernoulli"])
+    def test_data_free_chains_match_in_any_group_order(self, name):
+        # 600 burn-in steps cross a 512-step noise block and refresh the
+        # proposal covariance; the retained steps come from whole blocks
+        config = SamplerConfig(n_samples=700, burn_in=600, seed=16)
+        target = make_target(name)
+        chains = [Chain(target, None, b, 3 * b + 1) for b in range(5)]
+        forward = sample_all_batches(chains, config)
+        backward = sample_all_batches(chains[::-1], config)[::-1]
+        for chain, a, b in zip(chains, forward, backward):
+            alone = sample_all_batches([chain], config)[0]
+            assert _same_chain(a, b) and _same_chain(a, alone)
 
     def test_identical_targets_agree_across_batches(self):
         config = SamplerConfig(n_samples=20_000, burn_in=2000, seed=17, target_accept=0.44)
-        batches = sample_all_batches(_UnitGaussian(), [None] * 4, config)
+        batches = sample_all_batches([Chain(_UnitGaussian(), None, b) for b in range(4)], config)
         means = [b.draws.mean() for b in batches]
         ses = [block_mean_se(b.draws.ravel()) for b in batches]
         spread = 3 * math.sqrt(2) * max(ses)
@@ -189,8 +208,8 @@ class TestSampleAllBatches:
     def test_stream_offset_changes_streams(self):
         config = SamplerConfig(n_samples=200, burn_in=50, seed=18)
         target = make_target("warped-gaussian")
-        plain = sample_all_batches(target, [None], config)
-        offset = sample_all_batches(target, [None], config, stream_offset=5)
+        plain = sample_all_batches([Chain(target)], config)
+        offset = sample_all_batches([Chain(target, stream_id=5)], config)
         assert not np.array_equal(plain[0].draws, offset[0].draws)
 
     def test_batch_error_carries_batch_id(self):
@@ -199,12 +218,62 @@ class TestSampleAllBatches:
             dim = 1
 
             def log_likelihood(self, theta, data_batch=None):
-                return -math.inf if data_batch == "bad" else 0.0
+                # stacked points come with the list of per-chain data
+                return np.array([-math.inf if data == "bad" else 0.0 for data in data_batch])
 
         target = _SecondBatchFails()
         config = SamplerConfig(n_samples=10, burn_in=0, seed=19, init=np.array([0.0]))
         with pytest.raises(InvalidInputError, match="batch 1"):
-            sample_all_batches(target, ["good", "bad"], config)
+            sample_all_batches([Chain(target, "good", 0), Chain(target, "bad", 1)], config)
+
+
+class TestLockstep:
+    def test_each_chain_alone_matches_the_criterion_8_group(self):
+        # criterion 8's layout at a smaller size: the full-data chain, five
+        # inflated and five un-inflated shard chains, MLE starts
+        data = simulate_rare_feature_data(20_000, seed=5)
+        base = make_target("logistic-rare", dataset=data)
+        shards = shard_data(data, partition(data, 5, seed=6))
+        inflated = base.for_convention("inflated", 5)
+        subpost = base.for_convention("subposterior", 5)
+        chains = (
+            [Chain(base, None, 0, 5)]
+            + [Chain(inflated, shard, b, b) for b, shard in enumerate(shards)]
+            + [Chain(subpost, shard, b, 6 + b) for b, shard in enumerate(shards)]
+        )
+        config = SamplerConfig(n_samples=400, burn_in=600, thin=2, init="mle", seed=7)
+        group = sample_all_batches(chains, config)
+        for chain, batch in zip(chains, group):
+            alone = sample(
+                chain.target, chain.data, config, batch_id=chain.batch_id, stream_id=chain.stream_id
+            )
+            assert _same_chain(batch, alone)
+        assert len({batch.diagnostics["acceptance_rate"] for batch in group}) > 1
+
+    def test_non_positive_definite_proposal_names_its_batch(self, monkeypatch):
+        class _Scaled(TargetModel):
+            """N(0, scale^2) with a per-chain scale as its data."""
+
+            name = "scaled"
+            dim = 1
+
+            def log_likelihood(self, theta, data_batch=None):
+                scales = np.asarray(data_batch, dtype=float)
+                return -0.5 * (np.asarray(theta)[..., 0] / scales) ** 2
+
+        # a negative regularizer leaves only the wide chain's covariance positive
+        monkeypatch.setattr(swissmc.sampler, "_COV_JITTER", -1e-2)
+        config = SamplerConfig(n_samples=10, burn_in=100, seed=21, init=np.array([0.0]))
+        target = _Scaled()
+        chains = [Chain(target, 1.0, 0), Chain(target, 1e-3, 3), Chain(target, 1.0, 4)]
+        with pytest.raises(NotPositiveDefiniteError, match="^batch 3: Cholesky"):
+            sample_all_batches(chains, config)
+
+    def test_chains_of_different_models_are_rejected(self):
+        config = SamplerConfig(n_samples=10, burn_in=0, seed=22)
+        chains = [Chain(make_target("warped-gaussian")), Chain(make_target("gaussian-mixture"))]
+        with pytest.raises(InvalidInputError, match="one target model"):
+            sample_all_batches(chains, config)
 
 
 class TestSamplerConfigValidation:
@@ -219,3 +288,11 @@ class TestSamplerConfigValidation:
             SamplerConfig(n_samples=10, proposal_scale=0.0)
         with pytest.raises(InvalidInputError):
             SamplerConfig(n_samples=10, target_accept=1.5)
+
+    @pytest.mark.parametrize("init", ["bogus", "", [], [1.0, math.nan], [[1.0], ["x"]], None])
+    def test_rejects_bad_init(self, init):
+        with pytest.raises(InvalidInputError, match="init must be one of"):
+            SamplerConfig(n_samples=10, init=init)
+
+    def test_init_vector_is_kept_as_floats(self):
+        assert SamplerConfig(n_samples=10, init=np.array([1, 2])).init == (1.0, 2.0)

@@ -523,7 +523,7 @@ class TestMakeTarget:
 
 @pytest.mark.parametrize("name", TARGET_NAMES)
 class TestTargetContract:
-    """What every registered target owes the sampler, the harness and worker processes."""
+    """What every registered target owes the sampler and the harness."""
 
     @staticmethod
     def _target_and_points(name):
@@ -560,6 +560,33 @@ class TestTargetContract:
             target.for_convention("inflated", 0)
         with pytest.raises(InvalidInputError, match="convention"):
             target.for_convention("tempered", 2)
+
+    def test_stacked_log_density_matches_scalar_rows(self, name):
+        # the full-data target and three batch targets at mixed exponents;
+        # logistic shards have fewer distinct rows than the full data, so
+        # their stacked data carries zero-count padding
+        target, _, points = self._target_and_points(name)
+        data = simulate_rare_feature_data(600, seed=41)
+        shards = [None] * 3
+        if target.data_backed:
+            shards = shard_data(data, partition(data, 3, seed=42))
+        chains = [
+            (target, None),
+            (target.with_powers(1.0, 3.0), shards[0]),
+            (target.with_powers(1.0 / 3.0, 1.0), shards[1]),
+            (target.with_powers(0.3, 2.5), shards[2]),
+            (target.with_powers(1.0, 3.0), shards[0]),
+        ]
+        stacked_data = target.stack_data([batch_data for _, batch_data in chains])
+        if target.data_backed:
+            assert min(part.rows.shape[0] for part in shards) < stacked_data.rows.shape[-1]
+        powers = tuple(np.array([getattr(t, key) for t, _ in chains])
+                       for key in ("prior_power", "likelihood_power"))
+        values = target.log_density(points, stacked_data, powers)
+        assert values.shape == (len(chains),)
+        for theta, (chain_target, batch_data), value in zip(points, chains, values):
+            expected = chain_target.log_density(theta, batch_data)
+            assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_log_density_is_the_tempered_sum(self, name):
         target, batch, points = self._target_and_points(name)
