@@ -34,7 +34,7 @@ from .io import (
     write_sample_csv,
 )
 from .metrics import METRIC_NAMES, compute_metrics
-from .sampler import INIT_MODES, Chain, SamplerConfig, sample, sample_all_batches
+from .sampler import INIT_MODES, SamplerConfig, convention_chains, sample_all_batches
 from .targets import (
     CONVENTIONS,
     DATA_BACKED_TARGETS,
@@ -84,7 +84,10 @@ def _cmd_sample(args) -> None:
     init = args.init
     if init not in INIT_MODES:
         init = _split_list(init, "--init", float, f"{' or '.join(INIT_MODES)} or numbers")
-    params = json.loads(args.params) if args.params else {}
+    try:
+        params = json.loads(args.params) if args.params else {}
+    except json.JSONDecodeError as err:
+        raise InvalidInputError(f"--params is not valid JSON: {err}") from None
     if args.target in DATA_BACKED_TARGETS:
         if not args.data:
             raise InvalidInputError(f"target {args.target!r} needs --data")
@@ -97,7 +100,6 @@ def _cmd_sample(args) -> None:
             raise InvalidInputError(
                 f"assignment covers {split.assignment.size} rows, dataset has {dataset.n_rows}"
             )
-        n_batches = split.n_batches
         batch_data = shard_data(dataset, split)
     else:
         if args.data or args.assignment:
@@ -105,11 +107,10 @@ def _cmd_sample(args) -> None:
                 f"target {args.target!r} is data-free and takes neither --data nor --assignment"
             )
         base = make_target(args.target, params)
-        n_batches = args.batches
-        batch_data = [None] * n_batches
-    model = base.for_convention(args.convention, n_batches)
-    stream_offset = n_batches + 1 if args.convention == "subposterior" else 0
-
+        if args.batches < 1:
+            raise InvalidInputError(f"the batch count must be >= 1, got {args.batches}")
+        batch_data = [None] * args.batches
+    chains = convention_chains(base, args.convention, batch_data)
     config = SamplerConfig(
         n_samples=args.n_samples,
         burn_in=args.burn_in,
@@ -119,14 +120,11 @@ def _cmd_sample(args) -> None:
     )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    batches = sample_all_batches(chains, config)
     if args.convention == "full":
-        batch = sample(model, None, config, batch_id=0, stream_id=n_batches)
-        write_batch(out / "full.csv", batch)
-        print(f"wrote full-data chain ({batch.n_draws} draws) to {out / 'full.csv'}")
+        write_batch(out / "full.csv", batches[0])
+        print(f"wrote full-data chain ({batches[0].n_draws} draws) to {out / 'full.csv'}")
         return
-    batches = sample_all_batches(
-        [Chain(model, data, b, stream_offset + b) for b, data in enumerate(batch_data)], config
-    )
     for batch in batches:
         write_batch(out / f"batch_{batch.batch_id}.csv", batch)
     print(f"wrote {len(batches)} batch chains ({args.convention}) to {out}")
@@ -168,9 +166,8 @@ def _cmd_evaluate(args) -> None:
 
 def _cmd_experiment(args) -> None:
     config = ExperimentConfig.from_dict(read_json(args.config))
-    # replace() re-runs the config's validation on the overridden fields
-    overrides = {k: v for k, v in vars(args).items() if k in ("seed", "workers") and v is not None}
-    config = replace(config, **overrides)
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
     summary = run_experiment(config, out_dir=args.out or config.out_dir)
     for name, entry in summary.aggregates["combiners"].items():
         parts = [
@@ -251,9 +248,6 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out", help="output directory (overrides the config)")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument(
-        "--workers", type=int, help="override the config worker count (starts no process)"
-    )
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("bench", help="dimension-scaling study on exact Gaussian draws")
@@ -282,14 +276,8 @@ def cli_main(argv=None) -> int:
         return 1
     try:
         args.func(args)
-    except (_UsageError, ParseError, InvalidInputError) as err:
+    except (_UsageError, ParseError, InvalidInputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as err:
-        print(f"error: invalid JSON: {err}", file=sys.stderr)
         return 1
     except SwissError as err:
         print(f"numerical failure: {err}", file=sys.stderr)

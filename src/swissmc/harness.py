@@ -11,7 +11,7 @@ layout (see ``rng.mix_seed``):
 * repetition r:       chain master = mix_seed(seed, r)
 * partition of rep r: mix_seed(seed, r, _PARTITION_STREAM)
 * chain streams:      inflated batch b -> b, full-data chain -> B,
-                      un-inflated batch b -> B + 1 + b
+                      un-inflated batch b -> B + 1 + b (convention_chains)
 * oracle draws:       chain master, stream 2B + 1 (Laplace-pooling baseline)
 
 so reports are identical for a fixed config and seed regardless of worker
@@ -46,7 +46,7 @@ from .linalg import draw_gaussian
 from .metrics import METRIC_NAMES, MetricReport, compute_metrics
 from .moments import Moments, SampleBatch, pool_moments
 from .rng import RngStream, mix_seed
-from .sampler import Chain, SamplerConfig, sample_all_batches
+from .sampler import SamplerConfig, convention_chains, sample_all_batches
 from .targets import (
     DATA_BACKED_TARGETS,
     TARGET_NAMES,
@@ -106,8 +106,8 @@ class ExperimentConfig:
         unknown = set(self.metrics) - set(METRIC_NAMES)
         if unknown:
             raise InvalidInputError(f"unknown metrics: {sorted(unknown)}")
-        if self.n_batches < 1 or self.n_samples < 1 or self.n_runs < 1 or self.workers < 1:
-            raise InvalidInputError("n_batches, n_samples, n_runs and workers must be >= 1")
+        if self.n_batches < 1 or self.n_runs < 1 or self.workers < 1:
+            raise InvalidInputError("n_batches, n_runs and workers must be >= 1")
         # the chain settings are checked here, before any output exists
         SamplerConfig(
             n_samples=self.n_samples, burn_in=self.burn_in, thin=self.thin, init=self.init
@@ -278,9 +278,6 @@ def _run_repetition(config: ExperimentConfig, base, dataset, rep: int) -> Experi
         else:
             batch_data = [None] * n_batches
 
-        inflated_model = base.for_convention("inflated", n_batches)
-        subpost_model = base.for_convention("subposterior", n_batches)
-
         chain_config = SamplerConfig(
             n_samples=config.n_samples,
             burn_in=config.burn_in,
@@ -290,21 +287,13 @@ def _run_repetition(config: ExperimentConfig, base, dataset, rep: int) -> Experi
         )
 
         stage = "sampling"
-        # the full-data chain has no batch data: it evaluates the data the
-        # model was built on
-        chains = [Chain(base, None, 0, n_batches, "full-data chain")]
+        chains = convention_chains(base, "full", batch_data)
         run_inflated = any(name in INFLATED_COMBINERS for name in config.combiners)
         run_subpost = "consensus" in config.combiners
         if run_inflated:
-            chains += [
-                Chain(inflated_model, data, b, b, f"inflated batch {b}")
-                for b, data in enumerate(batch_data)
-            ]
+            chains += convention_chains(base, "inflated", batch_data)
         if run_subpost:
-            chains += [
-                Chain(subpost_model, data, b, n_batches + 1 + b, f"un-inflated batch {b}")
-                for b, data in enumerate(batch_data)
-            ]
+            chains += convention_chains(base, "subposterior", batch_data)
         full_chain, *batches = sample_all_batches(chains, chain_config)
         reference = full_chain.draws
 
@@ -330,10 +319,10 @@ def _run_repetition(config: ExperimentConfig, base, dataset, rep: int) -> Experi
             merge_times[name] = result.wall_time
 
         baselines = {}
-        if "swiss" in config.combiners and inflated_model.laplace is not None:
+        if "swiss" in config.combiners and base.laplace is not None:
             stage = "baselines"
             baselines = _score_baselines(
-                inflated_model,
+                base.for_convention("inflated", n_batches),
                 batch_data,
                 reference,
                 chain_config.seed,

@@ -40,6 +40,16 @@ def _as_matrix(samples) -> np.ndarray:
     return x
 
 
+def _sample_pair(approx, reference) -> tuple[np.ndarray, np.ndarray]:
+    """Both sample sets as (n, d) matrices of one dimension d."""
+    a, f = _as_matrix(approx), _as_matrix(reference)
+    if a.shape[1] != f.shape[1]:
+        raise InvalidInputError(
+            f"sample sets disagree on dimension: {a.shape[1]} vs {f.shape[1]}"
+        )
+    return a, f
+
+
 def silverman_bandwidth(x) -> float:
     """Silverman's rule: 0.9 * min(sd, IQR / 1.34) * n^(-1/5)."""
     x = np.asarray(x, dtype=float).ravel()
@@ -118,12 +128,7 @@ def iad(approx, reference) -> tuple[float, np.ndarray]:
     per-dimension vector.  The raw average can exceed 1 by grid error; it is
     clamped only when placed into a MetricReport.
     """
-    a = _as_matrix(approx)
-    f = _as_matrix(reference)
-    if a.shape[1] != f.shape[1]:
-        raise InvalidInputError(
-            f"sample sets disagree on dimension: {a.shape[1]} vs {f.shape[1]}"
-        )
+    a, f = _sample_pair(approx, reference)
     d = a.shape[1]
     per_dim = np.empty(d)
     for j in range(d):
@@ -147,12 +152,7 @@ def mahalanobis(approx, reference) -> float:
     Not symmetric in its arguments: the covariance is always estimated from
     the reference sample.
     """
-    a = _as_matrix(approx)
-    f = _as_matrix(reference)
-    if a.shape[1] != f.shape[1]:
-        raise InvalidInputError(
-            f"sample sets disagree on dimension: {a.shape[1]} vs {f.shape[1]}"
-        )
+    a, f = _sample_pair(approx, reference)
     delta = a.mean(axis=0) - f.mean(axis=0)
     centered = f - f.mean(axis=0)
     cov_f = symmetrize(centered.T @ centered / (f.shape[0] - 1))
@@ -171,12 +171,7 @@ def _standardized_skewness(x: np.ndarray) -> np.ndarray:
 
 def skew_deviation(approx, reference) -> float:
     """Mean absolute difference of per-dimension standardized third moments."""
-    a = _as_matrix(approx)
-    f = _as_matrix(reference)
-    if a.shape[1] != f.shape[1]:
-        raise InvalidInputError(
-            f"sample sets disagree on dimension: {a.shape[1]} vs {f.shape[1]}"
-        )
+    a, f = _sample_pair(approx, reference)
     return float(np.mean(np.abs(_standardized_skewness(a) - _standardized_skewness(f))))
 
 

@@ -64,8 +64,9 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise InvalidInputError(f"n_samples must be >= 1, got {self.n_samples}")
+        if self.n_samples < 2:
+            # a SampleBatch holds at least 2 draws
+            raise InvalidInputError(f"n_samples must be >= 2, got {self.n_samples}")
         if self.burn_in < 0:
             raise InvalidInputError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.thin < 1:
@@ -106,6 +107,25 @@ class Chain(NamedTuple):
     batch_id: int = 0
     stream_id: int | None = None
     label: str | None = None
+
+
+def convention_chains(base: TargetModel, convention: str, batch_data: list) -> list[Chain]:
+    """The chains of ``convention`` over B batches.
+
+    ``batch_data`` holds each batch's data (None for a data-free target) and
+    ``base`` the target at exponents (1, 1); ``for_convention`` sets the
+    chains' exponents.  "full" is one chain on the data ``base`` was built
+    on.  Streams: inflated batch b -> b, full-data chain -> B, un-inflated
+    batch b -> B + 1 + b.
+    """
+    n_batches = len(batch_data)
+    model = base.for_convention(convention, n_batches)
+    if convention == "full":
+        return [Chain(model, None, 0, n_batches, "full-data chain")]
+    first, kind = (0, "inflated") if convention == "inflated" else (n_batches + 1, "un-inflated")
+    return [
+        Chain(model, data, b, first + b, f"{kind} batch {b}") for b, data in enumerate(batch_data)
+    ]
 
 
 def _per_chain(labels: list, fn, *items) -> list:

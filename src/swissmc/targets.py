@@ -6,10 +6,10 @@ fields are the two exponents, and ``log_density`` evaluates
     prior_power * log_prior(theta) + likelihood_power * log_likelihood(theta, batch)
 
 plus an optional fixed reparameterization (Jacobian) term that is never
-tempered.  Every term takes one point (a float comes back) or a (K, d) stack
-of points, one per chain of a lockstep group (a (K,) array comes back); a
-stack comes with per-chain exponents and the per-chain data of
-``stack_data``.  The exponent pair encodes the batch-target convention, which
+tempered.  Every term takes a (K, d) stack of points, one per chain of a
+lockstep group, with the per-chain data of ``stack_data``, and returns (K,)
+values; ``log_density`` also takes one point, as the K = 1 stack.  The
+exponent pair encodes the batch-target convention, which
 ``TargetModel.for_convention`` alone decides: (1, B) for inflated targets,
 (1/B, 1) for un-inflated ones, (1, 1) for the full-data posterior.
 ``make_target`` builds a registered target by name.
@@ -52,12 +52,6 @@ def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def _coordinate(theta, j: int):
-    """Coordinate ``j`` of one point (a float) or of each row of a (K, d) stack."""
-    theta = np.asarray(theta, dtype=float)
-    return theta[:, j] if theta.ndim == 2 else float(theta.ravel()[j])
-
-
 def _sum_planes(terms: np.ndarray) -> np.ndarray:
     """terms[0] + terms[1] + ..., added left to right.
 
@@ -96,8 +90,8 @@ class TargetModel:
     may override ``log_prior`` (flat by default) and ``report`` (identity),
     and may replace any of the ``None`` hooks below with a method.  It never
     overrides ``log_density``.  ``log_prior``, ``log_likelihood`` and
-    ``log_jacobian`` take one point or a (K, d) stack (see the module
-    docstring); a data-backed target also overrides ``stack_data``.
+    ``log_jacobian`` take a (K, d) stack (see the module docstring); a
+    data-backed target also overrides ``stack_data``.
     """
 
     name: ClassVar[str]
@@ -120,20 +114,25 @@ class TargetModel:
     mle = None
     laplace = None
 
-    def log_prior(self, theta) -> float:
-        return 0.0
+    def log_prior(self, theta):
+        return np.zeros(theta.shape[0])
 
-    def log_likelihood(self, theta, data_batch=None) -> float:
+    def log_likelihood(self, theta, data_batch):
         raise NotImplementedError
 
     def log_density(self, theta, data_batch=None, powers=None):
-        """Log-density at one point, or at each row of a (K, d) stack.
+        """Log-density at each row of a (K, d) stack, or at one point.
 
         For a stack, ``data_batch`` is ``stack_data``'s per-chain data and
         ``powers`` an optional (prior, likelihood) pair of (K,) exponent
-        arrays, by default this target's exponents.  NaN becomes -inf.
+        arrays, by default this target's exponents.  One point, with its own
+        batch data (None: the target's data), runs as the K = 1 stack and
+        gives a float.  NaN becomes -inf.
         """
         theta = np.asarray(theta, dtype=float)
+        point = theta.ndim == 1
+        if point:
+            theta, data_batch = theta[None], self.stack_data([data_batch])
         prior_power, likelihood_power = (
             (self.prior_power, self.likelihood_power) if powers is None else powers
         )
@@ -141,11 +140,8 @@ class TargetModel:
         total += likelihood_power * self.log_likelihood(theta, data_batch)
         if self.log_jacobian is not None:
             total += self.log_jacobian(theta)
-        if theta.ndim == 2:
-            return np.fmax(total, -np.inf)  # NaN -> -inf, every other value kept
-        if math.isnan(total):
-            return -math.inf
-        return float(total)
+        total = np.fmax(total, -np.inf)  # NaN -> -inf, every other value kept
+        return float(total[0]) if point else total
 
     def stack_data(self, batches: list):
         """The per-chain data of a lockstep group in the form ``log_density``
@@ -207,14 +203,14 @@ class RareBernoulli(TargetModel):
     name = "rare-bernoulli"
     dim = 1
 
-    def log_likelihood(self, phi, data_batch=None):
-        p = _coordinate(phi, 0)
+    def log_likelihood(self, phi, data_batch):
+        p = phi[:, 0]
         # log sigmoid(p) - 999 * softplus(p) == log theta + 999 log(1 - theta)
         return -_softplus(-p) - RARE_BERNOULLI_FAILURES * _softplus(p)
 
     def log_jacobian(self, phi):
         """log |d theta / d phi| for theta = sigmoid(phi)."""
-        p = _coordinate(phi, 0)
+        p = phi[:, 0]
         return -_softplus(-p) - _softplus(p)
 
     def init_sampler(self, rng: np.random.Generator) -> np.ndarray:
@@ -236,9 +232,10 @@ _LOG_2PI = math.log(2.0 * math.pi)
 def warped_gaussian_logpdf(theta):
     """Banana-shaped density: standard normal in (theta_1, theta_2 + theta_1^2).
 
-    A (K, 2) stack of points gives (K,) values.
+    A (K, 2) stack of points gives (K,) values, one point a scalar.
     """
-    first, second = _coordinate(theta, 0), _coordinate(theta, 1)
+    theta = np.asarray(theta, dtype=float)
+    first, second = theta[..., 0], theta[..., 1]
     return -0.5 * first**2 - 0.5 * (second + first**2) ** 2 - _LOG_2PI
 
 
@@ -247,7 +244,7 @@ class WarpedGaussian(TargetModel):
     name = "warped-gaussian"
     dim = 2
 
-    def log_likelihood(self, theta, data_batch=None):
+    def log_likelihood(self, theta, data_batch):
         return warped_gaussian_logpdf(theta)
 
     def init_sampler(self, rng: np.random.Generator) -> np.ndarray:
@@ -257,19 +254,12 @@ class WarpedGaussian(TargetModel):
 def gaussian_mixture_logpdf(theta, mode_a=(-2.0, 0.0), mode_b=(2.0, 0.0)):
     """Equal mix of two unit-covariance bivariate Gaussian bumps.
 
-    A (K, 2) stack of points gives (K,) values.
+    A (K, 2) stack of points gives (K,) values, one point a scalar.
     """
     t = np.asarray(theta, dtype=float)
-    a = np.asarray(mode_a, dtype=float)
-    b = np.asarray(mode_b, dtype=float)
-    if t.ndim == 2:
-        log_a = -0.5 * _sum_planes(((t - a) ** 2).T) - _LOG_2PI
-        log_b = -0.5 * _sum_planes(((t - b) ** 2).T) - _LOG_2PI
-        return np.logaddexp(log_a, log_b)
-    t = t.ravel()
-    log_a = -0.5 * float((t - a) @ (t - a)) - _LOG_2PI
-    log_b = -0.5 * float((t - b) @ (t - b)) - _LOG_2PI
-    return float(np.logaddexp(log_a, log_b))
+    log_a = -0.5 * _sum_last((t - np.asarray(mode_a, dtype=float)) ** 2) - _LOG_2PI
+    log_b = -0.5 * _sum_last((t - np.asarray(mode_b, dtype=float)) ** 2) - _LOG_2PI
+    return np.logaddexp(log_a, log_b)
 
 
 def _finite_vector(key: str, value, length: int) -> tuple:
@@ -301,7 +291,7 @@ class GaussianMixture(TargetModel):
         object.__setattr__(self, "mode_a", _finite_vector("mode_a", self.mode_a, 2))
         object.__setattr__(self, "mode_b", _finite_vector("mode_b", self.mode_b, 2))
 
-    def log_likelihood(self, theta, data_batch=None):
+    def log_likelihood(self, theta, data_batch):
         return gaussian_mixture_logpdf(theta, self.mode_a, self.mode_b)
 
     def init_sampler(self, rng: np.random.Generator) -> np.ndarray:
@@ -445,22 +435,13 @@ class LogisticRegression(TargetModel):
         return self.data.rows.shape[1]
 
     def log_prior(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        d = theta.shape[-1]
-        norm = 0.5 * d * math.log(2.0 * math.pi * self.prior_variance)
-        if theta.ndim == 2:
-            return -0.5 * _sum_planes(theta.T * theta.T) / self.prior_variance - norm
-        return float(-0.5 * float(theta @ theta) / self.prior_variance - norm)
+        norm = 0.5 * self.dim * math.log(2.0 * math.pi * self.prior_variance)
+        return -0.5 * _sum_planes(theta.T * theta.T) / self.prior_variance - norm
 
-    def log_likelihood(self, theta, data_batch=None):
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim == 2:
-            rows, successes, counts = data_batch
-            eta = _sum_planes(rows * theta.T[:, :, None])
-            return _sum_last(successes * eta - counts * np.logaddexp(0.0, eta))
-        rows, successes, counts = data_batch if data_batch is not None else self.data
-        eta = rows @ theta
-        return float(successes @ eta - counts @ np.logaddexp(0.0, eta))
+    def log_likelihood(self, theta, data_batch):
+        rows, successes, counts = data_batch
+        eta = _sum_planes(rows * theta.T[:, :, None])
+        return _sum_last(successes * eta - counts * _softplus(eta))
 
     def stack_data(self, batches: list) -> LogisticData:
         """Per-chain LogisticData padded with zero-count rows to one width R.

@@ -156,14 +156,14 @@ class TestExperimentCommand:
             "n_runs": 1,
             "combiners": ["swiss", "consensus"],
         }
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(config))
+        cfg_a = tmp_path / "config_a.json"
+        cfg_a.write_text(json.dumps(config))
+        cfg_b = tmp_path / "config_b.json"
+        cfg_b.write_text(json.dumps({**config, "workers": 2}))
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
-        assert run_cli("experiment", "--config", str(cfg_path), "--out", str(out_a)) == 0
-        assert run_cli(
-            "experiment", "--config", str(cfg_path), "--out", str(out_b), "--workers", "2"
-        ) == 0
+        assert run_cli("experiment", "--config", str(cfg_a), "--out", str(out_a)) == 0
+        assert run_cli("experiment", "--config", str(cfg_b), "--out", str(out_b)) == 0
         from swissmc import strip_timing
 
         ra = json.loads((out_a / "run_0.json").read_text())
@@ -321,13 +321,24 @@ class TestExitCodes:
         assert "'x'" in capsys.readouterr().err
 
     def test_experiment_override_is_validated(self, tmp_path, capsys):
+        # a config that overrides the default worker count with 0
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({"target": "warped-gaussian", "n_batches": 1,
-                                        "n_samples": 10, "burn_in": 10}))
+                                        "n_samples": 10, "burn_in": 10, "workers": 0}))
         out = tmp_path / "out"
-        assert run_cli("experiment", "--config", str(cfg_path), "--out", str(out),
-                       "--workers", "0") == 1
+        assert run_cli("experiment", "--config", str(cfg_path), "--out", str(out)) == 1
         assert "workers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_single_draw_is_usage_error_before_output(self, tmp_path, capsys):
+        # a batch needs two draws; the chain must not run before that is known
+        out = tmp_path / "out1"
+        code = run_cli(
+            "sample", "--target", "warped-gaussian", "--n-samples", "1", "--burn-in", "500",
+            "--out-dir", str(out),
+        )
+        assert code == 1
+        assert "n_samples must be >= 2" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("payload", ["[1]", "5", '["target"]'])

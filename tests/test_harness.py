@@ -64,6 +64,11 @@ class TestConfig:
         with pytest.raises(InvalidInputError, match="unknown target"):
             _tiny_config(target="nope")
 
+    def test_single_draw_rejected(self):
+        # a batch needs two draws, so one retained sample cannot run
+        with pytest.raises(InvalidInputError, match="n_samples must be >= 2"):
+            _tiny_config(n_samples=1)
+
     def test_data_backed_needs_observations(self):
         with pytest.raises(InvalidInputError, match="n_observations"):
             ExperimentConfig(target="logistic-rare", n_batches=5, n_samples=10)

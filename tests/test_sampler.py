@@ -18,13 +18,14 @@ from swissmc import (
     sample_all_batches,
     simulate_rare_feature_data,
 )
+from swissmc.sampler import convention_chains
 from swissmc.targets import shard_data
 from helpers import block_mean_se
 
 
 class _UnitGaussian(TargetModel):
-    """Standard-normal target; like every target it takes one point or a
-    (K, d) stack of points."""
+    """Standard-normal target; like every target its terms take a (K, d)
+    stack of points."""
 
     name = "unit-gaussian"
     dim = 1
@@ -276,10 +277,34 @@ class TestLockstep:
             sample_all_batches(chains, config)
 
 
+class TestConventionChains:
+    def test_streams_labels_exponents_and_data(self):
+        data = simulate_rare_feature_data(300, seed=23)
+        base = make_target("logistic-rare", dataset=data)
+        shards = shard_data(data, partition(data, 3, seed=24))
+
+        def layout(convention):
+            return [
+                (c.batch_id, c.stream_id, c.label, c.target.prior_power,
+                 c.target.likelihood_power, c.data)
+                for c in convention_chains(base, convention, shards)
+            ]
+
+        assert layout("full") == [(0, 3, "full-data chain", 1.0, 1.0, None)]
+        assert layout("inflated") == [
+            (b, b, f"inflated batch {b}", 1.0, 3.0, shards[b]) for b in range(3)
+        ]
+        assert layout("subposterior") == [
+            (b, 4 + b, f"un-inflated batch {b}", 1.0 / 3.0, 1.0, shards[b]) for b in range(3)
+        ]
+
+
 class TestSamplerConfigValidation:
     def test_rejects_bad_sizes(self):
         with pytest.raises(InvalidInputError):
             SamplerConfig(n_samples=0)
+        with pytest.raises(InvalidInputError, match="n_samples must be >= 2"):
+            SamplerConfig(n_samples=1)  # a SampleBatch needs two draws
         with pytest.raises(InvalidInputError):
             SamplerConfig(n_samples=10, burn_in=-1)
         with pytest.raises(InvalidInputError):

@@ -41,6 +41,12 @@ from swissmc.targets import (
 )
 
 
+def _loglik(model, theta, data_batch=None):
+    """log_likelihood at one point, evaluated as the K = 1 stack."""
+    stack = np.asarray(theta, dtype=float)[None]
+    return model.log_likelihood(stack, model.stack_data([data_batch]))[0]
+
+
 class TestRareBernoulli:
     def test_direct_evaluation(self):
         assert rare_bernoulli_logpdf(0.5) == pytest.approx(1000.0 * math.log(0.5))
@@ -158,10 +164,10 @@ class TestLogisticModel:
     def test_zero_coefficients_give_n_log_half(self):
         x, y = self._toy()
         model = logistic_regression_model(x, y)
-        assert model.log_likelihood(np.zeros(3), collapse_logistic(x, y)) == pytest.approx(
+        assert _loglik(model, np.zeros(3), collapse_logistic(x, y)) == pytest.approx(
             -200 * math.log(2)
         )
-        assert model.log_likelihood(np.zeros(3)) == pytest.approx(-200 * math.log(2))
+        assert _loglik(model, np.zeros(3)) == pytest.approx(-200 * math.log(2))
 
     def test_gradient_matches_finite_differences(self):
         x, y = self._toy(seed=1)
@@ -173,7 +179,7 @@ class TestLogisticModel:
             bump = np.zeros(3)
             bump[j] = eps
             numeric = (
-                model.log_likelihood(theta + bump) - model.log_likelihood(theta - bump)
+                _loglik(model, theta + bump) - _loglik(model, theta - bump)
             ) / (2 * eps)
             assert grad[j] == pytest.approx(numeric, rel=1e-5, abs=1e-5)
 
@@ -181,7 +187,7 @@ class TestLogisticModel:
         x = np.array([[1.0]])
         y = np.array([1.0])
         model = logistic_regression_model(x, y)
-        values = [model.log_likelihood(np.array([t])) for t in (0.0, 2.0, 5.0, 20.0)]
+        values = [_loglik(model, np.array([t])) for t in (0.0, 2.0, 5.0, 20.0)]
         assert all(a < b for a, b in zip(values, values[1:]))
         assert values[-1] == pytest.approx(0.0, abs=1e-8)
 
@@ -205,8 +211,8 @@ class TestLogisticModel:
         model = logistic_regression_model(x, y)
         inflated = model.with_powers(1.0, 5.0)
         theta = np.array([0.2, 0.1, -0.4])
-        base_prior = model.log_prior(theta)
-        base_lik = model.log_likelihood(theta)
+        base_prior = model.log_prior(theta[None])[0]
+        base_lik = _loglik(model, theta)
         assert inflated.log_density(theta) == pytest.approx(
             base_prior + 5.0 * base_lik, rel=1e-12
         )
@@ -250,7 +256,7 @@ class TestSufficientStatistics:
         for _ in range(100):
             theta = rng.standard_normal(x.shape[1])
             loglik, grad, neg_hess = self._row_wise(theta, x, y)
-            assert model.log_likelihood(theta) == pytest.approx(loglik, rel=1e-12)
+            assert _loglik(model, theta) == pytest.approx(loglik, rel=1e-12)
             np.testing.assert_allclose(
                 logistic_log_likelihood_grad(theta, data), grad, rtol=1e-12,
                 atol=1e-12 * np.max(np.abs(grad)),
@@ -418,8 +424,8 @@ class TestLikelihoodFactorization:
         model = make_target("logistic-rare", dataset=data)
         split = partition(data, 4, seed=6)
         for theta in (np.zeros(5), np.array([-2.0, 1.0, 0.0, 0.5, 2.0])):
-            full = model.log_likelihood(theta)
-            parts = sum(model.log_likelihood(theta, shard) for shard in shard_data(data, split))
+            full = _loglik(model, theta)
+            parts = sum(_loglik(model, theta, shard) for shard in shard_data(data, split))
             assert parts == pytest.approx(full, rel=1e-8)
 
 
@@ -561,10 +567,11 @@ class TestTargetContract:
         with pytest.raises(InvalidInputError, match="convention"):
             target.for_convention("tempered", 2)
 
-    def test_stacked_log_density_matches_scalar_rows(self, name):
+    def test_point_log_density_is_its_row_in_any_group(self, name):
         # the full-data target and three batch targets at mixed exponents;
         # logistic shards have fewer distinct rows than the full data, so
-        # their stacked data carries zero-count padding
+        # their stacked data carries zero-count padding.  A point runs as the
+        # K = 1 stack, so it must match its row bit for bit
         target, _, points = self._target_and_points(name)
         data = simulate_rare_feature_data(600, seed=41)
         shards = [None] * 3
@@ -585,15 +592,15 @@ class TestTargetContract:
         values = target.log_density(points, stacked_data, powers)
         assert values.shape == (len(chains),)
         for theta, (chain_target, batch_data), value in zip(points, chains, values):
-            expected = chain_target.log_density(theta, batch_data)
-            assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert value == chain_target.log_density(theta, batch_data)
 
     def test_log_density_is_the_tempered_sum(self, name):
         target, batch, points = self._target_and_points(name)
         target = target.with_powers(0.3, 2.5)
         for theta in points:
             for data in (None, batch):
-                expected = 0.3 * target.log_prior(theta) + 2.5 * target.log_likelihood(theta, data)
+                stack, stacked = theta[None], target.stack_data([data])
+                expected = 0.3 * target.log_prior(stack) + 2.5 * target.log_likelihood(stack, stacked)
                 if target.log_jacobian is not None:
-                    expected += target.log_jacobian(theta)
-                assert target.log_density(theta, data) == expected
+                    expected += target.log_jacobian(stack)
+                assert target.log_density(theta, data) == expected[0]
