@@ -44,7 +44,6 @@ from .linalg import (
     cholesky,
     draw_gaussian,
     eigh,
-    random_orthogonal,
     sample_inverse_wishart,
     spd_inverse,
     spd_roots,

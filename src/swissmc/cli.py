@@ -168,7 +168,9 @@ def _cmd_experiment(args) -> None:
     config = ExperimentConfig.from_dict(read_json(args.config))
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    summary = run_experiment(config, out_dir=args.out or config.out_dir)
+    if args.out:
+        config = replace(config, out_dir=args.out)
+    summary = run_experiment(config)
     for name, entry in summary.aggregates["combiners"].items():
         parts = [
             f"{metric}={entry[metric]['mean']:.4f}±{entry[metric]['se']:.4f}"

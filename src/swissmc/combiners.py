@@ -39,6 +39,11 @@ from .moments import (
 # map @ V_b @ map.T == V_target enforced on every constructed map.
 _COV_MATCH_RTOL = 1e-6
 
+# The barycenter fixed point stops once an update moves the covariance by
+# less than this, relative to the iterate, and gives up after the cap.
+_BARYCENTER_TOL = 1e-10
+_BARYCENTER_MAX_ITERS = 200
+
 
 @dataclass(frozen=True, eq=False)
 class AffineMap:
@@ -193,20 +198,15 @@ def consensus_combine(batches: list[SampleBatch], *, moments=None) -> CombineRes
     return CombineResult(combined, [], pooled, time.perf_counter() - start)
 
 
-def gaussian_barycenter(
-    per_batch: list[Moments],
-    *,
-    tol: float = 1e-10,
-    max_iters: int = 200,
-    batch_ids=None,
-) -> Moments:
+def gaussian_barycenter(per_batch: list[Moments], *, batch_ids=None) -> Moments:
     """Equal-weight 2-Wasserstein barycenter of Gaussian approximations.
 
     The mean is the plain average of the batch means.  The covariance S
     solves the fixed point
     S = S^-1/2 ((1/B) sum_b (S^1/2 V_b S^1/2)^1/2)^2 S^-1/2,
     iterated from the arithmetic covariance average until the update falls
-    below ``tol`` relative to the current iterate.  A V_b whose root fails
+    below 1e-10 relative to the current iterate (ConvergenceError after 200
+    iterations).  A V_b whose root fails
     is reported under its ``batch_ids`` entry (default: its position).
     """
     if not per_batch:
@@ -219,7 +219,7 @@ def gaussian_barycenter(
     ids = range(n_batches) if batch_ids is None else batch_ids
     current = symmetrize(sum(covs) / n_batches)
     residual = np.inf
-    for _ in range(max_iters):
+    for _ in range(_BARYCENTER_MAX_ITERS):
         root, inv_root = spd_roots(current)
         inner = np.zeros_like(current)
         for batch_id, cov in zip(ids, covs):
@@ -228,29 +228,21 @@ def gaussian_barycenter(
         inner /= n_batches
         updated = symmetrize(inv_root @ (inner @ inner) @ inv_root)
         residual = float(np.max(np.abs(updated - current)))
-        limit = tol * max(1e-300, float(np.max(np.abs(current))))
+        limit = _BARYCENTER_TOL * max(1e-300, float(np.max(np.abs(current))))
         current = updated
         if residual <= limit:
             return Moments(barycenter_mean, current)
     raise ConvergenceError(
-        f"barycenter fixed point did not converge after {max_iters} iterations "
+        f"barycenter fixed point did not converge after {_BARYCENTER_MAX_ITERS} iterations "
         f"(residual {residual:.3e})"
     )
 
 
-def barycenter_combine(
-    batches: list[SampleBatch],
-    *,
-    moments=None,
-    tol: float = 1e-10,
-    max_iters: int = 200,
-) -> CombineResult:
+def barycenter_combine(batches: list[SampleBatch], *, moments=None) -> CombineResult:
     """Merge by mapping each batch onto the Gaussian barycenter's moments."""
     start = time.perf_counter()
     per_batch = _resolve_moments(batches, moments)
-    target = gaussian_barycenter(
-        per_batch, tol=tol, max_iters=max_iters, batch_ids=[batch.batch_id for batch in batches]
-    )
+    target = gaussian_barycenter(per_batch, batch_ids=[batch.batch_id for batch in batches])
     maps, combined = _affine_merge(batches, per_batch, target)
     return CombineResult(combined, maps, target, time.perf_counter() - start)
 

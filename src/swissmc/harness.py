@@ -24,7 +24,7 @@ combiner, under the report's ``baselines`` key (never in ``combiners`` or
 
 * ``laplace_pooling``: the chain-free oracle of ``laplace_pooling_moments``;
   B * n_samples Gaussian draws from its pooled moments (stream 2B + 1) are
-  scored against the reference chain with the configured metrics.  This is
+  scored against the reference chain with every metric.  This is
   the error of the precision pooling itself, with no sampler error in it.
 * ``noise_floor``: the IAD of the first half of the reference chain's
   retained draws against the second half, i.e. the resolution at which the
@@ -33,6 +33,7 @@ combiner, under the report's ``baselines`` key (never in ``combiners`` or
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -43,7 +44,7 @@ from .combiners import ar_combine, barycenter_combine, consensus_combine, swiss_
 from .errors import InvalidInputError, SwissError
 from .io import write_json
 from .linalg import draw_gaussian
-from .metrics import METRIC_NAMES, MetricReport, compute_metrics
+from .metrics import MetricReport, compute_metrics
 from .moments import Moments, SampleBatch, pool_moments
 from .rng import RngStream, mix_seed
 from .sampler import SamplerConfig, convention_chains, sample_all_batches
@@ -64,7 +65,18 @@ _COMBINE = {
     "barycenter": barycenter_combine,
 }
 COMBINER_NAMES = tuple(_COMBINE)
-INFLATED_COMBINERS = frozenset({"swiss", "ar", "barycenter"})
+# The batch convention whose chains each combiner merges.
+_CONVENTION = {
+    "swiss": "inflated",
+    "consensus": "subposterior",
+    "ar": "inflated",
+    "barycenter": "inflated",
+}
+
+# ExperimentConfig fields that must hold an integer.
+_INT_FIELDS = (
+    "n_batches", "n_samples", "burn_in", "seed", "n_observations", "n_runs", "workers", "thin"
+)
 
 # Role constants for derived seeds (arbitrary fixed integers).
 _DATA_STREAM = 100
@@ -85,7 +97,6 @@ class ExperimentConfig:
     seed: int = 0
     n_observations: int = 0
     combiners: tuple = COMBINER_NAMES
-    metrics: tuple = METRIC_NAMES
     n_runs: int = 1
     workers: int = 1
     thin: int = 1
@@ -96,16 +107,24 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.target not in TARGET_NAMES:
             raise InvalidInputError(f"unknown target {self.target!r}, expected one of {TARGET_NAMES}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
+        if not (
+            isinstance(self.combiners, (list, tuple))
+            and all(isinstance(name, str) for name in self.combiners)
+        ):
+            raise InvalidInputError(f"combiners must be a list of names, got {self.combiners!r}")
         self.combiners = tuple(self.combiners)
         unknown = set(self.combiners) - set(COMBINER_NAMES)
         if unknown:
             raise InvalidInputError(f"unknown combiners: {sorted(unknown)}")
         if not self.combiners:
             raise InvalidInputError("need at least one combiner")
-        self.metrics = tuple(self.metrics)
-        unknown = set(self.metrics) - set(METRIC_NAMES)
-        if unknown:
-            raise InvalidInputError(f"unknown metrics: {sorted(unknown)}")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise InvalidInputError(f"out_dir must be a string or null, got {self.out_dir!r}")
         if self.n_batches < 1 or self.n_runs < 1 or self.workers < 1:
             raise InvalidInputError("n_batches, n_runs and workers must be >= 1")
         # the chain settings are checked here, before any output exists
@@ -124,7 +143,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         payload = asdict(self)
         payload["combiners"] = list(self.combiners)
-        payload["metrics"] = list(self.metrics)
         if isinstance(self.init, np.ndarray):
             payload["init"] = [float(v) for v in self.init]
         return payload
@@ -253,7 +271,7 @@ def laplace_pooling_moments(model, batch_data: list) -> Moments:
     return pool_moments([model.laplace(data) for data in batch_data])
 
 
-def _score_baselines(model, batch_data, reference, seed: int, n_samples: int, which) -> dict:
+def _score_baselines(model, batch_data, reference, seed: int, n_samples: int) -> dict:
     """Laplace-pooling oracle and reference noise floor (see the module docstring)."""
     pooled = laplace_pooling_moments(model, batch_data)
     n_batches = len(batch_data)
@@ -261,7 +279,7 @@ def _score_baselines(model, batch_data, reference, seed: int, n_samples: int, wh
     draws = draw_gaussian(pooled.mean, pooled.cov, n_batches * n_samples, rng)
     half = reference.shape[0] // 2
     return {
-        "laplace_pooling": compute_metrics(draws, reference, which=which),
+        "laplace_pooling": compute_metrics(draws, reference),
         "noise_floor": compute_metrics(reference[:half], reference[half:], which=("iad",)),
     }
 
@@ -287,35 +305,27 @@ def _run_repetition(config: ExperimentConfig, base, dataset, rep: int) -> Experi
         )
 
         stage = "sampling"
+        conventions = list(dict.fromkeys(_CONVENTION[name] for name in config.combiners))
         chains = convention_chains(base, "full", batch_data)
-        run_inflated = any(name in INFLATED_COMBINERS for name in config.combiners)
-        run_subpost = "consensus" in config.combiners
-        if run_inflated:
-            chains += convention_chains(base, "inflated", batch_data)
-        if run_subpost:
-            chains += convention_chains(base, "subposterior", batch_data)
+        for convention in conventions:
+            chains += convention_chains(base, convention, batch_data)
         full_chain, *batches = sample_all_batches(chains, chain_config)
         reference = full_chain.draws
-
+        by_convention = {
+            convention: batches[i * n_batches : (i + 1) * n_batches]
+            for i, convention in enumerate(conventions)
+        }
         diagnostics = {"full": full_chain.diagnostics}
-        inflated_batches = subpost_batches = None
-        if run_inflated:
-            inflated_batches, batches = batches[:n_batches], batches[n_batches:]
-            diagnostics["inflated"] = [b.diagnostics for b in inflated_batches]
-        if run_subpost:
-            subpost_batches = batches
-            diagnostics["subposterior"] = [b.diagnostics for b in subpost_batches]
+        for convention, group in by_convention.items():
+            diagnostics[convention] = [b.diagnostics for b in group]
 
         combiner_metrics = {}
         merge_times = {}
         for name in config.combiners:
             stage = f"combine ({name})"
-            batches = subpost_batches if name == "consensus" else inflated_batches
-            result = _COMBINE[name](batches)
+            result = _COMBINE[name](by_convention[_CONVENTION[name]])
             stage = f"metrics ({name})"
-            combiner_metrics[name] = compute_metrics(
-                result.combined, reference, which=config.metrics
-            )
+            combiner_metrics[name] = compute_metrics(result.combined, reference)
             merge_times[name] = result.wall_time
 
         baselines = {}
@@ -327,7 +337,6 @@ def _run_repetition(config: ExperimentConfig, base, dataset, rep: int) -> Experi
                 reference,
                 chain_config.seed,
                 config.n_samples,
-                config.metrics,
             )
     except SwissError as err:
         raise type(err)(f"repetition {rep} failed during {stage}: {err}") from err
@@ -364,18 +373,17 @@ def _format_opt(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def run_experiment(config: ExperimentConfig, *, out_dir=None) -> ExperimentSummary:
+def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     """Run every repetition of an experiment and aggregate the metrics.
 
-    Per-run reports are written as soon as each repetition completes, so a
-    failure in a later repetition leaves the finished ones on disk.  The
-    target is built (and its parameters checked) before the output
-    directory is made.
+    With ``config.out_dir`` set, per-run reports are written there as soon as
+    each repetition completes, so a failure in a later repetition leaves the
+    finished ones on disk.  The target is built (and its parameters checked)
+    before the output directory is made.
     """
     dataset = _build_dataset(config)
     base = make_target(config.target, config.target_params, dataset)
-    out = out_dir if out_dir is not None else config.out_dir
-    out = Path(out) if out is not None else None
+    out = Path(config.out_dir) if config.out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     reports = []
@@ -450,11 +458,13 @@ def bench_dimension_scaling(
                 )
                 for b, mom in enumerate(per_batch)
             ]
+            by_convention = {
+                "inflated": (inflated, inflated_moments),
+                "subposterior": (uninflated, per_batch),
+            }
             for name in COMBINER_NAMES:
-                if name == "consensus":
-                    result = _COMBINE[name](uninflated, moments=per_batch)
-                else:
-                    result = _COMBINE[name](inflated, moments=inflated_moments)
+                batches, moments = by_convention[_CONVENTION[name]]
+                result = _COMBINE[name](batches, moments=moments)
                 iad_value = compute_metrics(result.combined, reference, which=("iad",)).iad
                 rows.append(
                     {

@@ -14,6 +14,7 @@ name and any chain diagnostics.
 from __future__ import annotations
 
 import json
+import math
 from functools import partial
 from pathlib import Path
 
@@ -170,25 +171,44 @@ def write_batch(path, batch: SampleBatch) -> None:
     meta_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def read_batch(path, *, fallback_batch_id: int = 0) -> SampleBatch:
-    """Read a batch CSV; the sidecar is used when present, else defaults."""
+    """Read a batch CSV; the sidecar is used when present, else defaults.
+
+    A sidecar that is not a JSON object, or whose field holds the wrong type
+    (``batch_id``/``seed`` not an integer, an exponent not a finite number,
+    ``target_name`` not a string), raises ParseError naming it and the field.
+    """
     draws = read_sample_csv(path)
     sidecar = meta_path(path)
-    if sidecar.exists():
-        payload = read_json(sidecar)
-        meta = BatchMeta(
-            inflation_exponent=float(payload.get("inflation_exponent", 1.0)),
-            prior_exponent=float(payload.get("prior_exponent", 1.0)),
-            seed=int(payload.get("seed", 0)),
-            target_name=str(payload.get("target_name", "")),
-        )
-        batch_id = int(payload.get("batch_id", fallback_batch_id))
-        diagnostics = payload.get("diagnostics")
-    else:
-        meta = BatchMeta()
-        batch_id = fallback_batch_id
-        diagnostics = None
-    return SampleBatch(batch_id, draws, meta=meta, diagnostics=diagnostics)
+    if not sidecar.exists():
+        return SampleBatch(fallback_batch_id, draws)
+    payload = read_json(sidecar)
+    if not isinstance(payload, dict):
+        raise ParseError(f"{sidecar}: expected a JSON object, got {type(payload).__name__}")
+
+    def field(key, default, check, what):
+        value = payload.get(key, default)
+        if not check(value):
+            raise ParseError(f"{sidecar}: {key} must be {what}, got {value!r}")
+        return value
+
+    number = "a finite number"
+    meta = BatchMeta(
+        inflation_exponent=float(field("inflation_exponent", 1.0, _is_finite_number, number)),
+        prior_exponent=float(field("prior_exponent", 1.0, _is_finite_number, number)),
+        seed=field("seed", 0, _is_int, "an integer"),
+        target_name=field("target_name", "", lambda value: isinstance(value, str), "a string"),
+    )
+    batch_id = field("batch_id", fallback_batch_id, _is_int, "an integer")
+    return SampleBatch(batch_id, draws, meta=meta, diagnostics=payload.get("diagnostics"))
 
 
 def write_json(path, payload: dict) -> None:

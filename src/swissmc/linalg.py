@@ -21,12 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DecompositionError,
-    InsufficientSamplesError,
-    InvalidInputError,
-    NotPositiveDefiniteError,
-)
+from .errors import DecompositionError, InvalidInputError, NotPositiveDefiniteError
 
 # Relative eigenvalue floor below which a matrix counts as not positive
 # definite.
@@ -149,13 +144,6 @@ def cholesky(v) -> np.ndarray:
         ) from None
 
 
-def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed orthogonal matrix (QR of a Gaussian matrix)."""
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    # Fix the QR sign ambiguity so the distribution is Haar.
-    return q * np.sign(np.diag(r))
-
-
 def sample_inverse_wishart(df: float, scale, rng: np.random.Generator) -> np.ndarray:
     """Draw one SPD matrix from an inverse-Wishart distribution.
 
@@ -180,20 +168,8 @@ def sample_inverse_wishart(df: float, scale, rng: np.random.Generator) -> np.nda
     return spd_inverse(wishart)
 
 
-def draw_gaussian(
-    mean,
-    cov,
-    size: int,
-    rng: np.random.Generator,
-    *,
-    match_moments: bool = False,
-) -> np.ndarray:
-    """Draw a (size, d) Gaussian sample via the Cholesky factor of ``cov``.
-
-    With ``match_moments=True`` the cloud is empirically standardized first,
-    so its sample mean and sample covariance (divisor size - 1) equal the
-    requested moments exactly; this needs size > d.
-    """
+def draw_gaussian(mean, cov, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw a (size, d) Gaussian sample via the Cholesky factor of ``cov``."""
     mean = np.asarray(mean, dtype=float).ravel()
     lower = cholesky(cov)
     d = mean.size
@@ -202,12 +178,4 @@ def draw_gaussian(
             f"mean has length {d} but covariance is {lower.shape[0]}x{lower.shape[0]}"
         )
     z = rng.standard_normal((size, d))
-    if match_moments:
-        if size <= d:
-            raise InsufficientSamplesError(
-                f"moment matching needs more than d={d} draws, got {size}"
-            )
-        z = z - z.mean(axis=0)
-        sample_cov = symmetrize(z.T @ z / (size - 1))
-        z = np.linalg.solve(cholesky(sample_cov), z.T).T
     return mean + z @ lower.T

@@ -78,17 +78,13 @@ class Moments:
         return self.mean.size
 
 
-def estimate_moments(batch) -> Moments:
+def estimate_moments(batch: SampleBatch) -> Moments:
     """Sample mean and unbiased (divisor n - 1) covariance of a batch.
 
-    Accepts a SampleBatch or a raw (n, d) matrix; needs n >= d + 1, otherwise
-    the covariance is singular by construction.
+    Needs n >= d + 1 draws, otherwise the covariance is singular by
+    construction.
     """
-    draws = np.asarray(getattr(batch, "draws", batch), dtype=float)
-    if draws.ndim != 2:
-        raise InvalidInputError(f"draws must be 2-D, got ndim={draws.ndim}")
-    if not np.all(np.isfinite(draws)):
-        raise DataError("draws contain non-finite values")
+    draws = batch.draws
     n, d = draws.shape
     if n <= d:
         raise InsufficientSamplesError(

@@ -14,10 +14,13 @@ and diagnostics are therefore bit-identical whether it runs alone or in any
 group, in any position.
 
 Proposals are Gaussian with covariance scale^2 * Sigma_hat: a chain steps by
-scale * (L z) with L the Cholesky factor of Sigma_hat.  During burn-in the
-scalar scale follows a Robbins-Monro recursion toward the target acceptance
-rate and Sigma_hat tracks the running sample covariance (regularized by
-+1e-6 I); both freeze when burn-in ends, so the retained chain is Markov.
+scale * (L z) with L the Cholesky factor of Sigma_hat.  The scale starts at
+2.38/sqrt(d) with Sigma_hat = I.  During burn-in the scalar scale follows a
+Robbins-Monro recursion toward an acceptance rate of 0.44 at d = 1 and 0.234
+above (the optimal-scaling values of Roberts, Gelman & Gilks 1997 and
+Roberts & Rosenthal 2001), and Sigma_hat tracks the running sample
+covariance (regularized by +1e-6 I); both freeze when burn-in ends, so the
+retained chain is Markov.
 """
 
 from __future__ import annotations
@@ -44,6 +47,10 @@ _COV_UPDATE_INTERVAL = 25
 # Burn-in acceptance below this rate is flagged as a tuning failure.
 _TUNING_FLOOR = 0.01
 
+# Optimal-scaling acceptance targets: one dimension, and any higher one.
+_TARGET_ACCEPT_1D = 0.44
+_TARGET_ACCEPT = 0.234
+
 INIT_MODES = ("prior-draw", "mle")
 
 # A density of -inf or NaN at a proposal (inf - inf, log 0, exp overflow) is
@@ -53,14 +60,12 @@ _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Chain length and tuning knobs for one random-walk Metropolis run."""
+    """Chain length, start and seed of one random-walk Metropolis run."""
 
     n_samples: int
     burn_in: int = 1000
     thin: int = 1
     init: object = "prior-draw"  # "prior-draw", "mle" or a vector of finite numbers
-    proposal_scale: float | None = None  # default 2.38 / sqrt(dim)
-    target_accept: float = 0.234
     seed: int = 0
 
     def __post_init__(self):
@@ -71,22 +76,21 @@ class SamplerConfig:
             raise InvalidInputError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.thin < 1:
             raise InvalidInputError(f"thin must be >= 1, got {self.thin}")
-        if self.proposal_scale is not None and self.proposal_scale <= 0:
-            raise InvalidInputError("proposal_scale must be positive")
-        if not 0.0 < self.target_accept < 1.0:
-            raise InvalidInputError("target_accept must lie in (0, 1)")
         if not (isinstance(self.init, str) and self.init in INIT_MODES):
             object.__setattr__(self, "init", _init_vector(self.init))
 
 
 def _init_vector(init) -> tuple:
-    """``init`` as a tuple of finite floats, else InvalidInputError."""
+    """``init`` as a tuple of finite floats, else InvalidInputError.
+
+    Only integer and float entries are numbers here: a string, a boolean or
+    None is not, even where numpy would convert it.
+    """
     try:
-        # a string would parse as a number here; only the two modes are strings
-        vector = None if isinstance(init, str) else np.asarray(init, dtype=float).ravel()
-    except (TypeError, ValueError):
-        vector = None
-    if vector is None or vector.size == 0 or not np.all(np.isfinite(vector)):
+        vector = np.asarray(init).ravel()
+    except ValueError:  # ragged nesting
+        vector = np.empty(0)
+    if vector.dtype.kind not in "iuf" or vector.size == 0 or not np.all(np.isfinite(vector)):
         raise InvalidInputError(
             f"init must be one of {INIT_MODES} or a vector of finite numbers, got {init!r}"
         )
@@ -241,10 +245,8 @@ def _lockstep(chains: list, config: SamplerConfig) -> list[SampleBatch]:
             f"{labels[i]}: log-density is not finite at the initial point {x[i].tolist()}"
         )
 
-    initial_scale = config.proposal_scale
-    if initial_scale is None:
-        initial_scale = 2.38 / math.sqrt(d)
-    log_scale = np.full(k, math.log(initial_scale))
+    target_accept = _TARGET_ACCEPT_1D if d == 1 else _TARGET_ACCEPT
+    log_scale = np.full(k, math.log(2.38 / math.sqrt(d)))
     scale = np.exp(log_scale)[:, None]
     shape_chol = np.broadcast_to(np.eye(d), (k, d, d))
     scale_at_freeze = np.exp(log_scale)
@@ -290,7 +292,7 @@ def _lockstep(chains: list, config: SamplerConfig) -> list[SampleBatch]:
             if it < burn:
                 accepted_burn += accept
                 alpha = np.where(np.isfinite(log_alpha), np.exp(np.minimum(0.0, log_alpha)), 0.0)
-                log_scale += (it + 1) ** -0.6 * (alpha - config.target_accept)
+                log_scale += (it + 1) ** -0.6 * (alpha - target_accept)
                 run_n = it + 1
                 delta = x - run_mean
                 run_mean += delta / run_n

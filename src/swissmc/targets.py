@@ -337,13 +337,6 @@ def collapse_logistic(x, y) -> LogisticData:
     return LogisticData(rows, successes, counts)
 
 
-def logistic_log_likelihood_grad(theta, data: LogisticData) -> np.ndarray:
-    """Gradient of the logistic log-likelihood in theta."""
-    rows, successes, counts = data
-    eta = rows @ np.asarray(theta, dtype=float)
-    return rows.T @ (successes - counts * sigmoid(eta))
-
-
 def _logistic_grad_neg_hess(theta, data: LogisticData, penalty: float, likelihood_power: float):
     """Gradient and negative Hessian of likelihood_power * loglik - penalty/2 |theta|^2."""
     rows, successes, counts = data
@@ -354,11 +347,25 @@ def _logistic_grad_neg_hess(theta, data: LogisticData, penalty: float, likelihoo
     return grad, neg_hess + penalty * np.eye(theta.size)
 
 
-def _newton_step(neg_hess, grad, what: str) -> np.ndarray:
-    try:
-        return np.linalg.solve(neg_hess, grad)
-    except np.linalg.LinAlgError as err:
-        raise NotPositiveDefiniteError(f"{what}: {err}") from None
+# Newton's method from theta = 0 stops once a step moves no coordinate by
+# _NEWTON_STEP_TOL and raises ConvergenceError after _NEWTON_MAX_STEPS steps.
+_NEWTON_STEP_TOL = 1e-10
+_NEWTON_MAX_STEPS = 100
+
+
+def _newton_mode(data: LogisticData, penalty: float, likelihood_power: float, what: str):
+    """Mode of likelihood_power * loglik - penalty/2 |theta|^2 by Newton's method."""
+    theta = np.zeros(data.rows.shape[1])
+    for _ in range(_NEWTON_MAX_STEPS):
+        grad, neg_hess = _logistic_grad_neg_hess(theta, data, penalty, likelihood_power)
+        try:
+            step = np.linalg.solve(neg_hess, grad)
+        except np.linalg.LinAlgError as err:
+            raise NotPositiveDefiniteError(f"{what}: {err}") from None
+        theta = theta + step
+        if float(np.max(np.abs(step))) < _NEWTON_STEP_TOL:
+            return theta
+    raise ConvergenceError(f"{what} did not converge after {_NEWTON_MAX_STEPS} Newton steps")
 
 
 def logistic_mle(data: LogisticData):
@@ -366,17 +373,9 @@ def logistic_mle(data: LogisticData):
 
     A ridge of 1e-4 keeps the Hessian invertible when a feature column is
     constant within a batch (common with rare features), in which case the
-    matching coefficient simply stays near zero.  At most 60 steps; it stops
-    once a step moves no coordinate by 1e-10.
+    matching coefficient simply stays near zero.
     """
-    theta = np.zeros(data.rows.shape[1])
-    for _ in range(60):
-        grad, hess = _logistic_grad_neg_hess(theta, data, 1e-4, 1.0)
-        step = _newton_step(hess, grad, "ML estimate")
-        theta = theta + step
-        if float(np.max(np.abs(step))) < 1e-10:
-            break
-    return theta
+    return _newton_mode(data, 1e-4, 1.0, "ML estimate")
 
 
 def logistic_laplace(
@@ -385,27 +384,17 @@ def logistic_laplace(
     prior_variance: float = 100.0,
     prior_power: float = 1.0,
     likelihood_power: float = 1.0,
-    max_iters: int = 100,
 ) -> Moments:
     """Laplace approximation of a tempered logistic-regression posterior.
 
     The target is N(0, prior_variance I)^prior_power x likelihood^likelihood_power;
     the result is its mode and the inverse of the negative Hessian of the
-    log-density there.  Raises ConvergenceError if Newton's method does not
-    settle within ``max_iters`` steps.
+    log-density there.
     """
     penalty = prior_power / prior_variance
-    theta = np.zeros(data.rows.shape[1])
-    for _ in range(max_iters):
-        grad, neg_hess = _logistic_grad_neg_hess(theta, data, penalty, likelihood_power)
-        step = _newton_step(neg_hess, grad, "Laplace mode search")
-        theta = theta + step
-        if float(np.max(np.abs(step))) < 1e-10:
-            _, neg_hess = _logistic_grad_neg_hess(theta, data, penalty, likelihood_power)
-            return Moments(theta, spd_inverse(neg_hess))
-    raise ConvergenceError(
-        f"Laplace mode search did not converge after {max_iters} Newton steps"
-    )
+    theta = _newton_mode(data, penalty, likelihood_power, "Laplace mode search")
+    _, neg_hess = _logistic_grad_neg_hess(theta, data, penalty, likelihood_power)
+    return Moments(theta, spd_inverse(neg_hess))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,9 @@
-"""Shared test utilities: random matrix factories and Monte Carlo error bars."""
+"""Shared test utilities: random matrix factories, exact Gaussian clouds and
+Monte Carlo error bars."""
 
 import numpy as np
+
+from swissmc import cholesky, symmetrize
 
 
 def random_spd(d, rng, jitter=0.1):
@@ -21,8 +24,22 @@ def block_mean_se(x, n_blocks=40):
     return float(blocks.std(ddof=1) / np.sqrt(n_blocks))
 
 
-def exact_gaussian_cloud(mean, cov, size, rng):
-    """Gaussian point set whose sample moments equal (mean, cov) exactly."""
-    from swissmc import draw_gaussian
+def random_orthogonal(dim, rng):
+    """Haar-distributed orthogonal matrix (QR of a Gaussian matrix)."""
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    # Fix the QR sign ambiguity so the distribution is Haar.
+    return q * np.sign(np.diag(r))
 
-    return draw_gaussian(mean, cov, size, rng, match_moments=True)
+
+def exact_gaussian_cloud(mean, cov, size, rng):
+    """Gaussian point set whose sample mean and sample covariance (divisor
+    size - 1) equal (mean, cov) exactly: a standard-normal cloud is
+    empirically standardized, then scaled by the Cholesky factor of cov.
+    Needs size > d."""
+    mean = np.asarray(mean, dtype=float).ravel()
+    lower = cholesky(cov)
+    z = rng.standard_normal((size, mean.size))
+    z = z - z.mean(axis=0)
+    sample_cov = symmetrize(z.T @ z / (size - 1))
+    z = np.linalg.solve(cholesky(sample_cov), z.T).T
+    return mean + z @ lower.T

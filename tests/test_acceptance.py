@@ -25,7 +25,6 @@ from swissmc import (
     draw_gaussian,
     eigh,
     iad,
-    random_orthogonal,
     run_experiment,
     sample,
     sample_all_batches,
@@ -36,7 +35,7 @@ from swissmc import (
     swiss_combine,
     make_target,
 )
-from helpers import block_mean_se, exact_gaussian_cloud, random_spd
+from helpers import block_mean_se, exact_gaussian_cloud, random_orthogonal, random_spd
 
 BETA_MEAN = 2.0 / 1002.0  # mean of the Beta(2, 1000) oracle posterior
 
@@ -189,7 +188,7 @@ def test_criterion_05_dimension_scaling():
 def rare_bernoulli_chains():
     """Full chain plus B=10 batch chains on the rare-Bernoulli target."""
     target = make_target("rare-bernoulli")
-    config = SamplerConfig(n_samples=10_000, burn_in=1000, seed=106, target_accept=0.44)
+    config = SamplerConfig(n_samples=10_000, burn_in=1000, seed=106)
     n_batches = 10
     full = sample(target, None, config, batch_id=0, stream_id=n_batches)
     inflated = sample_all_batches([Chain(target, None, b, b) for b in range(n_batches)], config)

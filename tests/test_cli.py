@@ -169,6 +169,8 @@ class TestExperimentCommand:
         ra = json.loads((out_a / "run_0.json").read_text())
         rb = json.loads((out_b / "run_0.json").read_text())
         ra, rb = strip_timing(ra), strip_timing(rb)
+        # --out sets the config's out_dir, so each report names its own directory
+        assert (ra["config"].pop("out_dir"), rb["config"].pop("out_dir")) == (str(out_a), str(out_b))
         ra["config"].pop("workers")
         rb["config"].pop("workers")
         assert ra == rb
@@ -457,3 +459,65 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "prior_variance" in err and "repetition" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sidecar, field",
+        [
+            ('{"batch_id": "x"}', "batch_id"),
+            ('{"batch_id": 1.5}', "batch_id"),
+            ('{"seed": true}', "seed"),
+            ('{"inflation_exponent": null}', "inflation_exponent"),
+            ('{"prior_exponent": Infinity}', "prior_exponent"),
+            ('{"target_name": 5}', "target_name"),
+            ("[1, 2]", "JSON object"),
+        ],
+    )
+    def test_malformed_sidecar_is_usage_error(self, tmp_path, capsys, sidecar, field):
+        rng = np.random.default_rng(5)
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for batch_id, path in enumerate(paths):
+            write_batch(path, SampleBatch(batch_id, rng.standard_normal((60, 2))))
+        (tmp_path / "b.meta.json").write_text(sidecar)
+        out = tmp_path / "o.csv"
+        assert run_cli("combine", "--method", "swiss", "--out", str(out), *map(str, paths)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(tmp_path / "b.meta.json") in err and field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ({"n_batches": "2"}, "n_batches"),
+            ({"n_batches": 2.5}, "n_batches"),
+            ({"seed": None}, "seed"),
+            ({"seed": 1.5}, "seed"),
+            ({"n_runs": True}, "n_runs"),
+            ({"thin": "1"}, "thin"),
+            ({"combiners": "swiss"}, "combiners"),
+            ({"combiners": ["swiss", 1, "x"]}, "combiners"),
+            ({"out_dir": 5}, "out_dir"),
+        ],
+    )
+    def test_config_field_of_wrong_type_is_usage_error(self, tmp_path, capsys, override, field):
+        config = {"target": "warped-gaussian", "n_batches": 2, "n_samples": 10, "burn_in": 10}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**config, **override}))
+        out = tmp_path / "out"
+        assert run_cli("experiment", "--config", str(cfg_path), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be ")
+        assert not out.exists()
+
+    def test_mle_non_convergence_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("swissmc.targets._NEWTON_MAX_STEPS", 1)
+        data = tmp_path / "data.csv"
+        assign = tmp_path / "assign.csv"
+        assert run_cli("simulate", "--n", "400", "--seed", "5", "--out", str(data)) == 0
+        assert run_cli("partition", "--data", str(data), "--batches", "2", "--out", str(assign)) == 0
+        code = run_cli(
+            "sample", "--target", "logistic-rare", "--data", str(data), "--assignment",
+            str(assign), "--n-samples", "10", "--init", "mle", "--out-dir", str(tmp_path / "c"),
+        )
+        assert code == 2
+        assert "ML estimate did not converge" in capsys.readouterr().err

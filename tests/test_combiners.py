@@ -20,12 +20,11 @@ from swissmc import (
     draw_gaussian,
     gaussian_barycenter,
     pool_moments,
-    random_orthogonal,
     spd_inverse,
     spsq,
     swiss_combine,
 )
-from helpers import exact_gaussian_cloud, random_spd
+from helpers import exact_gaussian_cloud, random_orthogonal, random_spd
 
 
 def _gaussian_batches(d, n_batches, n_draws, seed, *, exact=True):
@@ -243,11 +242,13 @@ class TestBarycenter:
             centered = block - block.mean(axis=0)
             np.testing.assert_allclose(centered.T @ centered / (n - 1), target.cov, atol=1e-9)
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr("swissmc.combiners._BARYCENTER_MAX_ITERS", 1)
+        monkeypatch.setattr("swissmc.combiners._BARYCENTER_TOL", 1e-16)
         rng = np.random.default_rng(16)
         moments = [Moments(np.zeros(3), random_spd(3, rng)) for _ in range(3)]
         with pytest.raises(ConvergenceError, match="residual"):
-            gaussian_barycenter(moments, max_iters=1, tol=1e-16)
+            gaussian_barycenter(moments)
 
 
 class TestDisplacement:

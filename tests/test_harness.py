@@ -74,9 +74,9 @@ class TestConfig:
             ExperimentConfig(target="logistic-rare", n_batches=5, n_samples=10)
 
     def test_vector_init_serializes(self, tmp_path):
-        config = _tiny_config(n_runs=1, init=np.array([0.1, -0.2]))
+        config = _tiny_config(n_runs=1, init=np.array([0.1, -0.2]), out_dir=str(tmp_path))
         json.dumps(config.to_dict())  # must not choke on the array
-        summary = run_experiment(config, out_dir=tmp_path)
+        summary = run_experiment(config)
         assert (tmp_path / "run_0.json").exists()
         reloaded = ExperimentConfig.from_dict(
             json.loads((tmp_path / "run_0.json").read_text())["config"]
@@ -169,20 +169,13 @@ class TestRunExperiment:
         np.testing.assert_array_equal(oracle.mean, full.mean)
         np.testing.assert_array_equal(oracle.cov, full.cov)
 
-    def test_failure_carries_stage_context(self):
+    def test_failure_carries_stage_context(self, monkeypatch):
         # force a combine-stage failure: barycenter with an impossible cap
         config = _tiny_config(n_runs=1)
-        from swissmc import combiners as co
-        import swissmc.harness as hz
-
-        hz._COMBINE["barycenter"] = lambda batches, **kw: co.barycenter_combine(
-            batches, max_iters=1, tol=1e-18
-        )
-        try:
-            with pytest.raises(Exception, match="repetition 0.*combine"):
-                run_experiment(config)
-        finally:
-            hz._COMBINE["barycenter"] = co.barycenter_combine
+        monkeypatch.setattr("swissmc.combiners._BARYCENTER_MAX_ITERS", 1)
+        monkeypatch.setattr("swissmc.combiners._BARYCENTER_TOL", 1e-18)
+        with pytest.raises(Exception, match="repetition 0.*combine"):
+            run_experiment(config)
 
     @pytest.mark.parametrize(
         "combiners, failing_data, label",
@@ -210,7 +203,7 @@ class TestRunExperiment:
             run_experiment(config)
 
     def test_completed_repetitions_survive_later_failure(self, tmp_path):
-        config = _tiny_config(n_runs=3, combiners=("swiss",))
+        config = _tiny_config(n_runs=3, combiners=("swiss",), out_dir=str(tmp_path))
         import swissmc.harness as hz
         from swissmc import swiss_combine
 
@@ -225,7 +218,7 @@ class TestRunExperiment:
         hz._COMBINE["swiss"] = fail_on_second_rep
         try:
             with pytest.raises(Exception, match="repetition 1"):
-                run_experiment(config, out_dir=tmp_path)
+                run_experiment(config)
         finally:
             hz._COMBINE["swiss"] = swiss_combine
         assert (tmp_path / "run_0.json").exists()

@@ -11,13 +11,12 @@ from swissmc import (
     cholesky,
     draw_gaussian,
     eigh,
-    random_orthogonal,
     sample_inverse_wishart,
     spd_inverse,
     spd_roots,
     spsq,
 )
-from helpers import random_spd
+from helpers import exact_gaussian_cloud, random_orthogonal, random_spd
 
 
 class TestEigh:
@@ -88,8 +87,6 @@ class TestEigh:
     def test_ill_conditioned_spectrum(self):
         # condition number 1e10: eigenvalues must still come back accurately
         rng = np.random.default_rng(101)
-        from swissmc import random_orthogonal
-
         target = np.array([1.0, 1e-2, 1e-5, 1e-10])
         basis = random_orthogonal(4, rng)
         v = (basis * target) @ basis.T
@@ -99,8 +96,6 @@ class TestEigh:
 
     def test_clustered_eigenvalues(self):
         rng = np.random.default_rng(103)
-        from swissmc import random_orthogonal
-
         target = np.array([2.0, 2.0, 2.0, 0.5, 0.5])
         basis = random_orthogonal(5, rng)
         v = (basis * target) @ basis.T
@@ -297,7 +292,7 @@ class TestDrawGaussian:
         rng = RngStream(37, 0).generator()
         mean = np.array([0.5, -1.0, 2.0])
         cov = random_spd(3, np.random.default_rng(2))
-        draws = draw_gaussian(mean, cov, 500, rng, match_moments=True)
+        draws = exact_gaussian_cloud(mean, cov, 500, rng)
         np.testing.assert_allclose(draws.mean(axis=0), mean, atol=1e-12)
         centered = draws - draws.mean(axis=0)
         np.testing.assert_allclose(centered.T @ centered / 499, cov, atol=1e-12)

@@ -25,27 +25,28 @@ class TestEstimateMoments:
         np.testing.assert_allclose(mom.cov, np.diag([4.0 / 3.0, 4.0 / 3.0]), atol=1e-15)
 
     def test_one_dimensional(self):
-        mom = estimate_moments(np.array([[1.0], [2.0], [3.0]]))
+        mom = estimate_moments(SampleBatch(0, np.array([[1.0], [2.0], [3.0]])))
         np.testing.assert_allclose(mom.mean, [2.0])
         np.testing.assert_allclose(mom.cov, [[1.0]])
 
     def test_constant_draws_fail_downstream(self):
-        mom = estimate_moments(np.ones((10, 2)))
+        mom = estimate_moments(SampleBatch(0, np.ones((10, 2))))
         with pytest.raises(NotPositiveDefiniteError):
             pool_moments([mom, mom])
 
     def test_too_few_draws(self):
         with pytest.raises(InsufficientSamplesError):
-            estimate_moments(np.zeros((3, 3)))
+            estimate_moments(SampleBatch(0, np.zeros((3, 3))))
 
     def test_nonfinite_draws(self):
+        # SampleBatch refuses them, so estimate_moments never sees one
         with pytest.raises(DataError):
-            estimate_moments(np.array([[1.0], [np.inf]]))
+            SampleBatch(0, np.array([[1.0], [np.inf]]))
 
     def test_unbiased_divisor(self):
         rng = np.random.default_rng(0)
         draws = rng.standard_normal((50, 3))
-        mom = estimate_moments(draws)
+        mom = estimate_moments(SampleBatch(0, draws))
         np.testing.assert_allclose(mom.cov, np.cov(draws.T, ddof=1), atol=1e-12)
 
 

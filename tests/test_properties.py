@@ -27,13 +27,12 @@ from swissmc import (  # noqa: E402
     barycenter_combine,
     consensus_combine,
     eigh,
-    random_orthogonal,
     spd_roots,
     swiss_combine,
 )
 from swissmc.io import read_sample_csv, write_sample_csv  # noqa: E402
 from swissmc.metrics import _KDE_CHUNK, _direct_kde_sum  # noqa: E402
-from helpers import random_spd  # noqa: E402
+from helpers import random_orthogonal, random_spd  # noqa: E402
 
 seeds = st.integers(0, 2**32 - 1)
 

@@ -40,7 +40,7 @@ class _UnitGaussian(TargetModel):
 
 class TestSampleBasics:
     def test_standard_normal_moments(self):
-        config = SamplerConfig(n_samples=50_000, burn_in=2000, seed=1, target_accept=0.44)
+        config = SamplerConfig(n_samples=50_000, burn_in=2000, seed=1)
         batch = sample(_UnitGaussian(), None, config)
         draws = batch.draws.ravel()
         se = block_mean_se(draws)
@@ -49,7 +49,7 @@ class TestSampleBasics:
 
     def test_rare_bernoulli_conjugate_mean(self):
         # the target is the Beta(2, 1000) kernel; its mean is 2/1002
-        config = SamplerConfig(n_samples=50_000, burn_in=2000, seed=2, target_accept=0.44)
+        config = SamplerConfig(n_samples=50_000, burn_in=2000, seed=2)
         batch = sample(make_target("rare-bernoulli"), None, config)
         draws = batch.draws.ravel()
         se = block_mean_se(draws)
@@ -124,16 +124,29 @@ class TestAdaptation:
         assert batch.diagnostics["final_scale"] == batch.diagnostics["scale_at_freeze"]
 
     def test_adaptation_disabled_keeps_initial_scale(self):
-        # without burn-in nothing adapts the proposal
-        config = SamplerConfig(n_samples=500, burn_in=0, seed=12, proposal_scale=0.7)
+        # without burn-in nothing adapts the proposal: the scale stays 2.38/sqrt(d)
+        config = SamplerConfig(n_samples=500, burn_in=0, seed=12)
         batch = sample(_UnitGaussian(), None, config)
-        assert batch.diagnostics["final_scale"] == pytest.approx(0.7)
+        assert batch.diagnostics["final_scale"] == pytest.approx(2.38)
 
     def test_tuning_failure_warning(self):
-        # a proposal scale of 1e6 on a unit-scale target rejects nearly every
-        # move; 300 burn-in steps of adaptation shrink it only about 180-fold
-        config = SamplerConfig(n_samples=200, burn_in=300, seed=13, proposal_scale=1e6)
-        batch = sample(_UnitGaussian(), None, config)
+        # the initial scale 2.38 is about 1e9 standard deviations of this
+        # target, so nearly every move is rejected; 300 burn-in steps toward
+        # 0.44 shrink the scale only about 2e4-fold
+
+        class _NarrowGaussian(TargetModel):
+            name = "narrow-gaussian"
+            dim = 1
+
+            def log_likelihood(self, theta, data_batch=None):
+                t = np.asarray(theta)[..., 0] / 2.38e-9
+                return -0.5 * t * t
+
+            def init_sampler(self, rng):
+                return 2.38e-9 * rng.standard_normal(1)
+
+        config = SamplerConfig(n_samples=200, burn_in=300, seed=13)
+        batch = sample(_NarrowGaussian(), None, config)
         warnings = batch.diagnostics["warnings"]
         assert any("tuning-failure" in w for w in warnings)
 
@@ -153,9 +166,7 @@ class TestDetailedBalance:
                 return np.log(t) + 7.0 * np.log1p(-t)
 
         target = _BetaKernel()
-        config = SamplerConfig(
-            n_samples=500_000, burn_in=2000, seed=14, target_accept=0.44, init=np.array([0.2])
-        )
+        config = SamplerConfig(n_samples=500_000, burn_in=2000, seed=14, init=np.array([0.2]))
         draws = sample(target, None, config).draws.ravel()
 
         edges = np.linspace(0.0, 1.0, 41)
@@ -197,7 +208,7 @@ class TestSampleAllBatches:
             assert _same_chain(a, b) and _same_chain(a, alone)
 
     def test_identical_targets_agree_across_batches(self):
-        config = SamplerConfig(n_samples=20_000, burn_in=2000, seed=17, target_accept=0.44)
+        config = SamplerConfig(n_samples=20_000, burn_in=2000, seed=17)
         batches = sample_all_batches([Chain(_UnitGaussian(), None, b) for b in range(4)], config)
         means = [b.draws.mean() for b in batches]
         ses = [block_mean_se(b.draws.ravel()) for b in batches]
@@ -309,12 +320,10 @@ class TestSamplerConfigValidation:
             SamplerConfig(n_samples=10, burn_in=-1)
         with pytest.raises(InvalidInputError):
             SamplerConfig(n_samples=10, thin=0)
-        with pytest.raises(InvalidInputError):
-            SamplerConfig(n_samples=10, proposal_scale=0.0)
-        with pytest.raises(InvalidInputError):
-            SamplerConfig(n_samples=10, target_accept=1.5)
 
-    @pytest.mark.parametrize("init", ["bogus", "", [], [1.0, math.nan], [[1.0], ["x"]], None])
+    @pytest.mark.parametrize(
+        "init", ["bogus", "", [], [1.0, math.nan], [[1.0], ["x"]], None, True, [True, False]]
+    )
     def test_rejects_bad_init(self, init):
         with pytest.raises(InvalidInputError, match="init must be one of"):
             SamplerConfig(n_samples=10, init=init)

@@ -34,7 +34,6 @@ from swissmc.targets import (
     _logistic_grad_neg_hess,
     collapse_logistic,
     logistic_laplace,
-    logistic_log_likelihood_grad,
     logistic_mle,
     shard_data,
     sigmoid,
@@ -172,7 +171,7 @@ class TestLogisticModel:
     def test_gradient_matches_finite_differences(self):
         x, y = self._toy(seed=1)
         theta = np.array([0.3, -0.7, 1.1])
-        grad = logistic_log_likelihood_grad(theta, collapse_logistic(x, y))
+        grad, _ = _logistic_grad_neg_hess(theta, collapse_logistic(x, y), 0.0, 1.0)
         model = logistic_regression_model(x, y)
         eps = 1e-6
         for j in range(3):
@@ -257,10 +256,6 @@ class TestSufficientStatistics:
             theta = rng.standard_normal(x.shape[1])
             loglik, grad, neg_hess = self._row_wise(theta, x, y)
             assert _loglik(model, theta) == pytest.approx(loglik, rel=1e-12)
-            np.testing.assert_allclose(
-                logistic_log_likelihood_grad(theta, data), grad, rtol=1e-12,
-                atol=1e-12 * np.max(np.abs(grad)),
-            )
             got_grad, got_neg_hess = _logistic_grad_neg_hess(theta, data, 0.0, 1.0)
             np.testing.assert_allclose(got_grad, grad, rtol=1e-12, atol=1e-12 * np.max(np.abs(grad)))
             np.testing.assert_allclose(
@@ -307,7 +302,7 @@ class TestLogisticLaplace:
 
     def _grad(self, theta, batch):
         # gradient of the inflated log-density: B * loglik' - theta / prior variance
-        return self.N_BATCHES * logistic_log_likelihood_grad(theta, batch) - theta / 100.0
+        return _logistic_grad_neg_hess(theta, batch, 1.0 / 100.0, float(self.N_BATCHES))[0]
 
     def test_gradient_vanishes_at_mode(self):
         model, batch = self._shard()
@@ -336,10 +331,18 @@ class TestLogisticLaplace:
             ) / (2 * eps)
         np.testing.assert_allclose(laplace.cov @ neg_hess, np.eye(model.dim), atol=1e-6)
 
-    def test_non_convergence_raises(self):
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr("swissmc.targets._NEWTON_MAX_STEPS", 2)
         _, batch = self._shard()
-        with pytest.raises(ConvergenceError, match="Newton"):
-            logistic_laplace(batch, likelihood_power=float(self.N_BATCHES), max_iters=2)
+        with pytest.raises(ConvergenceError, match="Laplace mode search.*Newton"):
+            logistic_laplace(batch, likelihood_power=float(self.N_BATCHES))
+
+    def test_mle_non_convergence_raises(self, monkeypatch):
+        # the ML estimate shares the Newton loop, so it fails loudly too
+        monkeypatch.setattr("swissmc.targets._NEWTON_MAX_STEPS", 2)
+        _, batch = self._shard()
+        with pytest.raises(ConvergenceError, match="ML estimate.*Newton"):
+            logistic_mle(batch)
 
 
 class TestRareFeatureData:
