@@ -33,7 +33,7 @@ from .io import (
     write_json,
     write_sample_csv,
 )
-from .metrics import METRIC_NAMES, compute_metrics
+from .metrics import METRIC_NAMES, REPORT_KEYS, compute_metrics
 from .sampler import INIT_MODES, SamplerConfig, convention_chains, sample_all_batches
 from .targets import (
     CONVENTIONS,
@@ -132,6 +132,13 @@ def _cmd_sample(args) -> None:
 
 def _cmd_combine(args) -> None:
     batches = [read_batch(path, fallback_batch_id=i) for i, path in enumerate(args.inputs)]
+    paths = {}
+    for path, batch in zip(args.inputs, batches):
+        if batch.batch_id in paths:
+            raise InvalidInputError(
+                f"{paths[batch.batch_id]} and {path} share batch id {batch.batch_id}"
+            )
+        paths[batch.batch_id] = path
     result = _COMBINE[args.method](batches)
     write_sample_csv(args.out, result.combined)
     if args.maps:
@@ -157,7 +164,7 @@ def _cmd_evaluate(args) -> None:
     reference = read_sample_csv(args.reference)
     report = compute_metrics(approx, reference, which=tuple(args.metrics))
     payload = report.to_dict()
-    for key in ("mahalanobis", "skew_dev", "iad"):
+    for key in REPORT_KEYS:
         if payload[key] is not None:
             print(f"{key} = {payload[key]:.6f}")
     if args.out:
@@ -174,7 +181,7 @@ def _cmd_experiment(args) -> None:
     for name, entry in summary.aggregates["combiners"].items():
         parts = [
             f"{metric}={entry[metric]['mean']:.4f}±{entry[metric]['se']:.4f}"
-            for metric in ("mahalanobis", "skew_dev", "iad")
+            for metric in REPORT_KEYS
             if metric in entry
         ]
         print(f"{name}: " + " ".join(parts))

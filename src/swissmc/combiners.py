@@ -23,13 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidInputError, SwissError
+from .errors import ConvergenceError, InvalidInputError, SwissError, prefixed
 from .linalg import spd_roots, spsq, symmetrize
 from .moments import (
     Moments,
     SampleBatch,
     _check_common_dim,
-    _naming_batch,
     _precision_pool,
     estimate_moments,
     pool_moments,
@@ -95,7 +94,7 @@ def _resolve_moments(batches, moments) -> list[Moments]:
     if moments is None:
         resolved = []
         for batch in batches:
-            with _naming_batch(batch.batch_id):
+            with prefixed(f"batch {batch.batch_id}"):
                 resolved.append(estimate_moments(batch))
     else:
         resolved = list(moments)
@@ -107,14 +106,13 @@ def _resolve_moments(batches, moments) -> list[Moments]:
     return resolved
 
 
-def _check_cov_match(mapping: AffineMap, batch_cov, target_cov, batch_id: int) -> None:
+def _check_cov_match(mapping: AffineMap, batch_cov, target_cov) -> None:
     transported = mapping.matrix @ batch_cov @ mapping.matrix.T
     gap = float(np.max(np.abs(transported - target_cov)))
     limit = _COV_MATCH_RTOL * max(1e-300, float(np.max(np.abs(target_cov))))
     if gap > limit:
         raise SwissError(
-            f"batch {batch_id}: covariance-matching contract violated "
-            f"(max deviation {gap:.3e} > {limit:.3e})"
+            f"covariance-matching contract violated (max deviation {gap:.3e} > {limit:.3e})"
         )
 
 
@@ -124,11 +122,11 @@ def _affine_merge(batches, per_batch, target: Moments):
     maps = []
     blocks = []
     for batch, mom in zip(batches, per_batch):
-        with _naming_batch(batch.batch_id):
+        with prefixed(f"batch {batch.batch_id}"):
             whitened_cov = symmetrize(inv_root @ mom.cov @ inv_root)
             _, inv_local_root = spd_roots(whitened_cov)
-        mapping = AffineMap(root @ inv_local_root @ inv_root, mom.mean, target.mean)
-        _check_cov_match(mapping, mom.cov, target.cov, batch.batch_id)
+            mapping = AffineMap(root @ inv_local_root @ inv_root, mom.mean, target.mean)
+            _check_cov_match(mapping, mom.cov, target.cov)
         maps.append(mapping)
         blocks.append(mapping.apply(batch.draws))
     return maps, np.concatenate(blocks, axis=0)
@@ -223,7 +221,7 @@ def gaussian_barycenter(per_batch: list[Moments], *, batch_ids=None) -> Moments:
         root, inv_root = spd_roots(current)
         inner = np.zeros_like(current)
         for batch_id, cov in zip(ids, covs):
-            with _naming_batch(batch_id):
+            with prefixed(f"batch {batch_id}"):
                 inner += spsq(symmetrize(root @ cov @ root))
         inner /= n_batches
         updated = symmetrize(inv_root @ (inner @ inner) @ inv_root)

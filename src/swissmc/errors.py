@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one helper that
+adds context to its messages."""
+
+from contextlib import contextmanager
 
 
 class SwissError(Exception):
@@ -31,3 +34,12 @@ class InvalidInputError(SwissError):
 
 class ParseError(SwissError):
     """A file could not be parsed; the message carries the line number."""
+
+
+@contextmanager
+def prefixed(prefix: str):
+    """Prefix ``"{prefix}: "`` to a SwissError raised in the block, keeping its type."""
+    try:
+        yield
+    except SwissError as err:
+        raise type(err)(f"{prefix}: {err}") from err

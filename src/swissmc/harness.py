@@ -41,10 +41,10 @@ from pathlib import Path
 import numpy as np
 
 from .combiners import ar_combine, barycenter_combine, consensus_combine, swiss_combine
-from .errors import InvalidInputError, SwissError
-from .io import write_json
+from .errors import InvalidInputError, prefixed
+from .io import write_json, write_table_csv
 from .linalg import draw_gaussian
-from .metrics import MetricReport, compute_metrics
+from .metrics import METRIC_NAMES, REPORT_KEYS, MetricReport, compute_metrics
 from .moments import Moments, SampleBatch, pool_moments
 from .rng import RngStream, mix_seed
 from .sampler import SamplerConfig, convention_chains, sample_all_batches
@@ -226,15 +226,11 @@ def _build_dataset(config: ExperimentConfig):
     return simulate_rare_feature_data(config.n_observations, mix_seed(config.seed, _DATA_STREAM))
 
 
-def _metric_values(report: MetricReport, name: str):
-    return {"mahalanobis": report.mahalanobis, "skew_dev": report.skew_dev, "iad": report.iad}[name]
-
-
 def _aggregate_metrics(per_run: list) -> dict:
     """Mean, standard error and values of each metric over MetricReports."""
     entry = {}
-    for metric in ("mahalanobis", "skew_dev", "iad"):
-        values = [_metric_values(report, metric) for report in per_run]
+    for metric in REPORT_KEYS:
+        values = [getattr(report, metric) for report in per_run]
         if any(v is None for v in values):
             continue
         arr = np.asarray(values, dtype=float)
@@ -284,53 +280,59 @@ def _score_baselines(model, batch_data, reference, seed: int, n_samples: int) ->
     }
 
 
+def _score_combiners(names, by_convention: dict, reference, which, failed: str) -> dict:
+    """Run each combiner on its convention's ``(batches, moments)`` and score
+    it against ``reference`` with the ``which`` metrics.
+
+    Returns ``{name: (MetricReport, merge seconds)}``.  An error is prefixed
+    with ``failed`` plus the stage and combiner it came from.
+    """
+    scored = {}
+    for name in names:
+        batches, moments = by_convention[_CONVENTION[name]]
+        with prefixed(f"{failed} combine ({name})"):
+            result = _COMBINE[name](batches, moments=moments)
+        with prefixed(f"{failed} metrics ({name})"):
+            metric = compute_metrics(result.combined, reference, which=which)
+        scored[name] = (metric, result.wall_time)
+    return scored
+
+
 def _run_repetition(config: ExperimentConfig, base, dataset, rep: int) -> ExperimentReport:
     started = time.perf_counter()
-    stage = "partition"
-    try:
-        n_batches = config.n_batches
+    failed = f"repetition {rep} failed during"
+    n_batches = config.n_batches
+    batch_data = [None] * n_batches
+    if dataset is not None:
+        with prefixed(f"{failed} partition"):
+            seed = mix_seed(config.seed, rep, _PARTITION_STREAM)
+            batch_data = shard_data(dataset, partition(dataset, n_batches, seed=seed))
 
-        if dataset is not None:
-            split = partition(dataset, n_batches, seed=mix_seed(config.seed, rep, _PARTITION_STREAM))
-            batch_data = shard_data(dataset, split)
-        else:
-            batch_data = [None] * n_batches
-
-        chain_config = SamplerConfig(
-            n_samples=config.n_samples,
-            burn_in=config.burn_in,
-            thin=config.thin,
-            init=config.init,
-            seed=mix_seed(config.seed, rep),
-        )
-
-        stage = "sampling"
-        conventions = list(dict.fromkeys(_CONVENTION[name] for name in config.combiners))
+    chain_config = SamplerConfig(
+        n_samples=config.n_samples,
+        burn_in=config.burn_in,
+        thin=config.thin,
+        init=config.init,
+        seed=mix_seed(config.seed, rep),
+    )
+    conventions = list(dict.fromkeys(_CONVENTION[name] for name in config.combiners))
+    with prefixed(f"{failed} sampling"):
         chains = convention_chains(base, "full", batch_data)
         for convention in conventions:
             chains += convention_chains(base, convention, batch_data)
         full_chain, *batches = sample_all_batches(chains, chain_config)
-        reference = full_chain.draws
-        by_convention = {
-            convention: batches[i * n_batches : (i + 1) * n_batches]
-            for i, convention in enumerate(conventions)
-        }
-        diagnostics = {"full": full_chain.diagnostics}
-        for convention, group in by_convention.items():
-            diagnostics[convention] = [b.diagnostics for b in group]
+    by_convention = {}
+    diagnostics = {"full": full_chain.diagnostics}
+    for i, convention in enumerate(conventions):
+        group = batches[i * n_batches : (i + 1) * n_batches]
+        by_convention[convention] = (group, None)
+        diagnostics[convention] = [b.diagnostics for b in group]
+    reference = full_chain.draws
+    scored = _score_combiners(config.combiners, by_convention, reference, METRIC_NAMES, failed)
 
-        combiner_metrics = {}
-        merge_times = {}
-        for name in config.combiners:
-            stage = f"combine ({name})"
-            result = _COMBINE[name](by_convention[_CONVENTION[name]])
-            stage = f"metrics ({name})"
-            combiner_metrics[name] = compute_metrics(result.combined, reference)
-            merge_times[name] = result.wall_time
-
-        baselines = {}
-        if "swiss" in config.combiners and base.laplace is not None:
-            stage = "baselines"
+    baselines = {}
+    if "swiss" in config.combiners and base.laplace is not None:
+        with prefixed(f"{failed} baselines"):
             baselines = _score_baselines(
                 base.for_convention("inflated", n_batches),
                 batch_data,
@@ -338,39 +340,16 @@ def _run_repetition(config: ExperimentConfig, base, dataset, rep: int) -> Experi
                 chain_config.seed,
                 config.n_samples,
             )
-    except SwissError as err:
-        raise type(err)(f"repetition {rep} failed during {stage}: {err}") from err
 
     return ExperimentReport(
         config=config.to_dict(),
         repetition=rep,
-        combiner_metrics=combiner_metrics,
-        merge_times=merge_times,
+        combiner_metrics={name: metric for name, (metric, _) in scored.items()},
+        merge_times={name: seconds for name, (_, seconds) in scored.items()},
         sampler_diagnostics=diagnostics,
         total_seconds=time.perf_counter() - started,
         baselines=baselines,
     )
-
-
-def _write_metric_csv(path, reports: list) -> None:
-    columns = ["repetition", "method", "mahalanobis", "skew_dev", "iad", "merge_time_seconds"]
-    with Path(path).open("w") as handle:
-        handle.write(",".join(columns) + "\n")
-        for report in reports:
-            for name, metric in report.combiner_metrics.items():
-                row = [
-                    str(report.repetition),
-                    name,
-                    _format_opt(metric.mahalanobis),
-                    _format_opt(metric.skew_dev),
-                    _format_opt(metric.iad),
-                    repr(float(report.merge_times[name])),
-                ]
-                handle.write(",".join(row) + "\n")
-
-
-def _format_opt(value) -> str:
-    return "" if value is None else repr(float(value))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
@@ -395,7 +374,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     aggregates = summarize_reports(reports)
     if out is not None:
         write_json(out / "summary.json", aggregates)
-        _write_metric_csv(out / "metrics.csv", reports)
+        write_table_csv(
+            out / "metrics.csv",
+            ["repetition", "method", *REPORT_KEYS, "merge_time_seconds"],
+            [
+                [report.repetition, name, *(getattr(metric, key) for key in REPORT_KEYS),
+                 report.merge_times[name]]
+                for report in reports
+                for name, metric in report.combiner_metrics.items()
+            ],
+        )
     return ExperimentSummary(reports=reports, aggregates=aggregates)
 
 
@@ -423,6 +411,7 @@ def bench_dimension_scaling(
     dims = [int(d) for d in dims]
     if n_runs < 1:
         raise InvalidInputError(f"the run count must be >= 1, got {n_runs}")
+    header = ["d", "method", "iad", "time_seconds", "repetition"]
     rows = []
     for d in dims:
         for rep in range(n_runs):
@@ -434,55 +423,29 @@ def bench_dimension_scaling(
                 n_batches * n_samples,
                 RngStream(suite_seed, n_batches).generator(),
             )
-            inflated_moments = [
-                Moments(mom.mean, mom.cov / n_batches) for mom in per_batch
-            ]
-            inflated = [
-                SampleBatch(
-                    b,
-                    draw_gaussian(
-                        mom.mean, mom.cov, n_samples, RngStream(suite_seed, b).generator()
-                    ),
-                )
-                for b, mom in enumerate(inflated_moments)
-            ]
-            uninflated = [
-                SampleBatch(
-                    b,
-                    draw_gaussian(
-                        mom.mean,
-                        mom.cov,
-                        n_samples,
-                        RngStream(suite_seed, n_batches + 1 + b).generator(),
-                    ),
-                )
-                for b, mom in enumerate(per_batch)
-            ]
-            by_convention = {
-                "inflated": (inflated, inflated_moments),
-                "subposterior": (uninflated, per_batch),
-            }
-            for name in COMBINER_NAMES:
-                batches, moments = by_convention[_CONVENTION[name]]
-                result = _COMBINE[name](batches, moments=moments)
-                iad_value = compute_metrics(result.combined, reference, which=("iad",)).iad
-                rows.append(
-                    {
-                        "d": d,
-                        "method": name,
-                        "iad": float(iad_value),
-                        "time_seconds": result.wall_time,
-                        "repetition": rep,
-                    }
-                )
+            by_convention = {}
+            for convention, first_stream, shrink in (
+                ("inflated", 0, n_batches),
+                ("subposterior", n_batches + 1, 1),
+            ):
+                moments = [Moments(mom.mean, mom.cov / shrink) for mom in per_batch]
+                rngs = [RngStream(suite_seed, first_stream + b) for b in range(n_batches)]
+                batches = [
+                    SampleBatch(b, draw_gaussian(mom.mean, mom.cov, n_samples, rng.generator()))
+                    for b, (mom, rng) in enumerate(zip(moments, rngs))
+                ]
+                by_convention[convention] = (batches, moments)
+            scored = _score_combiners(
+                COMBINER_NAMES,
+                by_convention,
+                reference,
+                ("iad",),
+                f"bench at d={d}, repetition {rep} failed during",
+            )
+            for name, (metric, seconds) in scored.items():
+                rows.append(dict(zip(header, (d, name, metric.iad, seconds, rep))))
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with (out / "bench.csv").open("w") as handle:
-            handle.write("d,method,iad,time_seconds,repetition\n")
-            for row in rows:
-                handle.write(
-                    f"{row['d']},{row['method']},{row['iad']!r},"
-                    f"{row['time_seconds']!r},{row['repetition']}\n"
-                )
+        write_table_csv(out / "bench.csv", header, [list(row.values()) for row in rows])
     return rows

@@ -1,4 +1,4 @@
-"""File formats: the pipeline's CSV files, sample-batch sidecars and report JSON.
+"""File formats: the pipeline's CSV files, sample-batch sidecars and report files.
 
 Every CSV file has one header line and one row per non-blank line after it:
 sample batches (header ``param_0..param_{d-1}``, one draw per row), datasets
@@ -8,7 +8,9 @@ Floats are written with ``%.17g``, so a write/read round trip is lossless.
 Input is UTF-8, blank lines are skipped, and every malformed line raises
 ParseError with ``path:line``.  A sidecar named after a sample CSV with a
 ``.meta.json`` extension carries batch id, sizes, exponents, seed, target
-name and any chain diagnostics.
+name and any chain diagnostics.  Reports are JSON, and the report tables
+(``metrics.csv``, ``bench.csv``) are CSV written by ``write_table_csv``:
+an empty field for None, floats by ``repr``, anything else by ``str``.
 """
 
 from __future__ import annotations
@@ -87,6 +89,18 @@ def _write_csv(path, header: list, table: np.ndarray, fmt="%.17g") -> None:
     np.savetxt(
         path, table, fmt=fmt, delimiter=",", header=",".join(header), comments="", encoding="utf-8"
     )
+
+
+def _table_field(value) -> str:
+    if value is None:
+        return ""
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def write_table_csv(path, header: list, rows: list) -> None:
+    """Write a report table: one list of fields per row, formatted as the module says."""
+    table = np.array([[_table_field(value) for value in row] for row in rows], dtype=object)
+    _write_csv(path, header, table.reshape(len(rows), len(header)), "%s")
 
 
 def _sample_columns(header: list):
@@ -184,7 +198,8 @@ def read_batch(path, *, fallback_batch_id: int = 0) -> SampleBatch:
 
     A sidecar that is not a JSON object, or whose field holds the wrong type
     (``batch_id``/``seed`` not an integer, an exponent not a finite number,
-    ``target_name`` not a string), raises ParseError naming it and the field.
+    ``target_name`` not a string) or disagrees with the CSV (``n_draws``,
+    ``dim``), raises ParseError naming it and the field.
     """
     draws = read_sample_csv(path)
     sidecar = meta_path(path)
@@ -200,6 +215,8 @@ def read_batch(path, *, fallback_batch_id: int = 0) -> SampleBatch:
             raise ParseError(f"{sidecar}: {key} must be {what}, got {value!r}")
         return value
 
+    for key, size in zip(("n_draws", "dim"), draws.shape):
+        field(key, size, lambda value: _is_int(value) and value == size, f"{size} to match the CSV")
     number = "a finite number"
     meta = BatchMeta(
         inflation_exponent=float(field("inflation_exponent", 1.0, _is_finite_number, number)),

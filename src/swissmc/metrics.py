@@ -175,6 +175,10 @@ def skew_deviation(approx, reference) -> float:
     return float(np.mean(np.abs(_standardized_skewness(a) - _standardized_skewness(f))))
 
 
+# The MetricReport fields that each hold one metric value, in report order.
+REPORT_KEYS = ("mahalanobis", "skew_dev", "iad")
+
+
 @dataclass(eq=False)
 class MetricReport:
     """All discrepancy values for one approximate sample set.
@@ -190,25 +194,17 @@ class MetricReport:
     iad_raw: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "mahalanobis": self.mahalanobis,
-            "skew_dev": self.skew_dev,
-            "iad": self.iad,
-            "iad_raw": self.iad_raw,
-            "per_dimension_iad": None
-            if self.per_dimension_iad is None
-            else [float(v) for v in self.per_dimension_iad],
-        }
+        payload = {key: getattr(self, key) for key in (*REPORT_KEYS, "iad_raw")}
+        per_dim = self.per_dimension_iad
+        payload["per_dimension_iad"] = None if per_dim is None else [float(v) for v in per_dim]
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MetricReport":
         per_dim = payload.get("per_dimension_iad")
         return cls(
-            mahalanobis=payload.get("mahalanobis"),
-            skew_dev=payload.get("skew_dev"),
-            iad=payload.get("iad"),
+            **{key: payload.get(key) for key in (*REPORT_KEYS, "iad_raw")},
             per_dimension_iad=None if per_dim is None else np.asarray(per_dim, dtype=float),
-            iad_raw=payload.get("iad_raw"),
         )
 
 

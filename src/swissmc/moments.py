@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, InsufficientSamplesError, InvalidInputError, SwissError
+from .errors import DataError, InsufficientSamplesError, InvalidInputError, prefixed
 from .linalg import as_symmetric, spd_inverse, symmetrize
 
 
@@ -108,15 +107,6 @@ def _check_common_dim(per_batch: list[Moments]) -> int:
     return dim
 
 
-@contextmanager
-def _naming_batch(batch_id):
-    """Prefix ``batch {batch_id}: `` to a SwissError raised in the block."""
-    try:
-        yield
-    except SwissError as err:
-        raise type(err)(f"batch {batch_id}: {err}") from err
-
-
 def _precision_pool(
     per_batch: list[Moments], divisor: float, batch_ids=None
 ) -> tuple[Moments, list]:
@@ -136,7 +126,7 @@ def _precision_pool(
     precision_sum = np.zeros((dim, dim))
     weighted_mean_sum = np.zeros(dim)
     for batch_id, mom in zip(ids, per_batch):
-        with _naming_batch(batch_id):
+        with prefixed(f"batch {batch_id}"):
             precision = spd_inverse(mom.cov)
         precisions.append(precision)
         precision_sum += precision

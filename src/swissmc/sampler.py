@@ -26,12 +26,13 @@ retained chain is Markov.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, SwissError
+from .errors import InvalidInputError, prefixed
 from .linalg import cholesky, symmetrize
 from .moments import BatchMeta, SampleBatch
 from .rng import RngStream
@@ -83,18 +84,22 @@ class SamplerConfig:
 def _init_vector(init) -> tuple:
     """``init`` as a tuple of finite floats, else InvalidInputError.
 
-    Only integer and float entries are numbers here: a string, a boolean or
-    None is not, even where numpy would convert it.
+    Each entry is checked as it was given, so only real numbers count: a
+    string, a boolean or None does not, even where numpy would convert it
+    (``[1.0, True]`` to two floats).
     """
     try:
-        vector = np.asarray(init).ravel()
-    except ValueError:  # ragged nesting
-        vector = np.empty(0)
-    if vector.dtype.kind not in "iuf" or vector.size == 0 or not np.all(np.isfinite(vector)):
+        entries = np.asarray(init, dtype=object).ravel()
+    except ValueError:  # ragged nesting numpy cannot hold
+        entries = np.empty(0)
+    if entries.size == 0 or not all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+        for v in entries
+    ):
         raise InvalidInputError(
             f"init must be one of {INIT_MODES} or a vector of finite numbers, got {init!r}"
         )
-    return tuple(float(v) for v in vector)
+    return tuple(float(v) for v in entries)
 
 
 class Chain(NamedTuple):
@@ -136,10 +141,8 @@ def _per_chain(labels: list, fn, *items) -> list:
     """``[fn(*args) for args in zip(*items)]``; an error names its chain."""
     out = []
     for label, args in zip(labels, zip(*items)):
-        try:
+        with prefixed(label):
             out.append(fn(*args))
-        except SwissError as err:
-            raise type(err)(f"{label}: {err}") from err
     return out
 
 

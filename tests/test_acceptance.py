@@ -5,7 +5,6 @@ captured output of a failing run).  Tolerances are pinned here and must not
 be loosened to make a run green.
 """
 
-import json
 import math
 
 import numpy as np
@@ -31,11 +30,16 @@ from swissmc import (
     skew_deviation,
     spd_inverse,
     spsq,
-    strip_timing,
     swiss_combine,
     make_target,
 )
-from helpers import block_mean_se, exact_gaussian_cloud, random_orthogonal, random_spd
+from helpers import (
+    block_mean_se,
+    exact_gaussian_cloud,
+    lockstep_mismatches,
+    random_orthogonal,
+    random_spd,
+)
 
 BETA_MEAN = 2.0 / 1002.0  # mean of the Beta(2, 1000) oracle posterior
 
@@ -338,25 +342,23 @@ def test_criterion_09_metric_sanity():
 
 
 def test_criterion_10_determinism_across_workers():
-    """Identical config and seed give byte-identical reports modulo timing
-    fields, at any worker count."""
-
-    def run(workers):
-        config = ExperimentConfig(
-            target="warped-gaussian",
-            n_batches=3,
-            n_samples=400,
-            burn_in=200,
-            seed=110,
-            n_runs=2,
-            workers=workers,
+    """Identical config and seed give identical reports modulo timing
+    fields, at any worker count and whichever chains share a lockstep group
+    (every combiner, swiss alone, consensus alone); the logistic case covers
+    the baselines too."""
+    mismatches = lockstep_mismatches(
+        ExperimentConfig(
+            target="warped-gaussian", n_batches=3, n_samples=400, burn_in=200, seed=110, n_runs=2
         )
-        payloads = []
-        for report in run_experiment(config).reports:
-            payload = strip_timing(report.to_dict())
-            payload["config"].pop("workers")
-            payloads.append(json.dumps(payload, sort_keys=True))
-        return payloads
-
-    ok = run(1) == run(2)
-    _report(ok, "criterion 10: reports identical modulo timing at any worker count")
+    )
+    mismatches += lockstep_mismatches(
+        ExperimentConfig(
+            target="logistic-rare", n_batches=2, n_samples=150, burn_in=100,
+            n_observations=400, seed=110, init="mle",
+        )
+    )
+    _report(
+        not mismatches,
+        f"criterion 10: reports identical modulo timing at any worker count and "
+        f"lockstep group {mismatches}",
+    )

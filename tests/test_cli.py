@@ -116,6 +116,20 @@ class TestCombine:
         out = tmp_path / "combined.csv"
         assert run_cli("combine", "--method", "swiss", "--out", str(out), str(pa), str(pb)) == 2
 
+    def test_duplicate_batch_ids_are_usage_error_before_output(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_batch(pa, SampleBatch(3, rng.standard_normal((50, 2))))
+        write_batch(pb, SampleBatch(3, rng.standard_normal((50, 2))))
+        out, maps = tmp_path / "combined.csv", tmp_path / "maps.json"
+        code = run_cli(
+            "combine", "--method", "swiss", "--out", str(out), "--maps", str(maps), str(pa), str(pb)
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(pa) in err and str(pb) in err and "batch id 3" in err
+        assert not out.exists() and not maps.exists()
+
     @pytest.mark.parametrize("method", ["swiss", "consensus", "barycenter"])
     def test_singular_batch_is_named(self, tmp_path, capsys, method):
         # batch 7's second column is twice its first: a rank-1 covariance
@@ -470,6 +484,11 @@ class TestExitCodes:
             ('{"prior_exponent": Infinity}', "prior_exponent"),
             ('{"target_name": 5}', "target_name"),
             ("[1, 2]", "JSON object"),
+            ('{"n_draws": 3}', "n_draws"),
+            ('{"n_draws": 60.0}', "n_draws"),
+            ('{"dim": 7}', "dim"),
+            ('{"dim": true}', "dim"),
+            ('{"dim": 7, "n_draws": 3, "batch_id": 0}', "n_draws"),
         ],
     )
     def test_malformed_sidecar_is_usage_error(self, tmp_path, capsys, sidecar, field):
@@ -497,6 +516,7 @@ class TestExitCodes:
             ({"combiners": "swiss"}, "combiners"),
             ({"combiners": ["swiss", 1, "x"]}, "combiners"),
             ({"out_dir": 5}, "out_dir"),
+            ({"init": [1.0, True]}, "init"),
         ],
     )
     def test_config_field_of_wrong_type_is_usage_error(self, tmp_path, capsys, override, field):

@@ -12,6 +12,7 @@ from swissmc import (
     InvalidInputError,
     Moments,
     SampleBatch,
+    SwissError,
     ar_combine,
     barycenter_combine,
     cholesky,
@@ -118,6 +119,15 @@ class TestSwissCombine:
         bad = SampleBatch(7, np.zeros((3, 3)) + np.eye(3))
         with pytest.raises(Exception, match="batch 7"):
             swiss_combine([good, bad])
+
+    @pytest.mark.parametrize("combine", [swiss_combine, barycenter_combine])
+    def test_covariance_match_violation_names_batch(self, monkeypatch, combine):
+        # a negative tolerance fails the A_b V_b A_b^T = V check on the first map
+        monkeypatch.setattr("swissmc.combiners._COV_MATCH_RTOL", -1.0)
+        batches, _ = _gaussian_batches(2, 2, 40, 8)
+        batches[0].batch_id = 5
+        with pytest.raises(SwissError, match="^batch 5: covariance-matching contract violated"):
+            combine(batches)
 
     def test_agrees_with_ar_when_covariances_equal(self):
         rng = np.random.default_rng(5)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from swissmc import (
+    ConvergenceError,
     ExperimentConfig,
     ExperimentReport,
     InvalidInputError,
@@ -20,6 +21,7 @@ from swissmc import (
 )
 from swissmc.harness import laplace_pooling_moments
 from swissmc.targets import LogisticRegression, collapse_logistic, logistic_laplace
+from helpers import lockstep_mismatches
 
 
 def _tiny_config(**overrides):
@@ -114,14 +116,13 @@ class TestRunExperiment:
             assert metric.iad < 0.05, name
 
     def test_identical_reports_modulo_timing_any_workers(self):
-        config = _tiny_config()
-        first = run_experiment(config)
-        second = run_experiment(_tiny_config(workers=2))
-        for a, b in zip(first.reports, second.reports):
-            da, db = strip_timing(a.to_dict()), strip_timing(b.to_dict())
-            da["config"].pop("workers")
-            db["config"].pop("workers")
-            assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
+        # also with other lockstep groups; the logistic case has baselines
+        assert lockstep_mismatches(_tiny_config()) == []
+        logistic = ExperimentConfig(
+            target="logistic-rare", n_batches=2, n_samples=100, burn_in=50,
+            n_observations=300, seed=21, init="mle",
+        )
+        assert lockstep_mismatches(logistic) == []
 
     def test_report_round_trip(self):
         summary = run_experiment(_tiny_config(n_runs=1))
@@ -261,6 +262,15 @@ class TestBench:
         assert by_method["swiss"] < 0.05
         assert by_method["consensus"] < 0.05
         assert by_method["barycenter"] > by_method["swiss"]
+
+    def test_failure_names_dimension_repetition_and_combiner(self, monkeypatch):
+        monkeypatch.setattr("swissmc.combiners._BARYCENTER_MAX_ITERS", 1)
+        monkeypatch.setattr("swissmc.combiners._BARYCENTER_TOL", 1e-18)
+        with pytest.raises(
+            ConvergenceError,
+            match=r"^bench at d=3, repetition 0 failed during combine \(barycenter\): barycenter",
+        ):
+            bench_dimension_scaling([3], 3, 300, seed=26, n_runs=2)
 
     def test_deterministic(self):
         a = bench_dimension_scaling([3], 3, 300, seed=26)

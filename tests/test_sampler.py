@@ -322,7 +322,8 @@ class TestSamplerConfigValidation:
             SamplerConfig(n_samples=10, thin=0)
 
     @pytest.mark.parametrize(
-        "init", ["bogus", "", [], [1.0, math.nan], [[1.0], ["x"]], None, True, [True, False]]
+        "init",
+        ["bogus", "", [], [1.0, math.nan], [[1.0], ["x"]], None, True, [True, False], [1.0, True]],
     )
     def test_rejects_bad_init(self, init):
         with pytest.raises(InvalidInputError, match="init must be one of"):
