@@ -89,6 +89,10 @@ def _cmd_sample(args) -> None:
     except json.JSONDecodeError as err:
         raise InvalidInputError(f"--params is not valid JSON: {err}") from None
     if args.target in DATA_BACKED_TARGETS:
+        if args.batches is not None:
+            raise InvalidInputError(
+                f"target {args.target!r} takes its batches from --assignment, not --batches"
+            )
         if not args.data:
             raise InvalidInputError(f"target {args.target!r} needs --data")
         dataset = read_dataset_csv(args.data)
@@ -107,9 +111,10 @@ def _cmd_sample(args) -> None:
                 f"target {args.target!r} is data-free and takes neither --data nor --assignment"
             )
         base = make_target(args.target, params)
-        if args.batches < 1:
-            raise InvalidInputError(f"the batch count must be >= 1, got {args.batches}")
-        batch_data = [None] * args.batches
+        n_batches = 1 if args.batches is None else args.batches
+        if n_batches < 1:
+            raise InvalidInputError(f"the batch count must be >= 1, got {n_batches}")
+        batch_data = [None] * n_batches
     chains = convention_chains(base, args.convention, batch_data)
     config = SamplerConfig(
         n_samples=args.n_samples,
@@ -232,7 +237,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--init", default="prior-draw", help="prior-draw, mle or comma-separated numbers"
     )
-    p.add_argument("--batches", type=int, default=1, help="batch count for data-free targets")
+    p.add_argument("--batches", type=int, help="batch count for data-free targets (default 1)")
     p.add_argument("--data", help="dataset CSV (data-backed targets)")
     p.add_argument("--assignment", help="partition CSV from the partition subcommand")
     p.add_argument("--params", help="JSON dict of target parameters")

@@ -1,6 +1,9 @@
-"""Exception hierarchy shared across the package, and the one helper that
-adds context to its messages."""
+"""Exception hierarchy shared across the package, the one helper that adds
+context to its messages, and the package's rule for what an integer and a
+finite number are."""
 
+import math
+import numbers
 from contextlib import contextmanager
 
 
@@ -43,3 +46,42 @@ def prefixed(prefix: str):
         yield
     except SwissError as err:
         raise type(err)(f"{prefix}: {err}") from err
+
+
+def is_integer(value) -> bool:
+    """An integer, numpy's included, never a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """A finite real number, numpy's included, never a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def integer(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int, else InvalidInputError naming ``name``."""
+    if not is_integer(value):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InvalidInputError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def finite_vector(value, name: str, length: int | None = None, expected: str = "") -> tuple:
+    """``value`` as a non-empty tuple of finite floats (``length`` of them if given).
+
+    Each entry is checked as it was given, so only real numbers count: a
+    string, a boolean, None or a nested list does not, even where numpy
+    would convert it.  Else InvalidInputError ``"{name} must be {expected},
+    got ..."``, by default a list of (``length``) finite numbers.
+    """
+    try:
+        entries = list(value)
+    except TypeError:  # not iterable
+        entries = []
+    wrong_length = not entries or (length is not None and len(entries) != length)
+    if wrong_length or not all(map(is_finite_number, entries)):
+        count = f"{length} " if length else ""
+        expected = expected or f"a list of {count}finite numbers"
+        raise InvalidInputError(f"{name} must be {expected}, got {value!r}")
+    return tuple(float(v) for v in entries)

@@ -33,15 +33,14 @@ combiner, under the report's ``baselines`` key (never in ``combiners`` or
 
 from __future__ import annotations
 
-import numbers
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .combiners import ar_combine, barycenter_combine, consensus_combine, swiss_combine
-from .errors import InvalidInputError, prefixed
+from .errors import InvalidInputError, integer, prefixed
 from .io import write_json, write_table_csv
 from .linalg import draw_gaussian
 from .metrics import METRIC_NAMES, REPORT_KEYS, MetricReport, compute_metrics
@@ -73,10 +72,10 @@ _CONVENTION = {
     "barycenter": "inflated",
 }
 
-# ExperimentConfig fields that must hold an integer.
-_INT_FIELDS = (
-    "n_batches", "n_samples", "burn_in", "seed", "n_observations", "n_runs", "workers", "thin"
-)
+# ExperimentConfig's own integer fields and their minimums; SamplerConfig
+# checks the chain settings.
+_INT_FIELDS = {"n_batches": 1, "n_observations": None, "n_runs": 1, "workers": 1}
+_CHAIN_FIELDS = tuple(f.name for f in fields(SamplerConfig))
 
 # Role constants for derived seeds (arbitrary fixed integers).
 _DATA_STREAM = 100
@@ -107,11 +106,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.target not in TARGET_NAMES:
             raise InvalidInputError(f"unknown target {self.target!r}, expected one of {TARGET_NAMES}")
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))
+        for name, minimum in _INT_FIELDS.items():
+            setattr(self, name, integer(getattr(self, name), name, minimum))
+        chain = SamplerConfig(**{name: getattr(self, name) for name in _CHAIN_FIELDS})
+        for name in _CHAIN_FIELDS:
+            setattr(self, name, getattr(chain, name))
         if not (
             isinstance(self.combiners, (list, tuple))
             and all(isinstance(name, str) for name in self.combiners)
@@ -125,12 +124,6 @@ class ExperimentConfig:
             raise InvalidInputError("need at least one combiner")
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise InvalidInputError(f"out_dir must be a string or null, got {self.out_dir!r}")
-        if self.n_batches < 1 or self.n_runs < 1 or self.workers < 1:
-            raise InvalidInputError("n_batches, n_runs and workers must be >= 1")
-        # the chain settings are checked here, before any output exists
-        SamplerConfig(
-            n_samples=self.n_samples, burn_in=self.burn_in, thin=self.thin, init=self.init
-        )
         if self.target in DATA_BACKED_TARGETS and self.n_observations < self.n_batches:
             raise InvalidInputError(
                 f"target {self.target!r} needs n_observations >= n_batches, "
@@ -143,8 +136,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         payload = asdict(self)
         payload["combiners"] = list(self.combiners)
-        if isinstance(self.init, np.ndarray):
-            payload["init"] = [float(v) for v in self.init]
         return payload
 
     @classmethod
@@ -408,9 +399,11 @@ def bench_dimension_scaling(
     study is after.  Returns plot-ready rows
     (d, method, iad, time_seconds, repetition).
     """
-    dims = [int(d) for d in dims]
-    if n_runs < 1:
-        raise InvalidInputError(f"the run count must be >= 1, got {n_runs}")
+    dims = [integer(d, "dimension", 1) for d in dims]
+    n_batches = integer(n_batches, "the batch count", 1)
+    n_samples = integer(n_samples, "n_samples", 2)
+    seed = integer(seed, "seed")
+    n_runs = integer(n_runs, "the run count", 1)
     header = ["d", "method", "iad", "time_seconds", "repetition"]
     rows = []
     for d in dims:

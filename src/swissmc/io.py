@@ -16,13 +16,12 @@ an empty field for None, floats by ``repr``, anything else by ``str``.
 from __future__ import annotations
 
 import json
-import math
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, is_finite_number, is_integer
 from .moments import BatchMeta, SampleBatch
 from .targets import Dataset, Partition
 
@@ -185,14 +184,6 @@ def write_batch(path, batch: SampleBatch) -> None:
     meta_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
 def read_batch(path, *, fallback_batch_id: int = 0) -> SampleBatch:
     """Read a batch CSV; the sidecar is used when present, else defaults.
 
@@ -216,15 +207,15 @@ def read_batch(path, *, fallback_batch_id: int = 0) -> SampleBatch:
         return value
 
     for key, size in zip(("n_draws", "dim"), draws.shape):
-        field(key, size, lambda value: _is_int(value) and value == size, f"{size} to match the CSV")
+        field(key, size, lambda v: is_integer(v) and v == size, f"{size} to match the CSV")
     number = "a finite number"
     meta = BatchMeta(
-        inflation_exponent=float(field("inflation_exponent", 1.0, _is_finite_number, number)),
-        prior_exponent=float(field("prior_exponent", 1.0, _is_finite_number, number)),
-        seed=field("seed", 0, _is_int, "an integer"),
+        inflation_exponent=float(field("inflation_exponent", 1.0, is_finite_number, number)),
+        prior_exponent=float(field("prior_exponent", 1.0, is_finite_number, number)),
+        seed=field("seed", 0, is_integer, "an integer"),
         target_name=field("target_name", "", lambda value: isinstance(value, str), "a string"),
     )
-    batch_id = field("batch_id", fallback_batch_id, _is_int, "an integer")
+    batch_id = field("batch_id", fallback_batch_id, is_integer, "an integer")
     return SampleBatch(batch_id, draws, meta=meta, diagnostics=payload.get("diagnostics"))
 
 

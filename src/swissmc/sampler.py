@@ -26,13 +26,12 @@ retained chain is Markov.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, prefixed
+from .errors import InvalidInputError, finite_vector, integer, prefixed
 from .linalg import cholesky, symmetrize
 from .moments import BatchMeta, SampleBatch
 from .rng import RngStream
@@ -70,36 +69,12 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_samples < 2:
-            # a SampleBatch holds at least 2 draws
-            raise InvalidInputError(f"n_samples must be >= 2, got {self.n_samples}")
-        if self.burn_in < 0:
-            raise InvalidInputError(f"burn_in must be >= 0, got {self.burn_in}")
-        if self.thin < 1:
-            raise InvalidInputError(f"thin must be >= 1, got {self.thin}")
+        # n_samples >= 2: a SampleBatch holds at least 2 draws
+        for name, minimum in (("n_samples", 2), ("burn_in", 0), ("thin", 1), ("seed", None)):
+            object.__setattr__(self, name, integer(getattr(self, name), name, minimum))
         if not (isinstance(self.init, str) and self.init in INIT_MODES):
-            object.__setattr__(self, "init", _init_vector(self.init))
-
-
-def _init_vector(init) -> tuple:
-    """``init`` as a tuple of finite floats, else InvalidInputError.
-
-    Each entry is checked as it was given, so only real numbers count: a
-    string, a boolean or None does not, even where numpy would convert it
-    (``[1.0, True]`` to two floats).
-    """
-    try:
-        entries = np.asarray(init, dtype=object).ravel()
-    except ValueError:  # ragged nesting numpy cannot hold
-        entries = np.empty(0)
-    if entries.size == 0 or not all(
-        isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-        for v in entries
-    ):
-        raise InvalidInputError(
-            f"init must be one of {INIT_MODES} or a vector of finite numbers, got {init!r}"
-        )
-    return tuple(float(v) for v in entries)
+            expected = f"one of {INIT_MODES} or a vector of finite numbers"
+            object.__setattr__(self, "init", finite_vector(self.init, "init", expected=expected))
 
 
 class Chain(NamedTuple):
@@ -326,14 +301,12 @@ def _lockstep(chains: list, config: SamplerConfig) -> list[SampleBatch]:
                     draws[kept] = x
                     kept += 1
 
-    final_scale = np.exp(log_scale)
     batches = []
     for i, chain in enumerate(chains):
         target = chain.target
         diagnostics = {
             "acceptance_rate": int(accepted_post[i]) / post_iters,
             "burn_in_acceptance": (int(accepted_burn[i]) / burn) if burn else None,
-            "final_scale": float(final_scale[i]),
             "scale_at_freeze": float(scale_at_freeze[i]),
             "warnings": warnings[i],
         }

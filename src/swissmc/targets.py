@@ -18,7 +18,6 @@ exponent pair encodes the batch-target convention, which
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
 from typing import ClassVar, NamedTuple
 
@@ -29,6 +28,8 @@ from .errors import (
     DataError,
     InvalidInputError,
     NotPositiveDefiniteError,
+    finite_vector,
+    is_finite_number,
 )
 from .linalg import sample_inverse_wishart, spd_inverse, symmetrize
 from .moments import Moments, consensus_pool
@@ -262,21 +263,6 @@ def gaussian_mixture_logpdf(theta, mode_a=(-2.0, 0.0), mode_b=(2.0, 0.0)):
     return np.logaddexp(log_a, log_b)
 
 
-def _finite_vector(key: str, value, length: int) -> tuple:
-    """``value`` as a tuple of ``length`` finite floats, else InvalidInputError naming ``key``."""
-    try:
-        ok = len(value) == length and all(
-            isinstance(v, numbers.Real) and math.isfinite(v) for v in value
-        )
-    except TypeError:
-        ok = False
-    if not ok:
-        raise InvalidInputError(
-            f"{key} must be a list of {length} finite numbers, got {value!r}"
-        )
-    return tuple(float(v) for v in value)
-
-
 @dataclass(frozen=True)
 class GaussianMixture(TargetModel):
     """Equal mix of unit-covariance Gaussians at ``mode_a`` and ``mode_b``."""
@@ -288,8 +274,8 @@ class GaussianMixture(TargetModel):
     mode_b: tuple = (2.0, 0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "mode_a", _finite_vector("mode_a", self.mode_a, 2))
-        object.__setattr__(self, "mode_b", _finite_vector("mode_b", self.mode_b, 2))
+        object.__setattr__(self, "mode_a", finite_vector(self.mode_a, "mode_a", 2))
+        object.__setattr__(self, "mode_b", finite_vector(self.mode_b, "mode_b", 2))
 
     def log_likelihood(self, theta, data_batch):
         return gaussian_mixture_logpdf(theta, self.mode_a, self.mode_b)
@@ -413,7 +399,7 @@ class LogisticRegression(TargetModel):
 
     def __post_init__(self):
         variance = self.prior_variance
-        if not (isinstance(variance, numbers.Real) and math.isfinite(variance) and variance > 0):
+        if not (is_finite_number(variance) and variance > 0):
             raise InvalidInputError(
                 f"prior_variance must be a finite number > 0, got {variance!r}"
             )

@@ -385,6 +385,8 @@ class TestExitCodes:
             ("gaussian-mixture", {"mode_a": [1, "nan"]}, "mode_a"),
             ("logistic-rare", {"prior_variance": -1}, "prior_variance"),
             ("logistic-rare", {"prior_variance": 0}, "prior_variance"),
+            ("gaussian-mixture", {"mode_a": [True, 0]}, "mode_a"),
+            ("logistic-rare", {"prior_variance": True}, "prior_variance"),
         ],
     )
     def test_bad_target_param_values_are_usage_errors(self, tmp_path, capsys, target, params, key):
@@ -421,6 +423,20 @@ class TestExitCodes:
         )
         assert code == 1
         assert "batch count" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sample_batches_on_data_backed_target_is_usage_error(self, tmp_path, capsys):
+        # a data-backed target takes its batches from --assignment
+        data, assign, out = tmp_path / "d.csv", tmp_path / "a.csv", tmp_path / "x"
+        run_cli("simulate", "--n", "50", "--seed", "0", "--out", str(data))
+        run_cli("partition", "--data", str(data), "--batches", "2", "--out", str(assign))
+        capsys.readouterr()
+        code = run_cli(
+            "sample", "--target", "logistic-rare", "--data", str(data), "--assignment",
+            str(assign), "--batches", "7", "--n-samples", "10", "--out-dir", str(out),
+        )
+        assert code == 1
+        assert "--batches" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("runs", ["0", "-1"])

@@ -272,6 +272,21 @@ class TestBench:
         ):
             bench_dimension_scaling([3], 3, 300, seed=26, n_runs=2)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (([3.7], 3, 300, 26), "dimension must be an integer"),
+            (([True], 3, 300, 26), "dimension must be an integer"),
+            (([0], 3, 300, 26), "dimension must be >= 1"),
+            (([3], 2.5, 300, 26), "batch count must be an integer"),
+            (([3], 3, 300.0, 26), "n_samples must be an integer"),
+            (([3], 3, 300, 0.5), "seed must be an integer"),
+        ],
+    )
+    def test_rejects_bad_input(self, args, message):
+        with pytest.raises(InvalidInputError, match=message):
+            bench_dimension_scaling(*args)
+
     def test_deterministic(self):
         a = bench_dimension_scaling([3], 3, 300, seed=26)
         b = bench_dimension_scaling([3], 3, 300, seed=26)

@@ -18,6 +18,7 @@ from swissmc import (
     sample_all_batches,
     simulate_rare_feature_data,
 )
+from swissmc.rng import RngStream
 from swissmc.sampler import convention_chains
 from swissmc.targets import shard_data
 from helpers import block_mean_se
@@ -119,15 +120,34 @@ class TestAdaptation:
         assert 0.1 < batch.diagnostics["acceptance_rate"] < 0.45
 
     def test_proposal_frozen_after_burn_in(self):
-        config = SamplerConfig(n_samples=5000, burn_in=2000, seed=11)
-        batch = sample(_UnitGaussian(), None, config)
-        assert batch.diagnostics["final_scale"] == batch.diagnostics["scale_at_freeze"]
+        # d = 1: each step is scale * L * z for the iteration's noise z, so
+        # after burn-in every step is one fixed multiple of its noise draw
+        burn, n = 2000, 5000
+        points = []
+
+        class _Recording(_UnitGaussian):
+            def log_likelihood(self, theta, data_batch=None):
+                points.append(float(theta[0, 0]))
+                return super().log_likelihood(theta, data_batch)
+
+        config = SamplerConfig(n_samples=n, burn_in=burn, seed=11, init=[0.5])
+        draws = sample(_Recording(), None, config).draws[:, 0]
+        rng = RngStream(11, 0).generator()
+        noise = []
+        for start in range(0, burn + n, 512):  # the sampler's noise blocks
+            noise.extend(rng.standard_normal((min(512, burn + n - start), 1))[:, 0])
+            rng.random(min(512, burn + n - start))
+        z = np.array(noise[burn + 1 :])
+        steps = np.array(points[burn + 2 :]) - draws[:-1]  # points[0]: the initial point
+        multiple = np.median(steps / z)
+        assert multiple > 0
+        np.testing.assert_allclose(steps, multiple * z, rtol=0, atol=1e-12)
 
     def test_adaptation_disabled_keeps_initial_scale(self):
         # without burn-in nothing adapts the proposal: the scale stays 2.38/sqrt(d)
         config = SamplerConfig(n_samples=500, burn_in=0, seed=12)
         batch = sample(_UnitGaussian(), None, config)
-        assert batch.diagnostics["final_scale"] == pytest.approx(2.38)
+        assert batch.diagnostics["scale_at_freeze"] == pytest.approx(2.38)
 
     def test_tuning_failure_warning(self):
         # the initial scale 2.38 is about 1e9 standard deviations of this
@@ -320,6 +340,12 @@ class TestSamplerConfigValidation:
             SamplerConfig(n_samples=10, burn_in=-1)
         with pytest.raises(InvalidInputError):
             SamplerConfig(n_samples=10, thin=0)
+        with pytest.raises(InvalidInputError, match="n_samples must be an integer"):
+            SamplerConfig(n_samples=2.5)
+        with pytest.raises(InvalidInputError, match="seed must be an integer"):
+            SamplerConfig(n_samples=10, seed="x")
+        with pytest.raises(InvalidInputError, match="burn_in must be an integer"):
+            SamplerConfig(n_samples=10, burn_in=True)
 
     @pytest.mark.parametrize(
         "init",
