@@ -52,6 +52,7 @@ from .linalg import (
 )
 from .metrics import (
     MetricReport,
+    Reference,
     compute_metrics,
     iad,
     mahalanobis,

@@ -43,7 +43,7 @@ from .combiners import ar_combine, barycenter_combine, consensus_combine, swiss_
 from .errors import InvalidInputError, integer, prefixed
 from .io import write_json, write_table_csv
 from .linalg import draw_gaussian
-from .metrics import METRIC_NAMES, REPORT_KEYS, MetricReport, compute_metrics
+from .metrics import METRIC_NAMES, REPORT_KEYS, MetricReport, Reference, compute_metrics
 from .moments import Moments, SampleBatch, pool_moments
 from .rng import RngStream, mix_seed
 from .sampler import SamplerConfig, convention_chains, sample_all_batches
@@ -258,22 +258,23 @@ def laplace_pooling_moments(model, batch_data: list) -> Moments:
     return pool_moments([model.laplace(data) for data in batch_data])
 
 
-def _score_baselines(model, batch_data, reference, seed: int, n_samples: int) -> dict:
+def _score_baselines(model, batch_data, reference: Reference, seed: int, n_samples: int) -> dict:
     """Laplace-pooling oracle and reference noise floor (see the module docstring)."""
     pooled = laplace_pooling_moments(model, batch_data)
     n_batches = len(batch_data)
     rng = RngStream(seed, 2 * n_batches + 1).generator()
     draws = draw_gaussian(pooled.mean, pooled.cov, n_batches * n_samples, rng)
-    half = reference.shape[0] // 2
+    chain = reference.draws
+    half = chain.shape[0] // 2
     return {
         "laplace_pooling": compute_metrics(draws, reference),
-        "noise_floor": compute_metrics(reference[:half], reference[half:], which=("iad",)),
+        "noise_floor": compute_metrics(chain[:half], chain[half:], which=("iad",)),
     }
 
 
-def _score_combiners(names, by_convention: dict, reference, which, failed: str) -> dict:
+def _score_combiners(names, by_convention: dict, reference: Reference, which, failed: str) -> dict:
     """Run each combiner on its convention's ``(batches, moments)`` and score
-    it against ``reference`` with the ``which`` metrics.
+    it against the prepared ``reference`` with the ``which`` metrics.
 
     Returns ``{name: (MetricReport, merge seconds)}``.  An error is prefixed
     with ``failed`` plus the stage and combiner it came from.
@@ -318,7 +319,8 @@ def _run_repetition(config: ExperimentConfig, base, dataset, rep: int) -> Experi
         group = batches[i * n_batches : (i + 1) * n_batches]
         by_convention[convention] = (group, None)
         diagnostics[convention] = [b.diagnostics for b in group]
-    reference = full_chain.draws
+    with prefixed(f"{failed} metrics"):
+        reference = Reference(full_chain.draws)
     scored = _score_combiners(config.combiners, by_convention, reference, METRIC_NAMES, failed)
 
     baselines = {}
@@ -408,14 +410,17 @@ def bench_dimension_scaling(
     rows = []
     for d in dims:
         for rep in range(n_runs):
+            failed = f"bench at d={d}, repetition {rep} failed during"
             suite_seed = mix_seed(seed, d, rep)
             per_batch, full = gaussian_conjugate_suite(d, n_batches, suite_seed)
-            reference = draw_gaussian(
+            draws = draw_gaussian(
                 full.mean,
                 full.cov,
                 n_batches * n_samples,
                 RngStream(suite_seed, n_batches).generator(),
             )
+            with prefixed(f"{failed} metrics"):
+                reference = Reference(draws)
             by_convention = {}
             for convention, first_stream, shrink in (
                 ("inflated", 0, n_batches),
@@ -428,13 +433,7 @@ def bench_dimension_scaling(
                     for b, (mom, rng) in enumerate(zip(moments, rngs))
                 ]
                 by_convention[convention] = (batches, moments)
-            scored = _score_combiners(
-                COMBINER_NAMES,
-                by_convention,
-                reference,
-                ("iad",),
-                f"bench at d={d}, repetition {rep} failed during",
-            )
+            scored = _score_combiners(COMBINER_NAMES, by_convention, reference, ("iad",), failed)
             for name, (metric, seconds) in scored.items():
                 rows.append(dict(zip(header, (d, name, metric.iad, seconds, rep))))
     if out_dir is not None:

@@ -6,12 +6,20 @@ standardized skewness, and the integrated absolute distance (IAD) between
 marginal Gaussian kernel density estimates.
 
 The IAD uses a Gaussian kernel with Silverman's bandwidth, one shared
-512-point grid per dimension and trapezoid integration.
+512-point grid per dimension and trapezoid integration.  Each kernel reaches
+six bandwidths, on the binned and the direct path alike.
+
+A reference sample is prepared once per scoring call as a ``Reference``,
+which every measure takes in place of a sample matrix: its draws are
+validated once and each per-column or whole-sample quantity the measures
+read (bandwidths, ranges, mean, precision, skewness) is computed at most
+once, however many approximate sets are scored against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,8 +33,9 @@ _GRID_SIZE = 512
 # the (block x grid) kernel matrix small.
 _KDE_CHUNK = 4096
 
-# Kernel reach in bandwidths: past 38.6 the Gaussian kernel underflows to 0.0.
-_KDE_CUTOFF = 39.0
+# Kernel reach in bandwidths: terms farther out are zero.  Each one dropped
+# is below exp(-18), 1.5e-8 of the kernel's peak.
+_KDE_REACH = 6.0
 
 
 def _as_matrix(samples) -> np.ndarray:
@@ -40,12 +49,62 @@ def _as_matrix(samples) -> np.ndarray:
     return x
 
 
-def _sample_pair(approx, reference) -> tuple[np.ndarray, np.ndarray]:
-    """Both sample sets as (n, d) matrices of one dimension d."""
-    a, f = _as_matrix(approx), _as_matrix(reference)
-    if a.shape[1] != f.shape[1]:
+class Reference:
+    """A sample set prepared for scoring.
+
+    The draws are validated once and kept as an (n, d) matrix; everything
+    the metrics read of them (contiguous (d, n) columns, per-column Silverman
+    bandwidths and ranges, mean, precision, standardized skewness) is
+    computed on first use and then kept.  Score many approximate sets
+    against one reference by passing the same ``Reference`` each time; it
+    holds nothing else, so the values equal those of the plain draws.  The
+    draws are not copied: leave them unchanged while the ``Reference`` is
+    in use.
+    """
+
+    def __init__(self, draws):
+        self.draws = _as_matrix(draws)
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        return np.ascontiguousarray(self.draws.T)
+
+    @cached_property
+    def bandwidths(self) -> list:
+        return [silverman_bandwidth(column) for column in self.columns]
+
+    @cached_property
+    def lows(self) -> list:
+        return self.columns.min(axis=1).tolist()
+
+    @cached_property
+    def highs(self) -> list:
+        return self.columns.max(axis=1).tolist()
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        return self.draws.mean(axis=0)
+
+    @cached_property
+    def precision(self) -> np.ndarray:
+        centered = self.draws - self.mean
+        return spd_inverse(symmetrize(centered.T @ centered / (self.draws.shape[0] - 1)))
+
+    @cached_property
+    def skewness(self) -> np.ndarray:
+        sd = self.draws.std(axis=0, ddof=1)
+        bad = np.flatnonzero(sd <= 0)
+        if bad.size:
+            raise DataError(f"zero variance in dimension {int(bad[0])}")
+        return np.mean(((self.draws - self.mean) / sd) ** 3, axis=0)
+
+
+def _sample_pair(approx, reference) -> tuple[Reference, Reference]:
+    """Both sample sets, prepared, of one dimension d."""
+    a, f = (s if isinstance(s, Reference) else Reference(s) for s in (approx, reference))
+    if a.draws.shape[1] != f.draws.shape[1]:
         raise InvalidInputError(
-            f"sample sets disagree on dimension: {a.shape[1]} vs {f.shape[1]}"
+            f"sample sets disagree on dimension: {a.draws.shape[1]} vs {f.draws.shape[1]}"
         )
     return a, f
 
@@ -65,18 +124,19 @@ def silverman_bandwidth(x) -> float:
 
 
 def _direct_kde_sum(x: np.ndarray, bandwidth: float, grid: np.ndarray) -> np.ndarray:
-    """Exact Gaussian-kernel density on an equally spaced grid.
+    """Exact Gaussian-kernel density on an equally spaced grid, each kernel
+    cut at ``_KDE_REACH`` bandwidths.
 
-    ``exp(-0.5 z**2)`` is exactly 0.0 in float64 beyond |z| = 38.6, so each
-    sample only touches the grid points within ``_KDE_CUTOFF`` bandwidths of
-    it: one fixed-width index window per sample, clipped to the grid.  The
-    skipped terms are exact zeros and every grid point still adds its terms
-    in sample order, so the result equals the full (sample x grid) sum bit
-    for bit.
+    Each sample only touches the grid points within the reach: one
+    fixed-width index window per sample, clipped to the grid.  Window points
+    beyond the reach are masked to exact zeros before ``exp``, so no
+    subnormal is ever computed.  Every grid point adds its terms in sample
+    order, so the result equals the full (sample x grid) sum with the same
+    cut bit for bit.
     """
     size = grid.size
     step = float(grid[1] - grid[0])
-    half = int(np.ceil(_KDE_CUTOFF * bandwidth / step)) + 1
+    half = int(np.ceil(_KDE_REACH * bandwidth / step)) + 1
     width = min(size, 2 * half + 1)
     offsets = np.arange(width)
     density = np.zeros(size)
@@ -85,7 +145,8 @@ def _direct_kde_sum(x: np.ndarray, bandwidth: float, grid: np.ndarray) -> np.nda
         first = np.floor((chunk - grid[0]) / step) - half
         idx = np.clip(first, 0, size - width).astype(int)[:, None] + offsets
         z = (grid[idx] - chunk[:, None]) / bandwidth
-        density += np.bincount(idx.ravel(), weights=np.exp(-0.5 * z * z).ravel(), minlength=size)
+        terms = np.exp(-0.5 * z * z, where=np.abs(z) <= _KDE_REACH, out=np.zeros(z.shape))
+        density += np.bincount(idx.ravel(), weights=terms.ravel(), minlength=size)
     density /= x.size * bandwidth * np.sqrt(2.0 * np.pi)
     return density
 
@@ -94,10 +155,11 @@ def _gaussian_kde_on_grid(x: np.ndarray, bandwidth: float, grid: np.ndarray) -> 
     """Gaussian-kernel density on an equally spaced grid.
 
     Samples are spread onto the two nearest grid points (linear binning) and
-    the binned weights are convolved with the kernel evaluated out to six
-    bandwidths; the binning error is far below the grid tolerances used
-    here.  Bandwidths under two grid steps fall back to the direct sum,
-    where binning would be too coarse.
+    the binned weights are convolved with the kernel evaluated out to
+    ``_KDE_REACH`` bandwidths; the binning error is far below the grid
+    tolerances used here.  Bandwidths under two grid steps fall back to the
+    direct sum, which cuts each kernel at the same reach, where binning
+    would be too coarse.
     """
     step = float(grid[1] - grid[0])
     if bandwidth < 2.0 * step:
@@ -108,7 +170,7 @@ def _gaussian_kde_on_grid(x: np.ndarray, bandwidth: float, grid: np.ndarray) -> 
     frac = position - left
     weights = np.bincount(left, weights=1.0 - frac, minlength=size)
     weights += np.bincount(left + 1, weights=frac, minlength=size)
-    half_width = int(np.ceil(6.0 * bandwidth / step))
+    half_width = int(np.ceil(_KDE_REACH * bandwidth / step))
     if 2 * half_width + 1 > size:
         return _direct_kde_sum(x, bandwidth, grid)
     offsets = np.arange(-half_width, half_width + 1) * step / bandwidth
@@ -129,16 +191,12 @@ def iad(approx, reference) -> tuple[float, np.ndarray]:
     clamped only when placed into a MetricReport.
     """
     a, f = _sample_pair(approx, reference)
-    d = a.shape[1]
-    per_dim = np.empty(d)
-    for j in range(d):
-        xa = a[:, j]
-        xf = f[:, j]
-        ha = silverman_bandwidth(xa)
-        hf = silverman_bandwidth(xf)
+    per_dim = np.empty(len(a.columns))
+    for j, (xa, xf) in enumerate(zip(a.columns, f.columns)):
+        ha, hf = a.bandwidths[j], f.bandwidths[j]
         pad = max(ha, hf)
-        lo = min(float(xa.min()), float(xf.min()))
-        hi = max(float(xa.max()), float(xf.max()))
+        lo = min(a.lows[j], f.lows[j])
+        hi = max(a.highs[j], f.highs[j])
         grid = np.linspace(lo - 3.0 * pad, hi + 3.0 * pad, _GRID_SIZE)
         da = _gaussian_kde_on_grid(xa, ha, grid)
         df = _gaussian_kde_on_grid(xf, hf, grid)
@@ -153,26 +211,14 @@ def mahalanobis(approx, reference) -> float:
     the reference sample.
     """
     a, f = _sample_pair(approx, reference)
-    delta = a.mean(axis=0) - f.mean(axis=0)
-    centered = f - f.mean(axis=0)
-    cov_f = symmetrize(centered.T @ centered / (f.shape[0] - 1))
-    precision = spd_inverse(cov_f)
-    return float(np.sqrt(delta @ precision @ delta))
-
-
-def _standardized_skewness(x: np.ndarray) -> np.ndarray:
-    mean = x.mean(axis=0)
-    sd = x.std(axis=0, ddof=1)
-    bad = np.flatnonzero(sd <= 0)
-    if bad.size:
-        raise DataError(f"zero variance in dimension {int(bad[0])}")
-    return np.mean(((x - mean) / sd) ** 3, axis=0)
+    delta = a.mean - f.mean
+    return float(np.sqrt(delta @ f.precision @ delta))
 
 
 def skew_deviation(approx, reference) -> float:
     """Mean absolute difference of per-dimension standardized third moments."""
     a, f = _sample_pair(approx, reference)
-    return float(np.mean(np.abs(_standardized_skewness(a) - _standardized_skewness(f))))
+    return float(np.mean(np.abs(a.skewness - f.skewness)))
 
 
 # The MetricReport fields that each hold one metric value, in report order.
@@ -212,10 +258,12 @@ METRIC_NAMES = ("mahalanobis", "skew", "iad")
 
 
 def compute_metrics(approx, reference, *, which=METRIC_NAMES) -> MetricReport:
-    """Evaluate the requested discrepancy measures for one sample pair."""
+    """Evaluate the requested discrepancy measures for one sample pair;
+    pass a ``Reference`` to share its preparation across calls."""
     unknown = set(which) - set(METRIC_NAMES)
     if unknown:
         raise InvalidInputError(f"unknown metrics: {sorted(unknown)}")
+    approx, reference = _sample_pair(approx, reference)
     mah = mahalanobis(approx, reference) if "mahalanobis" in which else None
     skew = skew_deviation(approx, reference) if "skew" in which else None
     iad_clamped = raw = per_dim = None

@@ -29,6 +29,7 @@ from .errors import (
     InvalidInputError,
     NotPositiveDefiniteError,
     finite_vector,
+    integer,
     is_finite_number,
 )
 from .linalg import sample_inverse_wishart, spd_inverse, symmetrize
@@ -514,9 +515,8 @@ class Dataset:
 def simulate_rare_feature_data(n: int, seed: int) -> Dataset:
     """Simulate the rare-feature logistic benchmark (intercept plus four
     binary features, the last one active in roughly one row per thousand)."""
-    if n < 1:
-        raise InvalidInputError(f"need n >= 1, got {n}")
-    rng = RngStream(seed, 0).generator()
+    n = integer(n, "n", 1)
+    rng = RngStream(integer(seed, "seed"), 0).generator()
     rates = np.asarray(RARE_FEATURE_RATES)
     x = (rng.random((n, rates.size)) < rates).astype(float)
     x[:, 0] = 1.0
@@ -533,9 +533,9 @@ def gaussian_conjugate_suite(d: int, n_batches: int, seed: int) -> tuple[list[Mo
     with 5d degrees of freedom and identity scale.  The full posterior is
     N(V sum_b V_b^-1 mu_b, V) with V^-1 = sum_b V_b^-1 (``consensus_pool``).
     """
-    if d < 1 or n_batches < 1:
-        raise InvalidInputError(f"need d >= 1 and n_batches >= 1, got d={d}, B={n_batches}")
-    rng = RngStream(seed, 0).generator()
+    d = integer(d, "d", 1)
+    n_batches = integer(n_batches, "n_batches", 1)
+    rng = RngStream(integer(seed, "seed"), 0).generator()
     identity = np.eye(d)
     per_batch = []
     for _ in range(n_batches):
@@ -582,11 +582,12 @@ class Partition:
 def partition(data: Dataset, n_batches: int, scheme: str = "random-equal", seed: int = 0) -> Partition:
     """Split rows into batches; the assignment is a function of (seed, scheme)."""
     n = data.n_rows
-    if n_batches < 1 or n_batches > n:
+    n_batches = integer(n_batches, "n_batches", 1)
+    if n_batches > n:
         raise InvalidInputError(f"cannot split {n} rows into {n_batches} batches")
     if scheme not in PARTITION_SCHEMES:
         raise InvalidInputError(f"unknown scheme {scheme!r}, expected one of {PARTITION_SCHEMES}")
-    rng = RngStream(seed, 0).generator()
+    rng = RngStream(integer(seed, "seed"), 0).generator()
     assignment = np.empty(n, dtype=int)
     if scheme == "random-equal":
         perm = rng.permutation(n)

@@ -1,8 +1,8 @@
 """Properties of the LAPACK-backed decompositions, the swiss maps, the four
 combiners (including consensus averaging and the rotation-plus-translation
-equivariance of swiss and barycenter), the exact KDE sum and the lossless
-sample-CSV round trip, checked over generated inputs rather than pinned
-seeds.
+equivariance of swiss and barycenter), the exact KDE sum, the prepared
+reference of the metrics and the lossless sample-CSV round trip, checked
+over generated inputs rather than pinned seeds.
 
 Hypothesis draws the structure (dimension, spectrum, condition number,
 bandwidth); a numpy generator seeded by Hypothesis fills in the entries.
@@ -25,13 +25,15 @@ from swissmc import (  # noqa: E402
     SampleBatch,
     ar_combine,
     barycenter_combine,
+    Reference,
+    compute_metrics,
     consensus_combine,
     eigh,
     spd_roots,
     swiss_combine,
 )
 from swissmc.io import read_sample_csv, write_sample_csv  # noqa: E402
-from swissmc.metrics import _KDE_CHUNK, _direct_kde_sum  # noqa: E402
+from swissmc.metrics import _KDE_CHUNK, _KDE_REACH, _direct_kde_sum  # noqa: E402
 from helpers import random_orthogonal, random_spd  # noqa: E402
 
 seeds = st.integers(0, 2**32 - 1)
@@ -193,15 +195,33 @@ class TestCombinerProperties:
         assert _close(moved.combined, plain.combined @ q.T + c, 1e-9)
 
 
-def _full_grid_kde_sum(x, bandwidth, grid):
-    """The (sample x grid) kernel sum over every pair, in _KDE_CHUNK blocks."""
+def _full_grid_kde_sum(x, bandwidth, grid, reach=_KDE_REACH):
+    """The (sample x grid) kernel sum over every pair, in _KDE_CHUNK blocks,
+    with the terms more than ``reach`` bandwidths out set to zero."""
     density = np.zeros(grid.size)
     for start in range(0, x.size, _KDE_CHUNK):
         chunk = x[start : start + _KDE_CHUNK]
         z = (grid[None, :] - chunk[:, None]) / bandwidth
-        density += np.exp(-0.5 * z * z).sum(axis=0)
+        density += np.where(np.abs(z) <= reach, np.exp(-0.5 * z * z), 0.0).sum(axis=0)
     density /= x.size * bandwidth * np.sqrt(2.0 * np.pi)
     return density
+
+
+def _kde_case(n, grid_size, h_over_step, overhang, seed):
+    """Samples, a grid whose ends may sit inside the sample range, and a
+    bandwidth of ``h_over_step`` grid steps."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * rng.uniform(0.01, 10.0) + rng.uniform(-100.0, 100.0)
+    span = float(x.max() - x.min())
+    lo = float(x.min()) - overhang[0] * span
+    hi = float(x.max()) + overhang[1] * span
+    grid = np.linspace(lo, hi, grid_size)
+    return x, h_over_step * float(grid[1] - grid[0]), grid
+
+
+# Negative overhang pulls a grid end inside the sample range, so samples lie
+# beyond both grid ends.
+overhangs = st.tuples(st.floats(-0.45, 0.5), st.floats(-0.45, 0.5))
 
 
 class TestDirectKdeSum:
@@ -211,23 +231,62 @@ class TestDirectKdeSum:
         # Under two grid steps is the fallback range of the binned KDE; wider
         # bandwidths make the window span the whole grid.
         h_over_step=st.one_of(st.floats(0.05, 1.99), st.floats(2.0, 400.0)),
-        overhang=st.tuples(st.floats(-0.45, 0.5), st.floats(-0.45, 0.5)),
+        overhang=overhangs,
         seed=seeds,
     )
     def test_windowed_sum_equals_full_grid_sum_bytewise(
         self, n, grid_size, h_over_step, overhang, seed
     ):
-        # Negative overhang pulls a grid end inside the sample range, so
-        # samples lie beyond both grid ends.
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(n) * rng.uniform(0.01, 10.0) + rng.uniform(-100.0, 100.0)
-        span = float(x.max() - x.min())
-        lo = float(x.min()) - overhang[0] * span
-        hi = float(x.max()) + overhang[1] * span
-        grid = np.linspace(lo, hi, grid_size)
-        bandwidth = h_over_step * float(grid[1] - grid[0])
+        x, bandwidth, grid = _kde_case(n, grid_size, h_over_step, overhang, seed)
         windowed = _direct_kde_sum(x, bandwidth, grid)
         assert windowed.tobytes() == _full_grid_kde_sum(x, bandwidth, grid).tobytes()
+
+    @given(
+        n=st.integers(2, 2000),
+        grid_size=st.integers(2, 600),
+        h_over_step=st.floats(0.05, 2.0, exclude_max=True),
+        overhang=overhangs,
+        seed=seeds,
+    )
+    def test_reach_cut_is_below_exp_minus_18_of_the_kernel_peak(
+        self, n, grid_size, h_over_step, overhang, seed
+    ):
+        # every term the cut drops is below exp(-18) times the kernel's peak
+        x, bandwidth, grid = _kde_case(n, grid_size, h_over_step, overhang, seed)
+        exact = _full_grid_kde_sum(x, bandwidth, grid, reach=np.inf)
+        gap = np.abs(_direct_kde_sum(x, bandwidth, grid) - exact)
+        assert np.all(gap <= np.exp(-18.0) / (bandwidth * np.sqrt(2.0 * np.pi)))
+
+
+def _report_bytes(report):
+    """Every value of a MetricReport, exactly (repr round-trips a float)."""
+    return repr(report.to_dict())
+
+
+class TestPreparedReference:
+    @given(
+        d=st.integers(1, 5),
+        n_approx=st.lists(st.integers(2, 300), min_size=2, max_size=4),
+        n_reference=st.integers(12, 300),
+        outlier=st.booleans(),
+        seed=seeds,
+    )
+    def test_prepared_reference_scores_like_the_plain_draws(
+        self, d, n_approx, n_reference, outlier, seed
+    ):
+        # One far outlier in the reference widens the IAD grid until the
+        # bandwidths fall under two grid steps: the direct-sum path.
+        rng = np.random.default_rng(seed)
+        reference = rng.standard_normal((n_reference, d)) * rng.uniform(0.1, 10.0, d)
+        if outlier:
+            reference[0] += 1e4
+        approx_sets = [rng.standard_normal((n, d)) + rng.uniform(-1.0, 1.0, d) for n in n_approx]
+        fresh = [_report_bytes(compute_metrics(a, reference.copy())) for a in approx_sets]
+        prepared = Reference(reference)
+        forward = [_report_bytes(compute_metrics(a, prepared)) for a in approx_sets]
+        backward = [_report_bytes(compute_metrics(a, prepared)) for a in approx_sets[::-1]]
+        assert forward == fresh
+        assert backward == fresh[::-1]
 
 
 # Every finite float64, with the hard cases drawn often: signed zeros,

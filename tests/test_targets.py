@@ -420,6 +420,31 @@ class TestPartition:
             partition(Dataset(np.zeros((3, 1))), 5)
 
 
+def _partition_ten_rows(*args):
+    return partition(Dataset(np.zeros((10, 1))), *args)
+
+
+@pytest.mark.parametrize(
+    "function, args, name",
+    [
+        (_partition_ten_rows, (2.5,), "n_batches"),
+        (_partition_ten_rows, (True,), "n_batches"),
+        (_partition_ten_rows, (2, "random-equal", 0.5), "seed"),
+        (simulate_rare_feature_data, (50, 0.5), "seed"),
+        (simulate_rare_feature_data, (50.5, 0), "n"),
+        (simulate_rare_feature_data, (True, 0), "n"),
+        (gaussian_conjugate_suite, (2.5, 2, 0), "d"),
+        (gaussian_conjugate_suite, (2, 2.0, 0), "n_batches"),
+        (gaussian_conjugate_suite, (2, 2, True), "seed"),
+    ],
+    ids=lambda value: getattr(value, "__name__", repr(value)),
+)
+def test_counts_and_seeds_must_be_integers(function, args, name):
+    # a float or a bool count or seed is an input error naming the argument
+    with pytest.raises(InvalidInputError, match=f"^{name} must be an integer"):
+        function(*args)
+
+
 class TestLikelihoodFactorization:
     def test_batch_log_likelihoods_sum_to_full(self):
         # the partition premise: sum_b log f(y_b | theta) == log f(y | theta)
