@@ -125,7 +125,7 @@ def _cmd_sample(args) -> None:
     )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    batches = sample_all_batches(chains, config)
+    batches = sample_all_batches(base, chains, config)
     if args.convention == "full":
         write_batch(out / "full.csv", batches[0])
         print(f"wrote full-data chain ({batches[0].n_draws} draws) to {out / 'full.csv'}")

@@ -250,12 +250,14 @@ def summarize_reports(reports: list) -> dict:
 def laplace_pooling_moments(model, batch_data: list) -> Moments:
     """Moments of the Laplace-pooling oracle.
 
-    Each batch target (``model`` at its own exponents, on one batch of data)
-    is replaced by its Laplace approximation, and the batch moments are
-    pooled with ``pool_moments``, the pooling ``swiss`` applies to its
-    sampled batch moments.  No chain is run.
+    Each inflated batch target (``model`` at the exponents of the
+    "inflated" convention, on one batch of data) is replaced by its Laplace
+    approximation, and the batch moments are pooled with ``pool_moments``,
+    the pooling ``swiss`` applies to its sampled batch moments.  No chain is
+    run.
     """
-    return pool_moments([model.laplace(data) for data in batch_data])
+    powers = model.convention_powers("inflated", len(batch_data))
+    return pool_moments([model.laplace(data, powers) for data in batch_data])
 
 
 def _score_baselines(model, batch_data, reference: Reference, seed: int, n_samples: int) -> dict:
@@ -312,7 +314,7 @@ def _run_repetition(config: ExperimentConfig, base, dataset, rep: int) -> Experi
         chains = convention_chains(base, "full", batch_data)
         for convention in conventions:
             chains += convention_chains(base, convention, batch_data)
-        full_chain, *batches = sample_all_batches(chains, chain_config)
+        full_chain, *batches = sample_all_batches(base, chains, chain_config)
     by_convention = {}
     diagnostics = {"full": full_chain.diagnostics}
     for i, convention in enumerate(conventions):
@@ -327,11 +329,7 @@ def _run_repetition(config: ExperimentConfig, base, dataset, rep: int) -> Experi
     if "swiss" in config.combiners and base.laplace is not None:
         with prefixed(f"{failed} baselines"):
             baselines = _score_baselines(
-                base.for_convention("inflated", n_batches),
-                batch_data,
-                reference,
-                chain_config.seed,
-                config.n_samples,
+                base, batch_data, reference, chain_config.seed, config.n_samples
             )
 
     return ExperimentReport(
@@ -350,11 +348,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
 
     With ``config.out_dir`` set, per-run reports are written there as soon as
     each repetition completes, so a failure in a later repetition leaves the
-    finished ones on disk.  The target is built (and its parameters checked)
-    before the output directory is made.
+    finished ones on disk.  The target is built (and its parameters checked),
+    and ``n_samples`` checked against its dimension, before the output
+    directory is made.
     """
     dataset = _build_dataset(config)
     base = make_target(config.target, config.target_params, dataset)
+    if config.n_samples <= base.dim:
+        # every batch covariance, and the reference's, needs d + 1 draws
+        raise InvalidInputError(
+            f"n_samples must be >= {base.dim + 1} for the {base.dim}-dimensional "
+            f"target {config.target!r}, got {config.n_samples}"
+        )
     out = Path(config.out_dir) if config.out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)

@@ -2,9 +2,9 @@
 
 A group of K chains advances together: each iteration proposes, evaluates
 and accepts for all K at once as (K, d) arrays, with one stacked
-``log_density`` call.  The chains of a group share one target model (each at
-its own exponents, on its own batch data) and one SamplerConfig.  A single
-chain is the K = 1 case.
+``log_density`` call.  The chains of a group share one target model and one
+SamplerConfig; each chain brings its own (prior, likelihood) exponent pair
+and its own batch data.  A single chain is the K = 1 case.
 
 Each chain owns its own RngStream keyed by (config.seed, stream_id) and
 draws its proposal noise from it in blocks of 512 iterations, and every
@@ -80,13 +80,14 @@ class SamplerConfig:
 class Chain(NamedTuple):
     """One chain of a lockstep group.
 
-    ``data`` is the batch data the target evaluates (None: the data the
-    target was built on), ``batch_id`` tags the returned SampleBatch,
+    ``powers`` is the (prior, likelihood) exponent pair the group's target
+    is evaluated at, ``data`` the batch data it evaluates (None: the data
+    the target was built on), ``batch_id`` tags the returned SampleBatch,
     ``stream_id`` keys its RngStream (default: the batch id) and ``label``
     names the chain in errors (default: ``batch <batch_id>``).
     """
 
-    target: TargetModel
+    powers: tuple = (1.0, 1.0)
     data: object = None
     batch_id: int = 0
     stream_id: int | None = None
@@ -96,19 +97,18 @@ class Chain(NamedTuple):
 def convention_chains(base: TargetModel, convention: str, batch_data: list) -> list[Chain]:
     """The chains of ``convention`` over B batches.
 
-    ``batch_data`` holds each batch's data (None for a data-free target) and
-    ``base`` the target at exponents (1, 1); ``for_convention`` sets the
-    chains' exponents.  "full" is one chain on the data ``base`` was built
-    on.  Streams: inflated batch b -> b, full-data chain -> B, un-inflated
-    batch b -> B + 1 + b.
+    ``batch_data`` holds each batch's data (None for a data-free target);
+    ``base.convention_powers`` sets the chains' exponents.  "full" is one
+    chain on the data ``base`` was built on.  Streams: inflated batch b -> b,
+    full-data chain -> B, un-inflated batch b -> B + 1 + b.
     """
     n_batches = len(batch_data)
-    model = base.for_convention(convention, n_batches)
+    powers = base.convention_powers(convention, n_batches)
     if convention == "full":
-        return [Chain(model, None, 0, n_batches, "full-data chain")]
+        return [Chain(powers, None, 0, n_batches, "full-data chain")]
     first, kind = (0, "inflated") if convention == "inflated" else (n_batches + 1, "un-inflated")
     return [
-        Chain(model, data, b, first + b, f"{kind} batch {b}") for b, data in enumerate(batch_data)
+        Chain(powers, data, b, first + b, f"{kind} batch {b}") for b, data in enumerate(batch_data)
     ]
 
 
@@ -149,29 +149,34 @@ def sample(
     *,
     batch_id: int = 0,
     stream_id: int | None = None,
+    powers: tuple = (1.0, 1.0),
 ) -> SampleBatch:
-    """Run one chain and return its post-burn-in, thinned draws.
+    """Run one chain at the (prior, likelihood) exponents ``powers`` and
+    return its post-burn-in, thinned draws.
 
     Draws are reported on the target's reported scale; the chain itself runs
     on the sampling scale.  Diagnostics carry the post-burn-in acceptance
     rate, the frozen proposal scale and any tuning warnings.
     """
-    return _lockstep([Chain(target, data_batch, batch_id, stream_id)], config)[0]
+    return _lockstep(target, [Chain(powers, data_batch, batch_id, stream_id)], config)[0]
 
 
 def _sample_one(target, data_batch, config, batch_id, stream_id):
     # Nothing in the package calls this; perfbench/tracer.py wraps it by name.
-    return _lockstep([Chain(target, data_batch, batch_id, stream_id)], config)[0]
+    return _lockstep(target, [Chain((1.0, 1.0), data_batch, batch_id, stream_id)], config)[0]
 
 
-def sample_all_batches(chains: list, config: SamplerConfig) -> list[SampleBatch]:
-    """Run a group of chains (``Chain`` tuples) in lockstep, in this process.
+def sample_all_batches(
+    target: TargetModel, chains: list, config: SamplerConfig
+) -> list[SampleBatch]:
+    """Run a group of chains (``Chain`` tuples) on ``target`` in lockstep, in
+    this process.
 
     Results come back in the order of ``chains``, each identical to what
     ``sample`` returns for that chain alone.  Errors name the failing
     chain's batch id.
     """
-    return _lockstep(list(chains), config)
+    return _lockstep(target, list(chains), config)
 
 
 def _proposal_steps(chol: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -188,14 +193,9 @@ def _proposal_steps(chol: np.ndarray, z: np.ndarray) -> np.ndarray:
     return steps
 
 
-def _lockstep(chains: list, config: SamplerConfig) -> list[SampleBatch]:
+def _lockstep(model: TargetModel, chains: list, config: SamplerConfig) -> list[SampleBatch]:
     if not chains:
         return []
-    model = chains[0].target
-    if not all(model.same_model(chain.target) for chain in chains):
-        raise InvalidInputError(
-            "the chains of one group must share one target model up to its exponents"
-        )
     k, d = len(chains), model.dim
     labels = [chain.label or f"batch {chain.batch_id}" for chain in chains]
     rngs = [
@@ -205,16 +205,13 @@ def _lockstep(chains: list, config: SamplerConfig) -> list[SampleBatch]:
     x = np.array(
         _per_chain(
             labels,
-            lambda chain, rng: _initial_point(chain.target, chain.data, config, rng),
+            lambda chain, rng: _initial_point(model, chain.data, config, rng),
             chains,
             rngs,
         )
     )
     data = model.stack_data([chain.data for chain in chains])
-    powers = (
-        np.array([chain.target.prior_power for chain in chains]),
-        np.array([chain.target.likelihood_power for chain in chains]),
-    )
+    powers = tuple(np.array(column, dtype=float) for column in zip(*(c.powers for c in chains)))
     with np.errstate(**_QUIET):
         logp = model.log_density(x, data, powers)
     if not np.all(np.isfinite(logp)):
@@ -303,7 +300,6 @@ def _lockstep(chains: list, config: SamplerConfig) -> list[SampleBatch]:
 
     batches = []
     for i, chain in enumerate(chains):
-        target = chain.target
         diagnostics = {
             "acceptance_rate": int(accepted_post[i]) / post_iters,
             "burn_in_acceptance": (int(accepted_burn[i]) / burn) if burn else None,
@@ -311,11 +307,11 @@ def _lockstep(chains: list, config: SamplerConfig) -> list[SampleBatch]:
             "warnings": warnings[i],
         }
         meta = BatchMeta(
-            inflation_exponent=target.likelihood_power,
-            prior_exponent=target.prior_power,
+            inflation_exponent=float(powers[1][i]),
+            prior_exponent=float(powers[0][i]),
             seed=config.seed,
-            target_name=target.name,
+            target_name=model.name,
         )
-        chain_draws = target.report(np.ascontiguousarray(draws[:, i]))
+        chain_draws = model.report(np.ascontiguousarray(draws[:, i]))
         batches.append(SampleBatch(chain.batch_id, chain_draws, meta, diagnostics))
     return batches

@@ -1,7 +1,8 @@
 """Log-density targets, synthetic data generators and the data partitioner.
 
-Each target is a frozen dataclass subclass of TargetModel.  Its only base
-fields are the two exponents, and ``log_density`` evaluates
+Each target is a frozen dataclass subclass of TargetModel that holds only
+its data and parameters.  ``log_density`` evaluates, at a (prior,
+likelihood) exponent pair that the caller passes,
 
     prior_power * log_prior(theta) + likelihood_power * log_likelihood(theta, batch)
 
@@ -10,15 +11,15 @@ tempered.  Every term takes a (K, d) stack of points, one per chain of a
 lockstep group, with the per-chain data of ``stack_data``, and returns (K,)
 values; ``log_density`` also takes one point, as the K = 1 stack.  The
 exponent pair encodes the batch-target convention, which
-``TargetModel.for_convention`` alone decides: (1, B) for inflated targets,
-(1/B, 1) for un-inflated ones, (1, 1) for the full-data posterior.
+``TargetModel.convention_powers`` alone decides: (1, B) for inflated
+targets, (1/B, 1) for un-inflated ones, (1, 1) for the full-data posterior.
 ``make_target`` builds a registered target by name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -45,7 +46,7 @@ RARE_FEATURE_COEFS = (-3.0, 1.2, -0.5, 0.8, 3.0)
 # and a flat prior, i.e. density proportional to theta * (1 - theta)^999.
 RARE_BERNOULLI_FAILURES = 999
 
-# Batch-target conventions of for_convention.
+# Batch-target conventions of convention_powers.
 CONVENTIONS = ("inflated", "subposterior", "full")
 
 
@@ -84,16 +85,16 @@ def sigmoid(x):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True, kw_only=True)
 class TargetModel:
     """An evaluatable log-density split into prior and likelihood terms.
 
-    A subclass sets ``name`` and ``dim`` and defines ``log_likelihood``; it
-    may override ``log_prior`` (flat by default) and ``report`` (identity),
-    and may replace any of the ``None`` hooks below with a method.  It never
-    overrides ``log_density``.  ``log_prior``, ``log_likelihood`` and
-    ``log_jacobian`` take a (K, d) stack (see the module docstring); a
-    data-backed target also overrides ``stack_data``.
+    A subclass is a frozen dataclass whose fields are its data and
+    parameters.  It sets ``name`` and ``dim`` and defines ``log_likelihood``;
+    it may override ``log_prior`` (flat by default) and ``report``
+    (identity), and may replace any of the ``None`` hooks below with a
+    method.  It never overrides ``log_density``.  ``log_prior``,
+    ``log_likelihood`` and ``log_jacobian`` take a (K, d) stack (see the
+    module docstring); a data-backed target also overrides ``stack_data``.
     """
 
     name: ClassVar[str]
@@ -102,15 +103,13 @@ class TargetModel:
     # and keep exponents (1, 1) under every convention.
     data_backed: ClassVar[bool] = False
 
-    prior_power: float = 1.0
-    likelihood_power: float = 1.0
-
     # Optional hooks, None when the target lacks them:
     # log_jacobian(theta): fixed reparameterization term, never tempered;
     # init_sampler(rng): starting point for init="prior-draw";
     # mle(data_batch): starting point for init="mle";
-    # laplace(data_batch): Moments of the Laplace approximation of this
-    #     target at its own exponents (needs a closed-form Hessian).
+    # laplace(data_batch, powers): Moments of the Laplace approximation of
+    #     this target at the (prior, likelihood) exponent pair ``powers``
+    #     (needs a closed-form Hessian).
     log_jacobian = None
     init_sampler = None
     mle = None
@@ -122,22 +121,20 @@ class TargetModel:
     def log_likelihood(self, theta, data_batch):
         raise NotImplementedError
 
-    def log_density(self, theta, data_batch=None, powers=None):
+    def log_density(self, theta, data_batch=None, powers=(1.0, 1.0)):
         """Log-density at each row of a (K, d) stack, or at one point.
 
-        For a stack, ``data_batch`` is ``stack_data``'s per-chain data and
-        ``powers`` an optional (prior, likelihood) pair of (K,) exponent
-        arrays, by default this target's exponents.  One point, with its own
-        batch data (None: the target's data), runs as the K = 1 stack and
-        gives a float.  NaN becomes -inf.
+        ``powers`` is the (prior, likelihood) exponent pair, two numbers or,
+        for a stack, two (K,) arrays of per-chain exponents.  For a stack,
+        ``data_batch`` is ``stack_data``'s per-chain data.  One point, with
+        its own batch data (None: the target's data), runs as the K = 1
+        stack and gives a float.  NaN becomes -inf.
         """
         theta = np.asarray(theta, dtype=float)
         point = theta.ndim == 1
         if point:
             theta, data_batch = theta[None], self.stack_data([data_batch])
-        prior_power, likelihood_power = (
-            (self.prior_power, self.likelihood_power) if powers is None else powers
-        )
+        prior_power, likelihood_power = powers
         total = prior_power * self.log_prior(theta)
         total += likelihood_power * self.log_likelihood(theta, data_batch)
         if self.log_jacobian is not None:
@@ -151,35 +148,25 @@ class TargetModel:
         own data.  The base passes the list through."""
         return list(batches)
 
-    def same_model(self, other: "TargetModel") -> bool:
-        """Whether ``other`` is this target up to its exponents, so that one
-        stacked ``log_density`` call can evaluate both."""
-        return type(other) is type(self) and self == other.with_powers(
-            self.prior_power, self.likelihood_power
-        )
+    def convention_powers(self, convention: str, n_batches: int) -> tuple[float, float]:
+        """The (prior, likelihood) exponents of ``convention``'s batch targets
+        over ``n_batches`` batches.
 
-    def with_powers(self, prior_power: float, likelihood_power: float) -> "TargetModel":
-        return replace(self, prior_power=prior_power, likelihood_power=likelihood_power)
-
-    def for_convention(self, convention: str, n_batches: int) -> "TargetModel":
-        """This target as the batch target of ``convention`` over ``n_batches``.
-
-        Exponents (prior, likelihood) are (1, B) for "inflated" batch targets,
-        (1/B, 1) for "subposterior" (un-inflated) ones and (1, 1) for the
-        "full"-data posterior.  A data-free target has no likelihood to split
-        and stays at (1, 1) under every convention.
+        They are (1, B) for "inflated" batch targets, (1/B, 1) for
+        "subposterior" (un-inflated) ones and (1, 1) for the "full"-data
+        posterior.  A data-free target has no likelihood to split and stays
+        at (1, 1) under every convention.
         """
         if convention not in CONVENTIONS:
             raise InvalidInputError(
                 f"unknown convention {convention!r}, expected one of {CONVENTIONS}"
             )
-        if n_batches < 1:
-            raise InvalidInputError(f"the batch count must be >= 1, got {n_batches}")
+        n_batches = integer(n_batches, "the batch count", 1)
         if not self.data_backed or convention == "full":
-            return self.with_powers(1.0, 1.0)
+            return 1.0, 1.0
         if convention == "inflated":
-            return self.with_powers(1.0, float(n_batches))
-        return self.with_powers(1.0 / n_batches, 1.0)
+            return 1.0, float(n_batches)
+        return 1.0 / n_batches, 1.0
 
     def report(self, draws: np.ndarray) -> np.ndarray:
         """Map chain-scale draws to the reported parameterization."""
@@ -437,25 +424,19 @@ class LogisticRegression(TargetModel):
             successes[i, :n], counts[i, :n] = part_successes, part_counts
         return LogisticData(rows, successes, counts)
 
-    def same_model(self, other: TargetModel) -> bool:
-        return (
-            type(other) is type(self)
-            and other.data is self.data
-            and other.prior_variance == self.prior_variance
-        )
-
     def init_sampler(self, rng: np.random.Generator) -> np.ndarray:
         return math.sqrt(self.prior_variance) * rng.standard_normal(self.dim)
 
     def mle(self, data_batch=None) -> np.ndarray:
         return logistic_mle(data_batch if data_batch is not None else self.data)
 
-    def laplace(self, data_batch=None) -> Moments:
+    def laplace(self, data_batch=None, powers=(1.0, 1.0)) -> Moments:
+        prior_power, likelihood_power = powers
         return logistic_laplace(
             data_batch if data_batch is not None else self.data,
             prior_variance=self.prior_variance,
-            prior_power=self.prior_power,
-            likelihood_power=self.likelihood_power,
+            prior_power=prior_power,
+            likelihood_power=likelihood_power,
         )
 
 
@@ -505,6 +486,12 @@ class Dataset:
             group = np.asarray(self.group).ravel()
             if group.size != x.shape[0]:
                 raise InvalidInputError("group length does not match the feature rows")
+            for row, label in enumerate(map(str, group)):
+                # the dataset CSV splits fields at commas and rows at line breaks
+                if "," in label or "".join(label.splitlines()) != label:
+                    raise InvalidInputError(
+                        f"row {row}: group label {label!r} contains a comma or a line break"
+                    )
             self.group = group
 
     @property
@@ -559,7 +546,16 @@ class Partition:
     assignment: np.ndarray
 
     def __post_init__(self):
-        assignment = np.asarray(self.assignment, dtype=int).ravel()
+        ids = np.asarray(self.assignment).ravel()
+        if ids.dtype.kind == "f":  # integral floats such as 2.0 are ids
+            bad = ~np.isfinite(ids) | (ids != np.trunc(ids))
+        else:
+            bad = np.full(ids.shape, ids.dtype.kind not in "iu")
+        if bad.any():
+            raise InvalidInputError(
+                f"batch ids must be integers, got {ids.tolist()[int(np.argmax(bad))]!r}"
+            )
+        assignment = ids.astype(int)
         if assignment.size == 0 or assignment.min() < 0:
             raise InvalidInputError("assignment must be non-empty with ids >= 0")
         # an id past the row count leaves a batch empty: reject it before
@@ -633,13 +629,12 @@ DATA_BACKED_TARGETS = tuple(name for name, cls in _TARGETS.items() if cls.data_b
 
 
 def _param_keys(cls) -> tuple:
-    """The ``params`` keys a target accepts: its own dataclass fields but the data."""
-    base = {f.name for f in fields(TargetModel)} | {"data"}
-    return tuple(f.name for f in fields(cls) if f.name not in base)
+    """The ``params`` keys a target accepts: its dataclass fields but the data."""
+    return tuple(f.name for f in fields(cls) if f.name != "data")
 
 
 def make_target(name: str, params: dict | None = None, dataset: Dataset | None = None) -> TargetModel:
-    """Instantiate a registered target by name at exponents (1, 1).
+    """Instantiate a registered target by name.
 
     Unknown ``params`` keys are rejected, and the target's constructor checks
     the values.

@@ -195,9 +195,11 @@ def rare_bernoulli_chains():
     config = SamplerConfig(n_samples=10_000, burn_in=1000, seed=106)
     n_batches = 10
     full = sample(target, None, config, batch_id=0, stream_id=n_batches)
-    inflated = sample_all_batches([Chain(target, None, b, b) for b in range(n_batches)], config)
+    inflated = sample_all_batches(
+        target, [Chain(batch_id=b, stream_id=b) for b in range(n_batches)], config
+    )
     uninflated = sample_all_batches(
-        [Chain(target, None, b, n_batches + 1 + b) for b in range(n_batches)], config
+        target, [Chain(batch_id=b, stream_id=n_batches + 1 + b) for b in range(n_batches)], config
     )
     return full, inflated, uninflated
 

@@ -490,6 +490,19 @@ class TestExitCodes:
         assert "prior_variance" in err and "repetition" not in err
         assert not out.exists()
 
+    def test_too_few_draws_for_the_dimension_fail_before_sampling(self, tmp_path, capsys):
+        # a 5-dimensional covariance needs 6 draws; 4 must be refused before
+        # any chain runs or the output directory exists
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"target": "logistic-rare", "n_batches": 2,
+                                        "n_samples": 4, "burn_in": 10,
+                                        "n_observations": 100, "init": "mle"}))
+        out = tmp_path / "out"
+        assert run_cli("experiment", "--config", str(cfg_path), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "n_samples must be >= 6" in err and "repetition" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "sidecar, field",
         [

@@ -163,7 +163,7 @@ class TestRunExperiment:
 
     def test_laplace_pooling_single_batch_is_full_laplace(self):
         data = simulate_rare_feature_data(2000, 27)
-        model = make_target("logistic-rare", dataset=data).with_powers(1.0, 1.0)
+        model = make_target("logistic-rare", dataset=data)
         whole = collapse_logistic(data.x, data.y)
         oracle = laplace_pooling_moments(model, [whole])
         full = logistic_laplace(whole)

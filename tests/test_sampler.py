@@ -86,8 +86,7 @@ class TestSampleBasics:
 
     def test_metadata_reflects_target(self):
         config = SamplerConfig(n_samples=100, burn_in=10, seed=7)
-        model = make_target("warped-gaussian").with_powers(0.5, 3.0)
-        batch = sample(model, None, config)
+        batch = sample(make_target("warped-gaussian"), None, config, powers=(0.5, 3.0))
         assert batch.meta.inflation_exponent == 3.0
         assert batch.meta.prior_exponent == 0.5
         assert batch.meta.seed == 7
@@ -211,7 +210,7 @@ class TestSampleAllBatches:
         config = SamplerConfig(n_samples=400, burn_in=100, seed=15)
         target = make_target("warped-gaussian")
         direct = sample(target, None, config, batch_id=0, stream_id=0)
-        batched = sample_all_batches([Chain(target)], config)
+        batched = sample_all_batches(target, [Chain()], config)
         assert np.array_equal(direct.draws, batched[0].draws)
 
     @pytest.mark.parametrize("name", ["warped-gaussian", "gaussian-mixture", "rare-bernoulli"])
@@ -220,16 +219,18 @@ class TestSampleAllBatches:
         # proposal covariance; the retained steps come from whole blocks
         config = SamplerConfig(n_samples=700, burn_in=600, seed=16)
         target = make_target(name)
-        chains = [Chain(target, None, b, 3 * b + 1) for b in range(5)]
-        forward = sample_all_batches(chains, config)
-        backward = sample_all_batches(chains[::-1], config)[::-1]
+        chains = [Chain(batch_id=b, stream_id=3 * b + 1) for b in range(5)]
+        forward = sample_all_batches(target, chains, config)
+        backward = sample_all_batches(target, chains[::-1], config)[::-1]
         for chain, a, b in zip(chains, forward, backward):
-            alone = sample_all_batches([chain], config)[0]
+            alone = sample_all_batches(target, [chain], config)[0]
             assert _same_chain(a, b) and _same_chain(a, alone)
 
     def test_identical_targets_agree_across_batches(self):
         config = SamplerConfig(n_samples=20_000, burn_in=2000, seed=17)
-        batches = sample_all_batches([Chain(_UnitGaussian(), None, b) for b in range(4)], config)
+        batches = sample_all_batches(
+            _UnitGaussian(), [Chain(batch_id=b) for b in range(4)], config
+        )
         means = [b.draws.mean() for b in batches]
         ses = [block_mean_se(b.draws.ravel()) for b in batches]
         spread = 3 * math.sqrt(2) * max(ses)
@@ -240,8 +241,8 @@ class TestSampleAllBatches:
     def test_stream_offset_changes_streams(self):
         config = SamplerConfig(n_samples=200, burn_in=50, seed=18)
         target = make_target("warped-gaussian")
-        plain = sample_all_batches([Chain(target)], config)
-        offset = sample_all_batches([Chain(target, stream_id=5)], config)
+        plain = sample_all_batches(target, [Chain()], config)
+        offset = sample_all_batches(target, [Chain(stream_id=5)], config)
         assert not np.array_equal(plain[0].draws, offset[0].draws)
 
     def test_batch_error_carries_batch_id(self):
@@ -256,7 +257,7 @@ class TestSampleAllBatches:
         target = _SecondBatchFails()
         config = SamplerConfig(n_samples=10, burn_in=0, seed=19, init=np.array([0.0]))
         with pytest.raises(InvalidInputError, match="batch 1"):
-            sample_all_batches([Chain(target, "good", 0), Chain(target, "bad", 1)], config)
+            sample_all_batches(target, [Chain(data="good"), Chain(data="bad", batch_id=1)], config)
 
 
 class TestLockstep:
@@ -266,18 +267,23 @@ class TestLockstep:
         data = simulate_rare_feature_data(20_000, seed=5)
         base = make_target("logistic-rare", dataset=data)
         shards = shard_data(data, partition(data, 5, seed=6))
-        inflated = base.for_convention("inflated", 5)
-        subpost = base.for_convention("subposterior", 5)
+        inflated = base.convention_powers("inflated", 5)
+        subpost = base.convention_powers("subposterior", 5)
         chains = (
-            [Chain(base, None, 0, 5)]
+            [Chain(batch_id=0, stream_id=5)]
             + [Chain(inflated, shard, b, b) for b, shard in enumerate(shards)]
             + [Chain(subpost, shard, b, 6 + b) for b, shard in enumerate(shards)]
         )
         config = SamplerConfig(n_samples=400, burn_in=600, thin=2, init="mle", seed=7)
-        group = sample_all_batches(chains, config)
+        group = sample_all_batches(base, chains, config)
         for chain, batch in zip(chains, group):
             alone = sample(
-                chain.target, chain.data, config, batch_id=chain.batch_id, stream_id=chain.stream_id
+                base,
+                chain.data,
+                config,
+                batch_id=chain.batch_id,
+                stream_id=chain.stream_id,
+                powers=chain.powers,
             )
             assert _same_chain(batch, alone)
         assert len({batch.diagnostics["acceptance_rate"] for batch in group}) > 1
@@ -296,16 +302,9 @@ class TestLockstep:
         # a negative regularizer leaves only the wide chain's covariance positive
         monkeypatch.setattr(swissmc.sampler, "_COV_JITTER", -1e-2)
         config = SamplerConfig(n_samples=10, burn_in=100, seed=21, init=np.array([0.0]))
-        target = _Scaled()
-        chains = [Chain(target, 1.0, 0), Chain(target, 1e-3, 3), Chain(target, 1.0, 4)]
+        chains = [Chain(data=1.0), Chain(data=1e-3, batch_id=3), Chain(data=1.0, batch_id=4)]
         with pytest.raises(NotPositiveDefiniteError, match="^batch 3: Cholesky"):
-            sample_all_batches(chains, config)
-
-    def test_chains_of_different_models_are_rejected(self):
-        config = SamplerConfig(n_samples=10, burn_in=0, seed=22)
-        chains = [Chain(make_target("warped-gaussian")), Chain(make_target("gaussian-mixture"))]
-        with pytest.raises(InvalidInputError, match="one target model"):
-            sample_all_batches(chains, config)
+            sample_all_batches(_Scaled(), chains, config)
 
 
 class TestConventionChains:
@@ -316,8 +315,7 @@ class TestConventionChains:
 
         def layout(convention):
             return [
-                (c.batch_id, c.stream_id, c.label, c.target.prior_power,
-                 c.target.likelihood_power, c.data)
+                (c.batch_id, c.stream_id, c.label, *c.powers, c.data)
                 for c in convention_chains(base, convention, shards)
             ]
 

@@ -208,11 +208,10 @@ class TestLogisticModel:
     def test_inflated_exponent_is_exact_multiple(self):
         x, y = self._toy(seed=3)
         model = logistic_regression_model(x, y)
-        inflated = model.with_powers(1.0, 5.0)
         theta = np.array([0.2, 0.1, -0.4])
         base_prior = model.log_prior(theta[None])[0]
         base_lik = _loglik(model, theta)
-        assert inflated.log_density(theta) == pytest.approx(
+        assert model.log_density(theta, powers=(1.0, 5.0)) == pytest.approx(
             base_prior + 5.0 * base_lik, rel=1e-12
         )
 
@@ -292,12 +291,13 @@ class TestLogisticLaplace:
     """Laplace step of one inflated shard target (prior^1 x likelihood^B)."""
 
     N_BATCHES = 4
+    POWERS = (1.0, float(N_BATCHES))
 
     def _shard(self):
         data = simulate_rare_feature_data(4000, 31)
         split = partition(data, self.N_BATCHES, seed=32)
         idx = split.indices(0)
-        model = make_target("logistic-rare", dataset=data).with_powers(1.0, self.N_BATCHES)
+        model = make_target("logistic-rare", dataset=data)
         return model, collapse_logistic(data.x[idx], data.y[idx])
 
     def _grad(self, theta, batch):
@@ -306,7 +306,7 @@ class TestLogisticLaplace:
 
     def test_gradient_vanishes_at_mode(self):
         model, batch = self._shard()
-        mode = model.laplace(batch).mean
+        mode = model.laplace(batch, self.POWERS).mean
         assert np.max(np.abs(self._grad(mode, batch))) < 1e-8
         # the same holds for the target's own log-density, by central differences
         eps = 1e-5
@@ -314,13 +314,14 @@ class TestLogisticLaplace:
             bump = np.zeros(model.dim)
             bump[j] = eps
             numeric = (
-                model.log_density(mode + bump, batch) - model.log_density(mode - bump, batch)
+                model.log_density(mode + bump, batch, self.POWERS)
+                - model.log_density(mode - bump, batch, self.POWERS)
             ) / (2 * eps)
             assert abs(numeric) < 1e-5
 
     def test_covariance_is_inverse_negative_hessian(self):
         model, batch = self._shard()
-        laplace = model.laplace(batch)
+        laplace = model.laplace(batch, self.POWERS)
         eps = 1e-5
         neg_hess = np.empty((model.dim, model.dim))
         for j in range(model.dim):
@@ -403,6 +404,17 @@ class TestPartition:
         with pytest.raises(InvalidInputError, match="at least one row"):
             Partition(np.array(ids))
 
+    @pytest.mark.parametrize(
+        "ids", [[0, 1.5, 1], [0.0, 1.0, np.nan], [0, 1, np.inf], [True, False], ["0", "1"]]
+    )
+    def test_non_integral_ids_rejected(self, ids):
+        # a fractional id must not be truncated onto a neighbouring batch
+        with pytest.raises(InvalidInputError, match="batch ids must be integers"):
+            Partition(ids)
+
+    def test_integral_float_ids_accepted(self):
+        np.testing.assert_array_equal(Partition([0.0, 1.0, 1.0]).assignment, [0, 1, 1])
+
     def test_by_group_keeps_groups_whole(self):
         group = np.repeat(np.arange(6), 4)
         data = Dataset(np.zeros((24, 1)), group=group)
@@ -478,6 +490,20 @@ class TestDatasetCsv:
         assert list(back.group) == list(data.group)
         assert back.x.tobytes() == data.x.tobytes()
         assert back.y.tobytes() == data.y.tobytes()
+
+    @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\r\nb", "b\r", "a\u2028b"])
+    def test_group_label_the_csv_cannot_hold_is_rejected(self, tmp_path, label):
+        # the reader splits fields at commas and rows at line breaks, so such
+        # a label would be written into a file that cannot be read back
+        with pytest.raises(InvalidInputError, match=r"^row 1: group label"):
+            Dataset(np.zeros((3, 1)), group=["c", label, "d"])
+
+    def test_group_labels_round_trip(self, tmp_path):
+        labels = ["a b", "", "x#1", "\u00fc", "'q'", '"r"', "7"]
+        data = Dataset(np.zeros((len(labels), 1)), group=labels)
+        path = tmp_path / "labels.csv"
+        write_dataset_csv(data, path)
+        assert list(read_dataset_csv(path).group) == labels
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "broken.csv"
@@ -573,12 +599,14 @@ class TestTargetContract:
 
     def test_pickle_round_trip_keeps_log_density_bits(self, name):
         target, batch, points = self._target_and_points(name)
-        target = target.for_convention("inflated", 3)
+        powers = target.convention_powers("inflated", 3)
         clone = pickle.loads(pickle.dumps(target))
         assert type(clone) is type(target)
         for theta in points:
             for data in (None, batch):
-                assert clone.log_density(theta, data) == target.log_density(theta, data)
+                assert clone.log_density(theta, data, powers) == target.log_density(
+                    theta, data, powers
+                )
 
     def test_for_convention_exponents(self, name):
         target, _, _ = self._target_and_points(name)
@@ -586,14 +614,14 @@ class TestTargetContract:
         assert data_backed == target.data_backed
         expected = {"inflated": (1.0, 4.0), "subposterior": (0.25, 1.0), "full": (1.0, 1.0)}
         for convention, powers in expected.items():
-            batch_target = target.for_convention(convention, 4)
-            assert type(batch_target) is type(target)
-            got = (batch_target.prior_power, batch_target.likelihood_power)
+            got = target.convention_powers(convention, 4)
             assert got == (powers if data_backed else (1.0, 1.0))
-        with pytest.raises(InvalidInputError, match="batch count"):
-            target.for_convention("inflated", 0)
+        # the batch count is an integer >= 1 (errors.integer): never a float or a bool
+        for bad in (0, 2.5, True):
+            with pytest.raises(InvalidInputError, match="batch count"):
+                target.convention_powers("inflated", bad)
         with pytest.raises(InvalidInputError, match="convention"):
-            target.for_convention("tempered", 2)
+            target.convention_powers("tempered", 2)
 
     def test_point_log_density_is_its_row_in_any_group(self, name):
         # the full-data target and three batch targets at mixed exponents;
@@ -606,29 +634,27 @@ class TestTargetContract:
         if target.data_backed:
             shards = shard_data(data, partition(data, 3, seed=42))
         chains = [
-            (target, None),
-            (target.with_powers(1.0, 3.0), shards[0]),
-            (target.with_powers(1.0 / 3.0, 1.0), shards[1]),
-            (target.with_powers(0.3, 2.5), shards[2]),
-            (target.with_powers(1.0, 3.0), shards[0]),
+            ((1.0, 1.0), None),
+            ((1.0, 3.0), shards[0]),
+            ((1.0 / 3.0, 1.0), shards[1]),
+            ((0.3, 2.5), shards[2]),
+            ((1.0, 3.0), shards[0]),
         ]
         stacked_data = target.stack_data([batch_data for _, batch_data in chains])
         if target.data_backed:
             assert min(part.rows.shape[0] for part in shards) < stacked_data.rows.shape[-1]
-        powers = tuple(np.array([getattr(t, key) for t, _ in chains])
-                       for key in ("prior_power", "likelihood_power"))
+        powers = tuple(np.array(column) for column in zip(*(p for p, _ in chains)))
         values = target.log_density(points, stacked_data, powers)
         assert values.shape == (len(chains),)
-        for theta, (chain_target, batch_data), value in zip(points, chains, values):
-            assert value == chain_target.log_density(theta, batch_data)
+        for theta, (chain_powers, batch_data), value in zip(points, chains, values):
+            assert value == target.log_density(theta, batch_data, chain_powers)
 
     def test_log_density_is_the_tempered_sum(self, name):
         target, batch, points = self._target_and_points(name)
-        target = target.with_powers(0.3, 2.5)
         for theta in points:
             for data in (None, batch):
                 stack, stacked = theta[None], target.stack_data([data])
                 expected = 0.3 * target.log_prior(stack) + 2.5 * target.log_likelihood(stack, stacked)
                 if target.log_jacobian is not None:
                     expected += target.log_jacobian(stack)
-                assert target.log_density(theta, data) == expected[0]
+                assert target.log_density(theta, data, (0.3, 2.5)) == expected[0]
