@@ -10,10 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
-from .errors import InvalidInputError, ParseError, SwissError
+from .errors import InvalidInputError, ParseError, SwissError, integer
 from .harness import (
     _COMBINE,
     COMBINER_NAMES,
@@ -34,7 +34,13 @@ from .io import (
     write_sample_csv,
 )
 from .metrics import METRIC_NAMES, REPORT_KEYS, compute_metrics
-from .sampler import INIT_MODES, SamplerConfig, convention_chains, sample_all_batches
+from .sampler import (
+    INIT_MODES,
+    SamplerConfig,
+    check_draw_count,
+    convention_chains,
+    sample_all_batches,
+)
 from .targets import (
     CONVENTIONS,
     DATA_BACKED_TARGETS,
@@ -81,13 +87,17 @@ def _split_list(text: str, flag: str, convert, what: str) -> list:
 
 
 def _cmd_sample(args) -> None:
-    init = args.init
-    if init not in INIT_MODES:
-        init = _split_list(init, "--init", float, f"{' or '.join(INIT_MODES)} or numbers")
+    settings = {f.name: getattr(args, f.name) for f in fields(SamplerConfig)}
+    if settings["init"] not in INIT_MODES:
+        settings["init"] = _split_list(
+            settings["init"], "--init", float, f"{' or '.join(INIT_MODES)} or numbers"
+        )
+    config = SamplerConfig(**settings)
     try:
         params = json.loads(args.params) if args.params else {}
     except json.JSONDecodeError as err:
         raise InvalidInputError(f"--params is not valid JSON: {err}") from None
+    dataset = None
     if args.target in DATA_BACKED_TARGETS:
         if args.batches is not None:
             raise InvalidInputError(
@@ -96,7 +106,16 @@ def _cmd_sample(args) -> None:
         if not args.data:
             raise InvalidInputError(f"target {args.target!r} needs --data")
         dataset = read_dataset_csv(args.data)
-        base = make_target(args.target, params, dataset)
+    elif args.data or args.assignment:
+        raise InvalidInputError(
+            f"target {args.target!r} is data-free and takes neither --data nor --assignment"
+        )
+    base = make_target(args.target, params, dataset)
+    check_draw_count(base, config.n_samples, args.target)
+    if dataset is None:
+        n_batches = 1 if args.batches is None else args.batches
+        batch_data = [None] * integer(n_batches, "the batch count", 1)
+    else:
         if not args.assignment:
             raise InvalidInputError("data-backed sampling needs --assignment")
         split = read_assignment_csv(args.assignment)
@@ -105,24 +124,7 @@ def _cmd_sample(args) -> None:
                 f"assignment covers {split.assignment.size} rows, dataset has {dataset.n_rows}"
             )
         batch_data = shard_data(dataset, split)
-    else:
-        if args.data or args.assignment:
-            raise InvalidInputError(
-                f"target {args.target!r} is data-free and takes neither --data nor --assignment"
-            )
-        base = make_target(args.target, params)
-        n_batches = 1 if args.batches is None else args.batches
-        if n_batches < 1:
-            raise InvalidInputError(f"the batch count must be >= 1, got {n_batches}")
-        batch_data = [None] * n_batches
     chains = convention_chains(base, args.convention, batch_data)
-    config = SamplerConfig(
-        n_samples=args.n_samples,
-        burn_in=args.burn_in,
-        thin=args.thin,
-        init=init,
-        seed=args.seed,
-    )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     batches = sample_all_batches(base, chains, config)
@@ -231,18 +233,17 @@ def build_parser() -> _Parser:
     p.add_argument("--target", choices=TARGET_NAMES, required=True)
     p.add_argument("--convention", choices=CONVENTIONS, default="inflated")
     p.add_argument("--n-samples", type=int, required=True)
-    p.add_argument("--burn-in", type=int, default=1000)
-    p.add_argument("--thin", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--init", default="prior-draw", help="prior-draw, mle or comma-separated numbers"
-    )
+    p.add_argument("--burn-in", type=int)
+    p.add_argument("--thin", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--init", help="prior-draw, mle or comma-separated numbers")
     p.add_argument("--batches", type=int, help="batch count for data-free targets (default 1)")
     p.add_argument("--data", help="dataset CSV (data-backed targets)")
     p.add_argument("--assignment", help="partition CSV from the partition subcommand")
     p.add_argument("--params", help="JSON dict of target parameters")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_sample)
+    chain_defaults = {f.name: f.default for f in fields(SamplerConfig) if f.default is not MISSING}
+    p.set_defaults(func=_cmd_sample, **chain_defaults)
 
     p = sub.add_parser("combine", help="merge batch sample files")
     p.add_argument("--method", choices=COMBINER_NAMES, required=True)
@@ -290,7 +291,7 @@ def cli_main(argv=None) -> int:
         return 1
     try:
         args.func(args)
-    except (_UsageError, ParseError, InvalidInputError, OSError) as err:
+    except (ParseError, InvalidInputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except SwissError as err:

@@ -4,8 +4,10 @@ An experiment samples a full-data reference chain plus per-batch chains,
 runs the requested combiners, scores each against the reference and repeats
 with derived seeds.  A repetition's chains (the full-data chain, then the
 inflated and the un-inflated batch chains) run as one lockstep group in this
-process; ``workers`` is accepted and validated but starts no process.  Seed
-layout (see ``rng.mix_seed``):
+process; ``workers`` is accepted and validated but starts no process.
+``ExperimentConfig`` extends ``SamplerConfig``, so repetition r's chains run
+on the config itself with the master seed replaced.  Seed layout (see
+``rng.mix_seed``):
 
 * dataset:            mix_seed(seed, _DATA_STREAM)
 * repetition r:       chain master = mix_seed(seed, r)
@@ -34,7 +36,7 @@ combiner, under the report's ``baselines`` key (never in ``combiners`` or
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +48,7 @@ from .linalg import draw_gaussian
 from .metrics import METRIC_NAMES, REPORT_KEYS, MetricReport, Reference, compute_metrics
 from .moments import Moments, SampleBatch, pool_moments
 from .rng import RngStream, mix_seed
-from .sampler import SamplerConfig, convention_chains, sample_all_batches
+from .sampler import SamplerConfig, check_draw_count, convention_chains, sample_all_batches
 from .targets import (
     DATA_BACKED_TARGETS,
     TARGET_NAMES,
@@ -74,8 +76,7 @@ _CONVENTION = {
 
 # ExperimentConfig's own integer fields and their minimums; SamplerConfig
 # checks the chain settings.
-_INT_FIELDS = {"n_batches": 1, "n_observations": None, "n_runs": 1, "workers": 1}
-_CHAIN_FIELDS = tuple(f.name for f in fields(SamplerConfig))
+_INT_FIELDS = {"n_batches": 1, "n_observations": 0, "n_runs": 1, "workers": 1}
 
 # Role constants for derived seeds (arbitrary fixed integers).
 _DATA_STREAM = 100
@@ -85,21 +86,17 @@ _PARTITION_STREAM = 101
 TIMING_KEYS = frozenset({"merge_time_seconds", "total_seconds"})
 
 
-@dataclass
-class ExperimentConfig:
-    """Everything needed to reproduce one experiment."""
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(SamplerConfig):
+    """Everything needed to reproduce one experiment: SamplerConfig's chain
+    settings (``seed`` is the master seed) plus the keyword-only fields below."""
 
     target: str
     n_batches: int
-    n_samples: int
-    burn_in: int = 1000
-    seed: int = 0
     n_observations: int = 0
     combiners: tuple = COMBINER_NAMES
     n_runs: int = 1
     workers: int = 1
-    thin: int = 1
-    init: object = "prior-draw"
     target_params: dict = field(default_factory=dict)
     out_dir: str | None = None
 
@@ -107,16 +104,14 @@ class ExperimentConfig:
         if self.target not in TARGET_NAMES:
             raise InvalidInputError(f"unknown target {self.target!r}, expected one of {TARGET_NAMES}")
         for name, minimum in _INT_FIELDS.items():
-            setattr(self, name, integer(getattr(self, name), name, minimum))
-        chain = SamplerConfig(**{name: getattr(self, name) for name in _CHAIN_FIELDS})
-        for name in _CHAIN_FIELDS:
-            setattr(self, name, getattr(chain, name))
+            object.__setattr__(self, name, integer(getattr(self, name), name, minimum))
+        super().__post_init__()
         if not (
             isinstance(self.combiners, (list, tuple))
             and all(isinstance(name, str) for name in self.combiners)
         ):
             raise InvalidInputError(f"combiners must be a list of names, got {self.combiners!r}")
-        self.combiners = tuple(self.combiners)
+        object.__setattr__(self, "combiners", tuple(self.combiners))
         unknown = set(self.combiners) - set(COMBINER_NAMES)
         if unknown:
             raise InvalidInputError(f"unknown combiners: {sorted(unknown)}")
@@ -131,7 +126,7 @@ class ExperimentConfig:
             )
         if not isinstance(self.target_params, dict):
             raise InvalidInputError("target_params must be a JSON object")
-        self.target_params = dict(self.target_params)
+        object.__setattr__(self, "target_params", dict(self.target_params))
 
     def to_dict(self) -> dict:
         payload = asdict(self)
@@ -260,12 +255,12 @@ def laplace_pooling_moments(model, batch_data: list) -> Moments:
     return pool_moments([model.laplace(data, powers) for data in batch_data])
 
 
-def _score_baselines(model, batch_data, reference: Reference, seed: int, n_samples: int) -> dict:
+def _score_baselines(model, batch_data, reference: Reference, config: SamplerConfig) -> dict:
     """Laplace-pooling oracle and reference noise floor (see the module docstring)."""
     pooled = laplace_pooling_moments(model, batch_data)
     n_batches = len(batch_data)
-    rng = RngStream(seed, 2 * n_batches + 1).generator()
-    draws = draw_gaussian(pooled.mean, pooled.cov, n_batches * n_samples, rng)
+    rng = RngStream(config.seed, 2 * n_batches + 1).generator()
+    draws = draw_gaussian(pooled.mean, pooled.cov, n_batches * config.n_samples, rng)
     chain = reference.draws
     half = chain.shape[0] // 2
     return {
@@ -302,13 +297,7 @@ def _run_repetition(config: ExperimentConfig, base, dataset, rep: int) -> Experi
             seed = mix_seed(config.seed, rep, _PARTITION_STREAM)
             batch_data = shard_data(dataset, partition(dataset, n_batches, seed=seed))
 
-    chain_config = SamplerConfig(
-        n_samples=config.n_samples,
-        burn_in=config.burn_in,
-        thin=config.thin,
-        init=config.init,
-        seed=mix_seed(config.seed, rep),
-    )
+    chain_config = replace(config, seed=mix_seed(config.seed, rep))
     conventions = list(dict.fromkeys(_CONVENTION[name] for name in config.combiners))
     with prefixed(f"{failed} sampling"):
         chains = convention_chains(base, "full", batch_data)
@@ -328,9 +317,7 @@ def _run_repetition(config: ExperimentConfig, base, dataset, rep: int) -> Experi
     baselines = {}
     if "swiss" in config.combiners and base.laplace is not None:
         with prefixed(f"{failed} baselines"):
-            baselines = _score_baselines(
-                base, batch_data, reference, chain_config.seed, config.n_samples
-            )
+            baselines = _score_baselines(base, batch_data, reference, chain_config)
 
     return ExperimentReport(
         config=config.to_dict(),
@@ -349,17 +336,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     With ``config.out_dir`` set, per-run reports are written there as soon as
     each repetition completes, so a failure in a later repetition leaves the
     finished ones on disk.  The target is built (and its parameters checked),
-    and ``n_samples`` checked against its dimension, before the output
-    directory is made.
+    and ``n_samples`` checked against its dimension by ``check_draw_count``,
+    before the output directory is made.
     """
     dataset = _build_dataset(config)
     base = make_target(config.target, config.target_params, dataset)
-    if config.n_samples <= base.dim:
-        # every batch covariance, and the reference's, needs d + 1 draws
-        raise InvalidInputError(
-            f"n_samples must be >= {base.dim + 1} for the {base.dim}-dimensional "
-            f"target {config.target!r}, got {config.n_samples}"
-        )
+    check_draw_count(base, config.n_samples, config.target)
     out = Path(config.out_dir) if config.out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)

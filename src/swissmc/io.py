@@ -42,7 +42,7 @@ def _read_csv(path, columns, dtype=float):
     ``columns(header)`` checks the stripped header fields, or raises
     ValueError, and returns the indices of the columns to read and whether
     the last of them is text.  ``values`` holds the other columns of every
-    row as an (n, k) array of ``dtype``; ``text`` the stripped text, or None.
+    row as an (n, k) array of ``dtype``; ``text`` the text as written, or None.
     """
     path = Path(path)
     lines = _read_text(path).splitlines()
@@ -80,7 +80,7 @@ def _read_csv(path, columns, dtype=float):
     if not finite.all():
         line_no = body[int(np.argmin(finite))][0]
         raise ParseError(f"{path}:{line_no}: non-finite value (nan or inf)")
-    text = np.asarray([field.strip() for field in rows["text"]]) if has_text else None
+    text = rows["text"].astype(str) if has_text else None
     return header, values, text
 
 

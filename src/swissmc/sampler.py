@@ -60,7 +60,9 @@ _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Chain length, start and seed of one random-walk Metropolis run."""
+    """Chain length, start and seed of one random-walk Metropolis run; the one
+    declaration of these settings (``ExperimentConfig`` and ``swissmc sample``
+    take them from here)."""
 
     n_samples: int
     burn_in: int = 1000
@@ -75,6 +77,17 @@ class SamplerConfig:
         if not (isinstance(self.init, str) and self.init in INIT_MODES):
             expected = f"one of {INIT_MODES} or a vector of finite numbers"
             object.__setattr__(self, "init", finite_vector(self.init, "init", expected=expected))
+
+
+def check_draw_count(target: TargetModel, n_samples: int, name: str) -> None:
+    """Refuse ``n_samples`` retained draws for the target registered as
+    ``name`` unless they exceed its dimension: every batch covariance, and
+    the reference's, needs d + 1 draws."""
+    if n_samples <= target.dim:
+        raise InvalidInputError(
+            f"n_samples must be >= {target.dim + 1} for the {target.dim}-dimensional "
+            f"target {name!r}, got {n_samples}"
+        )
 
 
 class Chain(NamedTuple):

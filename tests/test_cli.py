@@ -1,12 +1,21 @@
 """Command-line surface: full flows and exit codes."""
 
 import json
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
-from swissmc import BatchMeta, SampleBatch, draw_gaussian, partition, read_dataset_csv
-from swissmc.cli import cli_main
+from swissmc import (
+    BatchMeta,
+    ExperimentConfig,
+    SampleBatch,
+    SamplerConfig,
+    draw_gaussian,
+    partition,
+    read_dataset_csv,
+)
+from swissmc.cli import build_parser, cli_main
 from swissmc.io import read_assignment_csv, read_sample_csv, write_batch
 from helpers import exact_gaussian_cloud
 
@@ -230,6 +239,21 @@ class TestBenchCommand:
         lines = (out / "bench.csv").read_text().splitlines()
         assert lines[0] == "d,method,iad,time_seconds,repetition"
         assert len(lines) == 1 + 2 * 4
+
+
+class TestChainDefaults:
+    def test_defaults_come_from_sampler_config(self):
+        # SamplerConfig declares the chain settings once; the experiment
+        # config and the sample command take their defaults from it
+        declared = {f.name: f.default for f in fields(SamplerConfig)}
+        assert declared.pop("n_samples") is MISSING
+        config = ExperimentConfig(target="warped-gaussian", n_batches=1, n_samples=10)
+        args = build_parser().parse_args(
+            ["sample", "--target", "warped-gaussian", "--n-samples", "10", "--out-dir", "x"]
+        )
+        for name, default in declared.items():
+            assert getattr(config, name) == default, name
+            assert getattr(args, name) == default, name
 
 
 class TestExitCodes:
@@ -501,6 +525,23 @@ class TestExitCodes:
         assert run_cli("experiment", "--config", str(cfg_path), "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert "n_samples must be >= 6" in err and "repetition" not in err
+        assert not out.exists()
+
+    def test_sample_too_few_draws_for_the_dimension_fail_before_output(self, tmp_path, capsys):
+        # the rule of the experiment: 3 draws cannot give a 5-dimensional
+        # batch covariance, so sample must refuse them before writing
+        data, assign = tmp_path / "data.csv", tmp_path / "assign.csv"
+        assert run_cli("simulate", "--n", "100", "--seed", "1", "--out", str(data)) == 0
+        assert run_cli("partition", "--data", str(data), "--batches", "2",
+                       "--out", str(assign)) == 0
+        capsys.readouterr()
+        out = tmp_path / "chains"
+        code = run_cli(
+            "sample", "--target", "logistic-rare", "--data", str(data), "--assignment",
+            str(assign), "--n-samples", "3", "--init", "mle", "--out-dir", str(out),
+        )
+        assert code == 1
+        assert "n_samples must be >= 6" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -71,6 +71,11 @@ class TestConfig:
         with pytest.raises(InvalidInputError, match="n_samples must be >= 2"):
             _tiny_config(n_samples=1)
 
+    def test_negative_observation_count_rejected(self):
+        # also on a data-free target, whose reports would record the value
+        with pytest.raises(InvalidInputError, match="n_observations must be >= 0"):
+            _tiny_config(n_observations=-3)
+
     def test_data_backed_needs_observations(self):
         with pytest.raises(InvalidInputError, match="n_observations"):
             ExperimentConfig(target="logistic-rare", n_batches=5, n_samples=10)

@@ -499,11 +499,16 @@ class TestDatasetCsv:
             Dataset(np.zeros((3, 1)), group=["c", label, "d"])
 
     def test_group_labels_round_trip(self, tmp_path):
-        labels = ["a b", "", "x#1", "\u00fc", "'q'", '"r"', "7"]
+        # labels are written as they are, so padding must survive the read
+        labels = ["a b", "", "x#1", "\u00fc", "'q'", '"r"', "7", " a", "a", "b ", "b"]
         data = Dataset(np.zeros((len(labels), 1)), group=labels)
         path = tmp_path / "labels.csv"
         write_dataset_csv(data, path)
-        assert list(read_dataset_csv(path).group) == labels
+        back = read_dataset_csv(path)
+        assert list(back.group) == labels
+        # every label is its own group: one row per batch
+        split = partition(back, len(labels), "by-group", seed=0)
+        assert split.sizes().tolist() == [1] * len(labels)
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "broken.csv"
