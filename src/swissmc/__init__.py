@@ -74,13 +74,11 @@ from .targets import (
     Partition,
     TargetModel,
     gaussian_conjugate_suite,
-    gaussian_mixture_logpdf,
     logistic_regression_model,
     make_target,
     partition,
     rare_bernoulli_logpdf,
     simulate_rare_feature_data,
-    warped_gaussian_logpdf,
 )
 
 __version__ = "0.1.0"

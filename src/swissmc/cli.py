@@ -37,7 +37,7 @@ from .metrics import METRIC_NAMES, REPORT_KEYS, compute_metrics
 from .sampler import (
     INIT_MODES,
     SamplerConfig,
-    check_draw_count,
+    check_config,
     convention_chains,
     sample_all_batches,
 )
@@ -111,7 +111,7 @@ def _cmd_sample(args) -> None:
             f"target {args.target!r} is data-free and takes neither --data nor --assignment"
         )
     base = make_target(args.target, params, dataset)
-    check_draw_count(base, config.n_samples, args.target)
+    check_config(base, config)
     if dataset is None:
         n_batches = 1 if args.batches is None else args.batches
         batch_data = [None] * integer(n_batches, "the batch count", 1)

@@ -48,7 +48,7 @@ from .linalg import draw_gaussian
 from .metrics import METRIC_NAMES, REPORT_KEYS, MetricReport, Reference, compute_metrics
 from .moments import Moments, SampleBatch, pool_moments
 from .rng import RngStream, mix_seed
-from .sampler import SamplerConfig, check_draw_count, convention_chains, sample_all_batches
+from .sampler import SamplerConfig, check_config, convention_chains, sample_all_batches
 from .targets import (
     DATA_BACKED_TARGETS,
     TARGET_NAMES,
@@ -115,6 +115,8 @@ class ExperimentConfig(SamplerConfig):
         unknown = set(self.combiners) - set(COMBINER_NAMES)
         if unknown:
             raise InvalidInputError(f"unknown combiners: {sorted(unknown)}")
+        if len(set(self.combiners)) < len(self.combiners):
+            raise InvalidInputError(f"combiners must not repeat a name: {list(self.combiners)}")
         if not self.combiners:
             raise InvalidInputError("need at least one combiner")
         if self.out_dir is not None and not isinstance(self.out_dir, str):
@@ -336,12 +338,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     With ``config.out_dir`` set, per-run reports are written there as soon as
     each repetition completes, so a failure in a later repetition leaves the
     finished ones on disk.  The target is built (and its parameters checked),
-    and ``n_samples`` checked against its dimension by ``check_draw_count``,
-    before the output directory is made.
+    and the chain settings checked against it by ``check_config``, before the
+    output directory is made.
     """
     dataset = _build_dataset(config)
     base = make_target(config.target, config.target_params, dataset)
-    check_draw_count(base, config.n_samples, config.target)
+    check_config(base, config)
     out = Path(config.out_dir) if config.out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)

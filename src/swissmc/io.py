@@ -181,7 +181,7 @@ def write_batch(path, batch: SampleBatch) -> None:
     }
     if batch.diagnostics is not None:
         meta["diagnostics"] = batch.diagnostics
-    meta_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(meta_path(path), meta)
 
 
 def read_batch(path, *, fallback_batch_id: int = 0) -> SampleBatch:

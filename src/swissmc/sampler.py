@@ -79,15 +79,26 @@ class SamplerConfig:
             object.__setattr__(self, "init", finite_vector(self.init, "init", expected=expected))
 
 
-def check_draw_count(target: TargetModel, n_samples: int, name: str) -> None:
-    """Refuse ``n_samples`` retained draws for the target registered as
-    ``name`` unless they exceed its dimension: every batch covariance, and
-    the reference's, needs d + 1 draws."""
-    if n_samples <= target.dim:
+def check_config(target: TargetModel, config: SamplerConfig) -> None:
+    """Refuse ``config`` if it cannot run on ``target``: the retained draws
+    must exceed the target's dimension (every batch covariance, and the
+    reference's, needs d + 1 draws), an init mode needs the target's hook
+    for it, and an init vector needs the target's length."""
+    d = target.dim
+    if config.n_samples <= d:
         raise InvalidInputError(
-            f"n_samples must be >= {target.dim + 1} for the {target.dim}-dimensional "
-            f"target {name!r}, got {n_samples}"
+            f"n_samples must be >= {d + 1} for a {d}-dimensional target, got {config.n_samples}"
         )
+    if config.init == "prior-draw" and target.init_sampler is None:
+        raise InvalidInputError(
+            f"target {target.name!r} has no init sampler; pass an explicit vector"
+        )
+    if config.init == "mle" and target.mle is None:
+        raise InvalidInputError(
+            f"init 'mle' needs an ML-estimate hook; target {target.name!r} has none"
+        )
+    if config.init not in INIT_MODES and len(config.init) != d:
+        raise InvalidInputError(f"init has length {len(config.init)}, target dimension is {d}")
 
 
 class Chain(NamedTuple):
@@ -135,19 +146,12 @@ def _per_chain(labels: list, fn, *items) -> list:
 
 
 def _initial_point(target: TargetModel, data_batch, config: SamplerConfig, rng) -> np.ndarray:
-    init = config.init
+    init = config.init  # check_config has matched it to the target
     if init == "prior-draw":
-        if target.init_sampler is None:
-            raise InvalidInputError(
-                f"target {target.name!r} has no init sampler; pass an explicit vector"
-            )
-        point = np.asarray(target.init_sampler(rng), dtype=float).ravel()
+        init = target.init_sampler(rng)
     elif init == "mle":
-        if target.mle is None:
-            raise InvalidInputError(f"target {target.name!r} has no ML-estimate hook")
-        point = np.asarray(target.mle(data_batch), dtype=float).ravel()
-    else:
-        point = np.asarray(init, dtype=float)
+        init = target.mle(data_batch)
+    point = np.asarray(init, dtype=float).ravel()
     if point.size != target.dim:
         raise InvalidInputError(
             f"initial point has length {point.size}, target dimension is {target.dim}"
@@ -207,6 +211,7 @@ def _proposal_steps(chol: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _lockstep(model: TargetModel, chains: list, config: SamplerConfig) -> list[SampleBatch]:
+    check_config(model, config)
     if not chains:
         return []
     k, d = len(chains), model.dim

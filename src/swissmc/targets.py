@@ -1,8 +1,10 @@
 """Log-density targets, synthetic data generators and the data partitioner.
 
-Each target is a frozen dataclass subclass of TargetModel that holds only
-its data and parameters.  ``log_density`` evaluates, at a (prior,
-likelihood) exponent pair that the caller passes,
+Each target is one frozen dataclass subclass of TargetModel: its fields
+are its data and parameters only, and its methods hold every term and hook
+it has (density, starting point, ML estimate, Laplace approximation),
+each written once.  ``log_density`` evaluates, at a (prior, likelihood)
+exponent pair that the caller passes,
 
     prior_power * log_prior(theta) + likelihood_power * log_likelihood(theta, batch)
 
@@ -218,37 +220,19 @@ class RareBernoulli(TargetModel):
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def warped_gaussian_logpdf(theta):
-    """Banana-shaped density: standard normal in (theta_1, theta_2 + theta_1^2).
-
-    A (K, 2) stack of points gives (K,) values, one point a scalar.
-    """
-    theta = np.asarray(theta, dtype=float)
-    first, second = theta[..., 0], theta[..., 1]
-    return -0.5 * first**2 - 0.5 * (second + first**2) ** 2 - _LOG_2PI
-
-
 @dataclass(frozen=True)
 class WarpedGaussian(TargetModel):
+    """Banana-shaped density: standard normal in (theta_1, theta_2 + theta_1^2)."""
+
     name = "warped-gaussian"
     dim = 2
 
     def log_likelihood(self, theta, data_batch):
-        return warped_gaussian_logpdf(theta)
+        first, second = theta[:, 0], theta[:, 1]
+        return -0.5 * first**2 - 0.5 * (second + first**2) ** 2 - _LOG_2PI
 
     def init_sampler(self, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(2)
-
-
-def gaussian_mixture_logpdf(theta, mode_a=(-2.0, 0.0), mode_b=(2.0, 0.0)):
-    """Equal mix of two unit-covariance bivariate Gaussian bumps.
-
-    A (K, 2) stack of points gives (K,) values, one point a scalar.
-    """
-    t = np.asarray(theta, dtype=float)
-    log_a = -0.5 * _sum_last((t - np.asarray(mode_a, dtype=float)) ** 2) - _LOG_2PI
-    log_b = -0.5 * _sum_last((t - np.asarray(mode_b, dtype=float)) ** 2) - _LOG_2PI
-    return np.logaddexp(log_a, log_b)
 
 
 @dataclass(frozen=True)
@@ -266,7 +250,9 @@ class GaussianMixture(TargetModel):
         object.__setattr__(self, "mode_b", finite_vector(self.mode_b, "mode_b", 2))
 
     def log_likelihood(self, theta, data_batch):
-        return gaussian_mixture_logpdf(theta, self.mode_a, self.mode_b)
+        log_a = -0.5 * _sum_last((theta - self.mode_a) ** 2) - _LOG_2PI
+        log_b = -0.5 * _sum_last((theta - self.mode_b) ** 2) - _LOG_2PI
+        return np.logaddexp(log_a, log_b)
 
     def init_sampler(self, rng: np.random.Generator) -> np.ndarray:
         """Standard-normal draw around one of the two modes, chosen by coin flip."""
@@ -342,35 +328,6 @@ def _newton_mode(data: LogisticData, penalty: float, likelihood_power: float, wh
     raise ConvergenceError(f"{what} did not converge after {_NEWTON_MAX_STEPS} Newton steps")
 
 
-def logistic_mle(data: LogisticData):
-    """Ridge-stabilized Newton iteration for the logistic ML estimate.
-
-    A ridge of 1e-4 keeps the Hessian invertible when a feature column is
-    constant within a batch (common with rare features), in which case the
-    matching coefficient simply stays near zero.
-    """
-    return _newton_mode(data, 1e-4, 1.0, "ML estimate")
-
-
-def logistic_laplace(
-    data: LogisticData,
-    *,
-    prior_variance: float = 100.0,
-    prior_power: float = 1.0,
-    likelihood_power: float = 1.0,
-) -> Moments:
-    """Laplace approximation of a tempered logistic-regression posterior.
-
-    The target is N(0, prior_variance I)^prior_power x likelihood^likelihood_power;
-    the result is its mode and the inverse of the negative Hessian of the
-    log-density there.
-    """
-    penalty = prior_power / prior_variance
-    theta = _newton_mode(data, penalty, likelihood_power, "Laplace mode search")
-    _, neg_hess = _logistic_grad_neg_hess(theta, data, penalty, likelihood_power)
-    return Moments(theta, spd_inverse(neg_hess))
-
-
 @dataclass(frozen=True, eq=False)
 class LogisticRegression(TargetModel):
     """Bernoulli likelihood under the logit link with a N(0, prior_variance I) prior.
@@ -428,16 +385,28 @@ class LogisticRegression(TargetModel):
         return math.sqrt(self.prior_variance) * rng.standard_normal(self.dim)
 
     def mle(self, data_batch=None) -> np.ndarray:
-        return logistic_mle(data_batch if data_batch is not None else self.data)
+        """Ridge-stabilized Newton iteration for the ML estimate.
+
+        A ridge of 1e-4 keeps the Hessian invertible when a feature column is
+        constant within a batch (common with rare features), in which case
+        the matching coefficient simply stays near zero.
+        """
+        data = self.data if data_batch is None else data_batch
+        return _newton_mode(data, 1e-4, 1.0, "ML estimate")
 
     def laplace(self, data_batch=None, powers=(1.0, 1.0)) -> Moments:
+        """Laplace approximation at the (prior, likelihood) exponents ``powers``.
+
+        The target is N(0, prior_variance I)^prior_power x
+        likelihood^likelihood_power; the result is its mode and the inverse of
+        the negative Hessian of the log-density there.
+        """
+        data = self.data if data_batch is None else data_batch
         prior_power, likelihood_power = powers
-        return logistic_laplace(
-            data_batch if data_batch is not None else self.data,
-            prior_variance=self.prior_variance,
-            prior_power=prior_power,
-            likelihood_power=likelihood_power,
-        )
+        penalty = prior_power / self.prior_variance
+        theta = _newton_mode(data, penalty, likelihood_power, "Laplace mode search")
+        _, neg_hess = _logistic_grad_neg_hess(theta, data, penalty, likelihood_power)
+        return Moments(theta, spd_inverse(neg_hess))
 
 
 def logistic_regression_model(x, y, *, prior_variance: float = 100.0) -> LogisticRegression:

@@ -490,7 +490,8 @@ class TestExitCodes:
         )
         assert code == 1
 
-    @pytest.mark.parametrize("init", ["bogus", "1,x", "1,nan", ","])
+    # "mle": warped-gaussian has no ML-estimate hook; "1,2,3": it is 2-dimensional
+    @pytest.mark.parametrize("init", ["bogus", "1,x", "1,nan", ",", "mle", "1,2,3"])
     def test_bad_init_is_usage_error_before_output(self, tmp_path, capsys, init):
         out = tmp_path / "x"
         code = run_cli(
@@ -542,6 +543,33 @@ class TestExitCodes:
         )
         assert code == 1
         assert "n_samples must be >= 6" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sample_init_vector_of_wrong_length_fails_before_output(self, tmp_path, capsys):
+        data, assign = tmp_path / "data.csv", tmp_path / "assign.csv"
+        assert run_cli("simulate", "--n", "100", "--seed", "1", "--out", str(data)) == 0
+        assert run_cli("partition", "--data", str(data), "--batches", "2",
+                       "--out", str(assign)) == 0
+        capsys.readouterr()
+        out = tmp_path / "chains"
+        code = run_cli(
+            "sample", "--target", "logistic-rare", "--data", str(data), "--assignment",
+            str(assign), "--n-samples", "10", "--init", "1,2", "--out-dir", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "init has length 2, target dimension is 5" in err and "batch" not in err
+        assert not out.exists()
+
+    def test_experiment_init_vector_of_wrong_length_fails_before_output(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"target": "warped-gaussian", "n_batches": 2,
+                                        "n_samples": 10, "burn_in": 10,
+                                        "init": [1.0, 2.0, 3.0]}))
+        out = tmp_path / "out"
+        assert run_cli("experiment", "--config", str(cfg_path), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "init has length 3, target dimension is 2" in err and "repetition" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

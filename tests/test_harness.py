@@ -20,7 +20,7 @@ from swissmc import (
     summarize_reports,
 )
 from swissmc.harness import laplace_pooling_moments
-from swissmc.targets import LogisticRegression, collapse_logistic, logistic_laplace
+from swissmc.targets import LogisticRegression, collapse_logistic
 from helpers import lockstep_mismatches
 
 
@@ -61,6 +61,11 @@ class TestConfig:
     def test_unknown_combiner_rejected(self):
         with pytest.raises(InvalidInputError, match="combiners"):
             _tiny_config(combiners=("swiss", "magic"))
+
+    def test_repeated_combiner_rejected(self):
+        # a repeated name would run twice but leave one entry in the report
+        with pytest.raises(InvalidInputError, match="must not repeat"):
+            _tiny_config(combiners=["swiss", "swiss", "ar"])
 
     def test_unknown_target_rejected(self):
         with pytest.raises(InvalidInputError, match="unknown target"):
@@ -171,7 +176,7 @@ class TestRunExperiment:
         model = make_target("logistic-rare", dataset=data)
         whole = collapse_logistic(data.x, data.y)
         oracle = laplace_pooling_moments(model, [whole])
-        full = logistic_laplace(whole)
+        full = model.laplace(whole)
         np.testing.assert_array_equal(oracle.mean, full.mean)
         np.testing.assert_array_equal(oracle.cov, full.cov)
 

@@ -355,3 +355,16 @@ class TestSamplerConfigValidation:
 
     def test_init_vector_is_kept_as_floats(self):
         assert SamplerConfig(n_samples=10, init=np.array([1, 2])).init == (1.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (dict(n_samples=2), "n_samples must be >= 3"),
+            (dict(n_samples=10, init="mle"), "needs an ML-estimate hook"),
+            (dict(n_samples=10, init=[1.0, 2.0, 3.0]), "init has length 3, target dimension is 2"),
+        ],
+    )
+    def test_sample_refuses_a_config_its_target_cannot_run(self, settings, message):
+        # sample checks the config against the target, as the CLI and harness do
+        with pytest.raises(InvalidInputError, match=message):
+            sample(make_target("warped-gaussian"), None, SamplerConfig(**settings))

@@ -13,14 +13,12 @@ from swissmc import (
     ParseError,
     Partition,
     gaussian_conjugate_suite,
-    gaussian_mixture_logpdf,
     logistic_regression_model,
     make_target,
     partition,
     rare_bernoulli_logpdf,
     read_dataset_csv,
     simulate_rare_feature_data,
-    warped_gaussian_logpdf,
     write_dataset_csv,
 )
 from swissmc.targets import (
@@ -31,10 +29,9 @@ from swissmc.targets import (
     GaussianMixture,
     LogisticRegression,
     TargetModel,
+    WarpedGaussian,
     _logistic_grad_neg_hess,
     collapse_logistic,
-    logistic_laplace,
-    logistic_mle,
     shard_data,
     sigmoid,
 )
@@ -76,19 +73,23 @@ class TestRareBernoulli:
 
 class TestWarpedGaussian:
     def test_origin_value(self):
-        assert warped_gaussian_logpdf([0.0, 0.0]) == pytest.approx(-math.log(2 * math.pi))
+        model = WarpedGaussian()
+        assert model.log_density([0.0, 0.0]) == pytest.approx(-math.log(2 * math.pi))
 
     def test_ridge_maximum_in_second_coordinate(self):
+        model = WarpedGaussian()
         for t1 in (-1.5, 0.3, 2.0):
-            ridge = warped_gaussian_logpdf([t1, -t1**2])
-            assert ridge >= warped_gaussian_logpdf([t1, -t1**2 + 0.3])
-            assert ridge >= warped_gaussian_logpdf([t1, -t1**2 - 0.3])
+            ridge = model.log_density([t1, -t1**2])
+            assert ridge >= model.log_density([t1, -t1**2 + 0.3])
+            assert ridge >= model.log_density([t1, -t1**2 - 0.3])
 
     def test_first_marginal_is_standard_normal(self):
         # integrating over theta_2 leaves phi(theta_1); check by quadrature
+        model = WarpedGaussian()
         grid2 = np.linspace(-30.0, 10.0, 4001)
         for t1 in (0.0, 1.0, -2.0):
-            values = np.exp([warped_gaussian_logpdf([t1, t2]) for t2 in grid2])
+            stack = np.column_stack([np.full_like(grid2, t1), grid2])
+            values = np.exp(model.log_likelihood(stack, model.stack_data([None] * grid2.size)))
             marginal = np.trapezoid(values, grid2)
             expected = math.exp(-0.5 * t1**2) / math.sqrt(2 * math.pi)
             assert marginal == pytest.approx(expected, rel=1e-6)
@@ -98,20 +99,22 @@ class TestGaussianMixture:
     def test_coincident_modes_reduce_to_single_gaussian(self):
         mu = (0.5, -0.5)
         for theta in ([0.0, 0.0], [1.0, 2.0]):
-            value = gaussian_mixture_logpdf(theta, mu, mu)
+            value = GaussianMixture(mu, mu).log_density(theta)
             t = np.asarray(theta) - np.asarray(mu)
             single = -0.5 * float(t @ t) - math.log(2 * math.pi)
             assert value == pytest.approx(single + math.log(2.0), rel=1e-12)
 
     def test_symmetry_for_opposite_modes(self):
+        model = GaussianMixture()
         for theta in ([0.3, 1.0], [-2.0, 0.7]):
-            a = gaussian_mixture_logpdf(theta)
-            b = gaussian_mixture_logpdf([-theta[0], -theta[1]])
+            a = model.log_density(theta)
+            b = model.log_density([-theta[0], -theta[1]])
             assert a == pytest.approx(b, rel=1e-12)
 
     def test_saddle_is_much_lower_than_modes(self):
-        mode = gaussian_mixture_logpdf([2.0, 0.0])
-        saddle = gaussian_mixture_logpdf([0.0, 0.0])
+        model = GaussianMixture()
+        mode = model.log_density([2.0, 0.0])
+        saddle = model.log_density([0.0, 0.0])
         assert saddle < mode - 1.0  # density ratio below exp(-1)
 
 
@@ -195,13 +198,13 @@ class TestLogisticModel:
         truth = np.array([0.8, -1.2])
         x = rng.standard_normal((20000, 2))
         y = (rng.random(20000) < sigmoid(x @ truth)).astype(float)
-        estimate = logistic_mle(collapse_logistic(x, y))
+        estimate = LogisticRegression(collapse_logistic(x, y)).mle()
         np.testing.assert_allclose(estimate, truth, atol=0.08)
 
     def test_mle_handles_constant_column(self):
         x = np.column_stack([np.ones(100), np.zeros(100)])
         y = np.concatenate([np.ones(40), np.zeros(60)])
-        estimate = logistic_mle(collapse_logistic(x, y))
+        estimate = LogisticRegression(collapse_logistic(x, y)).mle()
         assert abs(estimate[1]) < 1e-6  # flat direction pinned by the ridge
         assert estimate[0] == pytest.approx(math.log(40 / 60), abs=0.01)
 
@@ -334,16 +337,16 @@ class TestLogisticLaplace:
 
     def test_non_convergence_raises(self, monkeypatch):
         monkeypatch.setattr("swissmc.targets._NEWTON_MAX_STEPS", 2)
-        _, batch = self._shard()
+        model, batch = self._shard()
         with pytest.raises(ConvergenceError, match="Laplace mode search.*Newton"):
-            logistic_laplace(batch, likelihood_power=float(self.N_BATCHES))
+            model.laplace(batch, self.POWERS)
 
     def test_mle_non_convergence_raises(self, monkeypatch):
         # the ML estimate shares the Newton loop, so it fails loudly too
         monkeypatch.setattr("swissmc.targets._NEWTON_MAX_STEPS", 2)
-        _, batch = self._shard()
+        model, batch = self._shard()
         with pytest.raises(ConvergenceError, match="ML estimate.*Newton"):
-            logistic_mle(batch)
+            model.mle(batch)
 
 
 class TestRareFeatureData:
