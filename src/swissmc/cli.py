@@ -1,6 +1,11 @@
 """Command-line surface: simulate, partition, sample, combine, evaluate,
 experiment and bench subcommands.
 
+``partition`` writes near-equal random batches; ``sample`` reads any split
+of a dataset from an assignment CSV (``--assignment``), so another split,
+such as one that keeps groups of rows together, is a file of batch ids.
+Targets take no parameters.
+
 Exit codes: 0 on success, 1 on usage errors (bad flags, malformed files,
 invalid parameters), 2 on numerical failures inside the algorithms.
 """
@@ -8,7 +13,6 @@ invalid parameters), 2 on numerical failures inside the algorithms.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
@@ -44,7 +48,6 @@ from .sampler import (
 from .targets import (
     CONVENTIONS,
     DATA_BACKED_TARGETS,
-    PARTITION_SCHEMES,
     TARGET_NAMES,
     make_target,
     partition as partition_rows,
@@ -69,7 +72,7 @@ def _cmd_simulate(args) -> None:
 
 def _cmd_partition(args) -> None:
     dataset = read_dataset_csv(args.data)
-    split = partition_rows(dataset, args.batches, args.scheme, seed=args.seed)
+    split = partition_rows(dataset, args.batches, seed=args.seed)
     write_assignment_csv(args.out, split)
     sizes = ",".join(str(s) for s in split.sizes())
     print(f"wrote assignment for {dataset.n_rows} rows ({args.batches} batches, sizes {sizes})")
@@ -93,10 +96,6 @@ def _cmd_sample(args) -> None:
             settings["init"], "--init", float, f"{' or '.join(INIT_MODES)} or numbers"
         )
     config = SamplerConfig(**settings)
-    try:
-        params = json.loads(args.params) if args.params else {}
-    except json.JSONDecodeError as err:
-        raise InvalidInputError(f"--params is not valid JSON: {err}") from None
     dataset = None
     if args.target in DATA_BACKED_TARGETS:
         if args.batches is not None:
@@ -110,7 +109,7 @@ def _cmd_sample(args) -> None:
         raise InvalidInputError(
             f"target {args.target!r} is data-free and takes neither --data nor --assignment"
         )
-    base = make_target(args.target, params, dataset)
+    base = make_target(args.target, dataset)
     check_config(base, config)
     if dataset is None:
         n_batches = 1 if args.batches is None else args.batches
@@ -118,12 +117,7 @@ def _cmd_sample(args) -> None:
     else:
         if not args.assignment:
             raise InvalidInputError("data-backed sampling needs --assignment")
-        split = read_assignment_csv(args.assignment)
-        if split.assignment.size != dataset.n_rows:
-            raise InvalidInputError(
-                f"assignment covers {split.assignment.size} rows, dataset has {dataset.n_rows}"
-            )
-        batch_data = shard_data(dataset, split)
+        batch_data = shard_data(dataset, read_assignment_csv(args.assignment))
     chains = convention_chains(base, args.convention, batch_data)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -224,7 +218,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("partition", help="assign dataset rows to batches")
     p.add_argument("--data", required=True)
     p.add_argument("--batches", type=int, required=True)
-    p.add_argument("--scheme", choices=PARTITION_SCHEMES, default="random-equal")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_partition)
@@ -240,7 +233,6 @@ def build_parser() -> _Parser:
     p.add_argument("--batches", type=int, help="batch count for data-free targets (default 1)")
     p.add_argument("--data", help="dataset CSV (data-backed targets)")
     p.add_argument("--assignment", help="partition CSV from the partition subcommand")
-    p.add_argument("--params", help="JSON dict of target parameters")
     p.add_argument("--out-dir", required=True)
     chain_defaults = {f.name: f.default for f in fields(SamplerConfig) if f.default is not MISSING}
     p.set_defaults(func=_cmd_sample, **chain_defaults)

@@ -36,7 +36,7 @@ combiner, under the report's ``baselines`` key (never in ``combiners`` or
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +97,6 @@ class ExperimentConfig(SamplerConfig):
     combiners: tuple = COMBINER_NAMES
     n_runs: int = 1
     workers: int = 1
-    target_params: dict = field(default_factory=dict)
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -126,9 +125,6 @@ class ExperimentConfig(SamplerConfig):
                 f"target {self.target!r} needs n_observations >= n_batches, "
                 f"got {self.n_observations} < {self.n_batches}"
             )
-        if not isinstance(self.target_params, dict):
-            raise InvalidInputError("target_params must be a JSON object")
-        object.__setattr__(self, "target_params", dict(self.target_params))
 
     def to_dict(self) -> dict:
         payload = asdict(self)
@@ -139,10 +135,13 @@ class ExperimentConfig(SamplerConfig):
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
         if not isinstance(payload, dict):
             raise InvalidInputError(f"config must be a JSON object, got {type(payload).__name__}")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(payload) - known
+        declared = fields(cls)
+        unknown = set(payload) - {f.name for f in declared}
         if unknown:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
+        missing = [f.name for f in declared if f.default is MISSING and f.name not in payload]
+        if missing:
+            raise InvalidInputError(f"missing config keys: {sorted(missing)}")
         return cls(**payload)
 
 
@@ -337,12 +336,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
 
     With ``config.out_dir`` set, per-run reports are written there as soon as
     each repetition completes, so a failure in a later repetition leaves the
-    finished ones on disk.  The target is built (and its parameters checked),
-    and the chain settings checked against it by ``check_config``, before the
-    output directory is made.
+    finished ones on disk.  The target is built, and the chain settings
+    checked against it by ``check_config``, before the output directory is
+    made.
     """
     dataset = _build_dataset(config)
-    base = make_target(config.target, config.target_params, dataset)
+    base = make_target(config.target, dataset)
     check_config(base, config)
     out = Path(config.out_dir) if config.out_dir is not None else None
     if out is not None:

@@ -2,8 +2,8 @@
 
 Every CSV file has one header line and one row per non-blank line after it:
 sample batches (header ``param_0..param_{d-1}``, one draw per row), datasets
-(optional response ``y``, features ``x0..x{p-1}``, optional text column
-``group``) and batch assignments (header ``batch``, one batch id per row).
+(optional response ``y``, features ``x0..x{p-1}``; any other column is
+ignored) and batch assignments (header ``batch``, one batch id per row).
 Floats are written with ``%.17g``, so a write/read round trip is lossless.
 Input is UTF-8, blank lines are skipped, and every malformed line raises
 ParseError with ``path:line``.  A sidecar named after a sample CSV with a
@@ -37,12 +37,11 @@ def _read_text(path: Path) -> str:
 
 
 def _read_csv(path, columns, dtype=float):
-    """Parse a CSV file into ``(header, values, text)``.
+    """Parse a CSV file into ``(header, values)``.
 
     ``columns(header)`` checks the stripped header fields, or raises
-    ValueError, and returns the indices of the columns to read and whether
-    the last of them is text.  ``values`` holds the other columns of every
-    row as an (n, k) array of ``dtype``; ``text`` the text as written, or None.
+    ValueError, and returns the indices of the columns to read.  ``values``
+    holds those columns of every row as an (n, k) array of ``dtype``.
     """
     path = Path(path)
     lines = _read_text(path).splitlines()
@@ -50,7 +49,7 @@ def _read_csv(path, columns, dtype=float):
         raise ParseError(f"{path}:1: empty file")
     header = [field.strip() for field in lines[0].split(",")]
     try:
-        usecols, has_text = columns(header)
+        usecols = columns(header)
     except ValueError as err:
         raise ParseError(f"{path}:1: {err}") from None
     body = [(line_no, line) for line_no, line in enumerate(lines[1:], start=2) if line.strip()]
@@ -61,10 +60,9 @@ def _read_csv(path, columns, dtype=float):
             raise ParseError(
                 f"{path}:{line_no}: expected {len(header)} fields, got {line.count(',') + 1}"
             )
-    fields = [("values", dtype, (len(usecols) - has_text,))] + [("text", object)] * has_text
-    load = partial(np.loadtxt, dtype=fields, delimiter=",", comments=None, usecols=usecols)
+    load = partial(np.loadtxt, dtype=dtype, delimiter=",", comments=None, usecols=usecols)
     try:
-        rows = load([line for _, line in body], ndmin=1)
+        values = load([line for _, line in body], ndmin=2)
     except ValueError:
         # numpy names no file line, so find the first line it rejects
         for line_no, line in body:
@@ -75,13 +73,11 @@ def _read_csv(path, columns, dtype=float):
                     f"{path}:{line_no}: cannot parse a field as {np.dtype(dtype).name}"
                 ) from None
         raise
-    values = rows["values"]
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         line_no = body[int(np.argmin(finite))][0]
         raise ParseError(f"{path}:{line_no}: non-finite value (nan or inf)")
-    text = rows["text"].astype(str) if has_text else None
-    return header, values, text
+    return header, values
 
 
 def _write_csv(path, header: list, table: np.ndarray, fmt="%.17g") -> None:
@@ -105,7 +101,7 @@ def write_table_csv(path, header: list, rows: list) -> None:
 def _sample_columns(header: list):
     if header != [f"param_{j}" for j in range(len(header))]:
         raise ValueError(f"expected header param_0..param_{{d-1}}, got {header}")
-    return range(len(header)), False
+    return range(len(header))
 
 
 def _dataset_columns(header: list):
@@ -117,14 +113,13 @@ def _dataset_columns(header: list):
     if features != [f"x{j}" for j in range(len(features))]:
         raise ValueError("feature columns must be contiguous x0..x{p-1}")
     index = {h: i for i, h in enumerate(header)}
-    names = ["y"] * ("y" in index) + features + ["group"] * ("group" in index)
-    return [index[h] for h in names], "group" in index
+    return [index[h] for h in ["y"] * ("y" in index) + features]
 
 
 def _assignment_columns(header: list):
     if header != ["batch"]:
         raise ValueError(f"expected header 'batch', got {header}")
-    return [0], False
+    return [0]
 
 
 def meta_path(sample_path) -> Path:
@@ -142,21 +137,17 @@ def read_sample_csv(path) -> np.ndarray:
 
 
 def write_dataset_csv(dataset: Dataset, path) -> None:
-    """Write a dataset as CSV: response ``y``, features ``x0..``, optional ``group``."""
+    """Write a dataset as CSV: response ``y``, then features ``x0..``."""
     header = ["y"] * (dataset.y is not None) + [f"x{j}" for j in range(dataset.x.shape[1])]
     table = dataset.x if dataset.y is None else np.column_stack([dataset.y, dataset.x])
-    fmt = ["%.17g"] * len(header)
-    if dataset.group is not None:
-        header, fmt = header + ["group"], fmt + ["%s"]
-        table = np.column_stack([table.astype(object), dataset.group])
-    _write_csv(path, header, table, fmt)
+    _write_csv(path, header, table)
 
 
 def read_dataset_csv(path) -> Dataset:
-    header, values, group = _read_csv(path, _dataset_columns)
+    header, values = _read_csv(path, _dataset_columns)
     has_y = "y" in header
     x = np.ascontiguousarray(values[:, has_y:])
-    return Dataset(x, values[:, 0] if has_y else None, group)
+    return Dataset(x, values[:, 0] if has_y else None)
 
 
 def write_assignment_csv(path, split: Partition) -> None:

@@ -1,10 +1,11 @@
 """Log-density targets, synthetic data generators and the data partitioner.
 
 Each target is one frozen dataclass subclass of TargetModel: its fields
-are its data and parameters only, and its methods hold every term and hook
-it has (density, starting point, ML estimate, Laplace approximation),
-each written once.  ``log_density`` evaluates, at a (prior, likelihood)
-exponent pair that the caller passes,
+are its data only (a data-free target has none; its constants are module
+constants), and its methods hold every term and hook it has (density,
+starting point, ML estimate, Laplace approximation), each written once.
+``log_density`` evaluates, at a (prior, likelihood) exponent pair that the
+caller passes,
 
     prior_power * log_prior(theta) + likelihood_power * log_likelihood(theta, batch)
 
@@ -15,13 +16,15 @@ values; ``log_density`` also takes one point, as the K = 1 stack.  The
 exponent pair encodes the batch-target convention, which
 ``TargetModel.convention_powers`` alone decides: (1, B) for inflated
 targets, (1/B, 1) for un-inflated ones, (1, 1) for the full-data posterior.
-``make_target`` builds a registered target by name.
+``make_target`` builds a registered target by name.  ``partition`` splits
+a dataset's rows into equal random batches, and ``shard_data`` collapses
+each batch for the data-backed targets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -31,9 +34,7 @@ from .errors import (
     DataError,
     InvalidInputError,
     NotPositiveDefiniteError,
-    finite_vector,
     integer,
-    is_finite_number,
 )
 from .linalg import sample_inverse_wishart, spd_inverse, symmetrize
 from .moments import Moments, consensus_pool
@@ -47,6 +48,12 @@ RARE_FEATURE_COEFS = (-3.0, 1.2, -0.5, 0.8, 3.0)
 # Rare-Bernoulli toy posterior: 1000 trials with a single positive response
 # and a flat prior, i.e. density proportional to theta * (1 - theta)^999.
 RARE_BERNOULLI_FAILURES = 999
+
+# The two modes of the bivariate Gaussian-mixture target.
+MIXTURE_MODES = ((-2.0, 0.0), (2.0, 0.0))
+
+# Variance of the logistic target's N(0, variance I) prior.
+LOGISTIC_PRIOR_VAR = 100.0
 
 # Batch-target conventions of convention_powers.
 CONVENTIONS = ("inflated", "subposterior", "full")
@@ -90,13 +97,13 @@ def sigmoid(x):
 class TargetModel:
     """An evaluatable log-density split into prior and likelihood terms.
 
-    A subclass is a frozen dataclass whose fields are its data and
-    parameters.  It sets ``name`` and ``dim`` and defines ``log_likelihood``;
-    it may override ``log_prior`` (flat by default) and ``report``
-    (identity), and may replace any of the ``None`` hooks below with a
-    method.  It never overrides ``log_density``.  ``log_prior``,
-    ``log_likelihood`` and ``log_jacobian`` take a (K, d) stack (see the
-    module docstring); a data-backed target also overrides ``stack_data``.
+    A subclass is a frozen dataclass whose fields are its data only.  It
+    sets ``name`` and ``dim`` and defines ``log_likelihood``; it may override
+    ``log_prior`` (flat by default) and ``report`` (identity), and may
+    replace any of the ``None`` hooks below with a method.  It never
+    overrides ``log_density``.  ``log_prior``, ``log_likelihood`` and
+    ``log_jacobian`` take a (K, d) stack (see the module docstring); a
+    data-backed target also overrides ``stack_data``.
     """
 
     name: ClassVar[str]
@@ -237,26 +244,21 @@ class WarpedGaussian(TargetModel):
 
 @dataclass(frozen=True)
 class GaussianMixture(TargetModel):
-    """Equal mix of unit-covariance Gaussians at ``mode_a`` and ``mode_b``."""
+    """Equal mix of unit-covariance Gaussians at the two ``MIXTURE_MODES``,
+    unnormalized: the log-density is log(N_a + N_b), without the weights 1/2."""
 
     name = "gaussian-mixture"
     dim = 2
 
-    mode_a: tuple = (-2.0, 0.0)
-    mode_b: tuple = (2.0, 0.0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "mode_a", finite_vector(self.mode_a, "mode_a", 2))
-        object.__setattr__(self, "mode_b", finite_vector(self.mode_b, "mode_b", 2))
-
     def log_likelihood(self, theta, data_batch):
-        log_a = -0.5 * _sum_last((theta - self.mode_a) ** 2) - _LOG_2PI
-        log_b = -0.5 * _sum_last((theta - self.mode_b) ** 2) - _LOG_2PI
+        log_a, log_b = (
+            -0.5 * _sum_last((theta - mode) ** 2) - _LOG_2PI for mode in MIXTURE_MODES
+        )
         return np.logaddexp(log_a, log_b)
 
     def init_sampler(self, rng: np.random.Generator) -> np.ndarray:
         """Standard-normal draw around one of the two modes, chosen by coin flip."""
-        mode = self.mode_a if rng.random() < 0.5 else self.mode_b
+        mode = MIXTURE_MODES[0] if rng.random() < 0.5 else MIXTURE_MODES[1]
         return np.asarray(mode, dtype=float) + rng.standard_normal(len(mode))
 
 
@@ -330,7 +332,7 @@ def _newton_mode(data: LogisticData, penalty: float, likelihood_power: float, wh
 
 @dataclass(frozen=True, eq=False)
 class LogisticRegression(TargetModel):
-    """Bernoulli likelihood under the logit link with a N(0, prior_variance I) prior.
+    """Bernoulli likelihood under the logit link with a N(0, LOGISTIC_PRIOR_VAR I) prior.
 
     ``data`` is the full data, collapsed by collapse_logistic; per-batch
     evaluation passes that batch's LogisticData instead.
@@ -340,23 +342,14 @@ class LogisticRegression(TargetModel):
     data_backed = True
 
     data: LogisticData
-    prior_variance: float = 100.0
-
-    def __post_init__(self):
-        variance = self.prior_variance
-        if not (is_finite_number(variance) and variance > 0):
-            raise InvalidInputError(
-                f"prior_variance must be a finite number > 0, got {variance!r}"
-            )
-        object.__setattr__(self, "prior_variance", float(variance))
 
     @property
     def dim(self) -> int:
         return self.data.rows.shape[1]
 
     def log_prior(self, theta):
-        norm = 0.5 * self.dim * math.log(2.0 * math.pi * self.prior_variance)
-        return -0.5 * _sum_planes(theta.T * theta.T) / self.prior_variance - norm
+        norm = 0.5 * self.dim * math.log(2.0 * math.pi * LOGISTIC_PRIOR_VAR)
+        return -0.5 * _sum_planes(theta.T * theta.T) / LOGISTIC_PRIOR_VAR - norm
 
     def log_likelihood(self, theta, data_batch):
         rows, successes, counts = data_batch
@@ -382,7 +375,7 @@ class LogisticRegression(TargetModel):
         return LogisticData(rows, successes, counts)
 
     def init_sampler(self, rng: np.random.Generator) -> np.ndarray:
-        return math.sqrt(self.prior_variance) * rng.standard_normal(self.dim)
+        return math.sqrt(LOGISTIC_PRIOR_VAR) * rng.standard_normal(self.dim)
 
     def mle(self, data_batch=None) -> np.ndarray:
         """Ridge-stabilized Newton iteration for the ML estimate.
@@ -397,19 +390,19 @@ class LogisticRegression(TargetModel):
     def laplace(self, data_batch=None, powers=(1.0, 1.0)) -> Moments:
         """Laplace approximation at the (prior, likelihood) exponents ``powers``.
 
-        The target is N(0, prior_variance I)^prior_power x
+        The target is N(0, LOGISTIC_PRIOR_VAR I)^prior_power x
         likelihood^likelihood_power; the result is its mode and the inverse of
         the negative Hessian of the log-density there.
         """
         data = self.data if data_batch is None else data_batch
         prior_power, likelihood_power = powers
-        penalty = prior_power / self.prior_variance
+        penalty = prior_power / LOGISTIC_PRIOR_VAR
         theta = _newton_mode(data, penalty, likelihood_power, "Laplace mode search")
         _, neg_hess = _logistic_grad_neg_hess(theta, data, penalty, likelihood_power)
         return Moments(theta, spd_inverse(neg_hess))
 
 
-def logistic_regression_model(x, y, *, prior_variance: float = 100.0) -> LogisticRegression:
+def logistic_regression_model(x, y) -> LogisticRegression:
     """Logistic regression with a weakly informative Gaussian prior.
 
     The data are collapsed once (see collapse_logistic); batch data passed to
@@ -423,7 +416,7 @@ def logistic_regression_model(x, y, *, prior_variance: float = 100.0) -> Logisti
         )
     if not np.all((y == 0) | (y == 1)):
         raise InvalidInputError("responses must be 0/1")
-    return LogisticRegression(collapse_logistic(x, y), prior_variance)
+    return LogisticRegression(collapse_logistic(x, y))
 
 
 # --------------------------------------------------------------------------
@@ -433,11 +426,10 @@ def logistic_regression_model(x, y, *, prior_variance: float = 100.0) -> Logisti
 
 @dataclass(eq=False)
 class Dataset:
-    """Feature rows with an optional binary response and group key."""
+    """Feature rows with an optional binary response."""
 
     x: np.ndarray
     y: np.ndarray | None = None
-    group: np.ndarray | None = None
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -451,17 +443,6 @@ class Dataset:
             if y.size != x.shape[0]:
                 raise InvalidInputError("response length does not match the feature rows")
             self.y = y
-        if self.group is not None:
-            group = np.asarray(self.group).ravel()
-            if group.size != x.shape[0]:
-                raise InvalidInputError("group length does not match the feature rows")
-            for row, label in enumerate(map(str, group)):
-                # the dataset CSV splits fields at commas and rows at line breaks
-                if "," in label or "".join(label.splitlines()) != label:
-                    raise InvalidInputError(
-                        f"row {row}: group label {label!r} contains a comma or a line break"
-                    )
-            self.group = group
 
     @property
     def n_rows(self) -> int:
@@ -505,9 +486,6 @@ def gaussian_conjugate_suite(d: int, n_batches: int, seed: int) -> tuple[list[Mo
 # Partitioning
 # --------------------------------------------------------------------------
 
-PARTITION_SCHEMES = ("random-equal", "by-group")
-
-
 @dataclass(eq=False)
 class Partition:
     """Assignment of each data row to a batch id in [0, n_batches)."""
@@ -544,38 +522,33 @@ class Partition:
         return np.bincount(self.assignment, minlength=self.n_batches)
 
 
-def partition(data: Dataset, n_batches: int, scheme: str = "random-equal", seed: int = 0) -> Partition:
-    """Split rows into batches; the assignment is a function of (seed, scheme)."""
+def partition(data: Dataset, n_batches: int, seed: int = 0) -> Partition:
+    """Split rows into near-equal random batches; the assignment is a function of the seed.
+
+    For any other split, such as one that keeps groups of rows together,
+    build a ``Partition`` from the batch ids (or pass ``swissmc sample`` an
+    assignment CSV).
+    """
     n = data.n_rows
     n_batches = integer(n_batches, "n_batches", 1)
     if n_batches > n:
         raise InvalidInputError(f"cannot split {n} rows into {n_batches} batches")
-    if scheme not in PARTITION_SCHEMES:
-        raise InvalidInputError(f"unknown scheme {scheme!r}, expected one of {PARTITION_SCHEMES}")
     rng = RngStream(integer(seed, "seed"), 0).generator()
     assignment = np.empty(n, dtype=int)
-    if scheme == "random-equal":
-        perm = rng.permutation(n)
-        for b, chunk in enumerate(np.array_split(perm, n_batches)):
-            assignment[chunk] = b
-    else:
-        if data.group is None:
-            raise InvalidInputError("by-group partitioning needs a group column")
-        groups = np.unique(data.group)
-        if n_batches > groups.size:
-            raise InvalidInputError(
-                f"cannot split {groups.size} groups into {n_batches} batches"
-            )
-        order = rng.permutation(groups.size)
-        batch_of_group = {groups[g]: k % n_batches for k, g in enumerate(order)}
-        for i, g in enumerate(data.group):
-            assignment[i] = batch_of_group[g]
+    perm = rng.permutation(n)
+    for b, chunk in enumerate(np.array_split(perm, n_batches)):
+        assignment[chunk] = b
     return Partition(assignment)
 
 
 def shard_data(data: Dataset, split: Partition) -> list[LogisticData]:
     """Per-batch data of a split dataset, in the form the data-backed targets
-    evaluate: each batch's rows collapsed by collapse_logistic."""
+    evaluate: each batch's rows collapsed by collapse_logistic.  The split
+    must assign every row of the dataset, and no more."""
+    if split.assignment.size != data.n_rows:
+        raise InvalidInputError(
+            f"assignment covers {split.assignment.size} rows, dataset has {data.n_rows}"
+        )
     return [
         collapse_logistic(data.x[idx], data.y[idx])
         for idx in map(split.indices, range(split.n_batches))
@@ -597,32 +570,13 @@ TARGET_NAMES = tuple(_TARGETS)
 DATA_BACKED_TARGETS = tuple(name for name, cls in _TARGETS.items() if cls.data_backed)
 
 
-def _param_keys(cls) -> tuple:
-    """The ``params`` keys a target accepts: its dataclass fields but the data."""
-    return tuple(f.name for f in fields(cls) if f.name != "data")
-
-
-def make_target(name: str, params: dict | None = None, dataset: Dataset | None = None) -> TargetModel:
-    """Instantiate a registered target by name.
-
-    Unknown ``params`` keys are rejected, and the target's constructor checks
-    the values.
-    """
+def make_target(name: str, dataset: Dataset | None = None) -> TargetModel:
+    """Instantiate a registered target by name; a data-backed one on ``dataset``."""
     if name not in _TARGETS:
         raise InvalidInputError(f"unknown target {name!r}, expected one of {TARGET_NAMES}")
-    params = {} if params is None else params
-    if not isinstance(params, dict):
-        raise InvalidInputError(f"target parameters must be a dict, got {type(params).__name__}")
     cls = _TARGETS[name]
-    accepted = _param_keys(cls)
-    unknown = sorted(set(params) - set(accepted))
-    if unknown:
-        raise InvalidInputError(
-            f"unknown parameters {unknown} for target {name!r}, "
-            f"expected a subset of {list(accepted)}"
-        )
     if not cls.data_backed:
-        return cls(**params)
+        return cls()
     if dataset is None or dataset.y is None:
         raise InvalidInputError(f"{name} needs a dataset with responses")
-    return logistic_regression_model(dataset.x, dataset.y, **params)
+    return logistic_regression_model(dataset.x, dataset.y)

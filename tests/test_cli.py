@@ -388,52 +388,31 @@ class TestExitCodes:
         assert run_cli("experiment", "--config", str(cfg_path), "--seed", "1") == 1
 
     def test_unknown_target_params_are_usage_errors(self, tmp_path, capsys):
+        # targets take no parameters and partition has one scheme, so these
+        # flags and this config key are unknown
+        data, out = tmp_path / "d.csv", tmp_path / "x"
+        run_cli("simulate", "--n", "50", "--seed", "0", "--out", str(data))
+        capsys.readouterr()
         code = run_cli(
             "sample", "--target", "warped-gaussian", "--params", '{"bogus": 1}',
-            "--n-samples", "10", "--out-dir", str(tmp_path / "x"),
+            "--n-samples", "10", "--out-dir", str(out),
         )
         assert code == 1
-        assert "bogus" in capsys.readouterr().err
+        assert "--params" in capsys.readouterr().err
+        code = run_cli(
+            "partition", "--data", str(data), "--batches", "2", "--scheme", "by-group",
+            "--out", str(tmp_path / "a.csv"),
+        )
+        assert code == 1
+        assert "--scheme" in capsys.readouterr().err
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({"target": "logistic-rare", "n_batches": 2,
                                         "n_samples": 10, "burn_in": 10,
-                                        "n_observations": 100,
-                                        "target_params": {"prior_varience": 10}}))
-        assert run_cli("experiment", "--config", str(cfg_path)) == 1
-        assert "prior_varience" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "target, params, key",
-        [
-            ("gaussian-mixture", {"mode_a": "ab"}, "mode_a"),
-            ("gaussian-mixture", {"mode_a": [1, "nan"]}, "mode_a"),
-            ("logistic-rare", {"prior_variance": -1}, "prior_variance"),
-            ("logistic-rare", {"prior_variance": 0}, "prior_variance"),
-            ("gaussian-mixture", {"mode_a": [True, 0]}, "mode_a"),
-            ("logistic-rare", {"prior_variance": True}, "prior_variance"),
-        ],
-    )
-    def test_bad_target_param_values_are_usage_errors(self, tmp_path, capsys, target, params, key):
-        flags = ()
-        if target == "logistic-rare":
-            data, assign = tmp_path / "d.csv", tmp_path / "a.csv"
-            run_cli("simulate", "--n", "50", "--seed", "0", "--out", str(data))
-            run_cli("partition", "--data", str(data), "--batches", "2", "--out", str(assign))
-            flags = ("--data", str(data), "--assignment", str(assign))
-        capsys.readouterr()
-        code = run_cli(
-            "sample", "--target", target, *flags, "--params", json.dumps(params),
-            "--n-samples", "10", "--out-dir", str(tmp_path / "x"),
-        )
+                                        "n_observations": 100, "target_params": {}}))
+        code = run_cli("experiment", "--config", str(cfg_path), "--out", str(out))
         assert code == 1
-        assert key in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({"target": target, "n_batches": 2, "n_samples": 10,
-                                        "burn_in": 10, "n_observations": 100,
-                                        "target_params": params}))
-        assert run_cli("experiment", "--config", str(cfg_path)) == 1
-        assert key in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: unknown config keys: ['target_params']\n"
+        assert not out.exists() and not (tmp_path / "a.csv").exists()
 
     @pytest.mark.parametrize("convention", ["inflated", "subposterior", "full"])
     @pytest.mark.parametrize("batches", ["0", "-2"])
@@ -470,16 +449,18 @@ class TestExitCodes:
         assert "run count" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_target_params_that_are_not_an_object_are_usage_errors(self, tmp_path):
+    def test_assignment_of_another_length_is_usage_error_before_output(self, tmp_path, capsys):
+        data, assign, out = tmp_path / "d.csv", tmp_path / "a.csv", tmp_path / "x"
+        run_cli("simulate", "--n", "50", "--seed", "0", "--out", str(data))
+        assign.write_text("batch\n0\n1\n0\n1\n")
+        capsys.readouterr()
         code = run_cli(
-            "sample", "--target", "warped-gaussian", "--params", "[1]",
-            "--n-samples", "10", "--out-dir", str(tmp_path / "x"),
+            "sample", "--target", "logistic-rare", "--data", str(data), "--assignment",
+            str(assign), "--n-samples", "10", "--out-dir", str(out),
         )
         assert code == 1
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({"target": "warped-gaussian", "n_batches": 1,
-                                        "n_samples": 10, "target_params": [1]}))
-        assert run_cli("experiment", "--config", str(cfg_path)) == 1
+        assert capsys.readouterr().err == "error: assignment covers 4 rows, dataset has 50\n"
+        assert not out.exists()
 
     def test_mutually_missing_assignment(self, tmp_path):
         data = tmp_path / "d.csv"
@@ -501,18 +482,6 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert "init" in err and "batch" not in err
-        assert not out.exists()
-
-    def test_bad_target_params_fail_before_any_output(self, tmp_path, capsys):
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({"target": "logistic-rare", "n_batches": 2,
-                                        "n_samples": 10, "burn_in": 10,
-                                        "n_observations": 100,
-                                        "target_params": {"prior_variance": -1}}))
-        out = tmp_path / "out"
-        assert run_cli("experiment", "--config", str(cfg_path), "--out", str(out)) == 1
-        err = capsys.readouterr().err
-        assert "prior_variance" in err and "repetition" not in err
         assert not out.exists()
 
     def test_too_few_draws_for_the_dimension_fail_before_sampling(self, tmp_path, capsys):
@@ -625,6 +594,17 @@ class TestExitCodes:
         assert run_cli("experiment", "--config", str(cfg_path), "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} must be ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["target", "n_batches", "n_samples"])
+    def test_config_missing_a_required_key_is_usage_error(self, tmp_path, capsys, key):
+        config = {"target": "warped-gaussian", "n_batches": 2, "n_samples": 10, "burn_in": 10}
+        del config[key]
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run_cli("experiment", "--config", str(cfg_path), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: missing config keys: ['{key}']\n"
         assert not out.exists()
 
     def test_mle_non_convergence_is_numerical_failure(self, tmp_path, capsys, monkeypatch):

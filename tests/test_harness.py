@@ -39,7 +39,7 @@ def _tiny_config(**overrides):
 
 class TestConfig:
     def test_round_trip(self):
-        config = _tiny_config(target_params={"x": 1.0})
+        config = _tiny_config(combiners=("ar", "swiss"))
         clone = ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert clone.to_dict() == config.to_dict()
 

@@ -5,7 +5,6 @@ import pytest
 
 from swissmc import (
     BatchMeta,
-    Dataset,
     InvalidInputError,
     ParseError,
     SampleBatch,
@@ -100,7 +99,6 @@ class TestReaderFuzz:
     def test_byte_edits_parse_or_raise(self, tmp_path, capsys):
         rng = np.random.default_rng(20261018)
         dataset = simulate_rare_feature_data(40, seed=1)
-        dataset = Dataset(dataset.x, dataset.y, np.repeat(["a", "b"], 20))
         sample_path = tmp_path / "sample.csv"
         data_path = tmp_path / "data.csv"
         assign_path = tmp_path / "assign.csv"
