@@ -4,7 +4,9 @@ experiment and bench subcommands.
 ``partition`` writes near-equal random batches; ``sample`` reads any split
 of a dataset from an assignment CSV (``--assignment``), so another split,
 such as one that keeps groups of rows together, is a file of batch ids.
-Targets take no parameters.
+Targets take no parameters, and a chain starts from a target hook
+(``--init prior-draw`` or ``mle``).  ``experiment`` takes every setting but
+the output directory (``--out``) from its config file.
 
 Exit codes: 0 on success, 1 on usage errors (bad flags, malformed files,
 invalid parameters), 2 on numerical failures inside the algorithms.
@@ -37,7 +39,7 @@ from .io import (
     write_json,
     write_sample_csv,
 )
-from .metrics import METRIC_NAMES, REPORT_KEYS, compute_metrics
+from .metrics import REPORT_KEYS, compute_metrics
 from .sampler import (
     INIT_MODES,
     SamplerConfig,
@@ -78,24 +80,8 @@ def _cmd_partition(args) -> None:
     print(f"wrote assignment for {dataset.n_rows} rows ({args.batches} batches, sizes {sizes})")
 
 
-def _split_list(text: str, flag: str, convert, what: str) -> list:
-    """A comma-separated flag value as a non-empty list of ``convert``ed items."""
-    try:
-        items = [convert(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as err:
-        raise InvalidInputError(f"{flag} must list {what}: {err}") from None
-    if not items:
-        raise InvalidInputError(f"{flag} must list at least one value")
-    return items
-
-
 def _cmd_sample(args) -> None:
-    settings = {f.name: getattr(args, f.name) for f in fields(SamplerConfig)}
-    if settings["init"] not in INIT_MODES:
-        settings["init"] = _split_list(
-            settings["init"], "--init", float, f"{' or '.join(INIT_MODES)} or numbers"
-        )
-    config = SamplerConfig(**settings)
+    config = SamplerConfig(**{f.name: getattr(args, f.name) for f in fields(SamplerConfig)})
     dataset = None
     if args.target in DATA_BACKED_TARGETS:
         if args.batches is not None:
@@ -163,7 +149,7 @@ def _cmd_combine(args) -> None:
 def _cmd_evaluate(args) -> None:
     approx = read_sample_csv(args.approx)
     reference = read_sample_csv(args.reference)
-    report = compute_metrics(approx, reference, which=tuple(args.metrics))
+    report = compute_metrics(approx, reference)
     payload = report.to_dict()
     for key in REPORT_KEYS:
         if payload[key] is not None:
@@ -174,8 +160,6 @@ def _cmd_evaluate(args) -> None:
 
 def _cmd_experiment(args) -> None:
     config = ExperimentConfig.from_dict(read_json(args.config))
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
     if args.out:
         config = replace(config, out_dir=args.out)
     summary = run_experiment(config)
@@ -189,19 +173,17 @@ def _cmd_experiment(args) -> None:
 
 
 def _cmd_bench(args) -> None:
-    dims = _split_list(args.dims, "--dims", int, "integers")
-    rows = bench_dimension_scaling(
-        dims,
-        args.batches,
-        args.n_samples,
-        args.seed,
-        n_runs=args.runs,
-        out_dir=args.out,
-    )
+    try:
+        dims = [int(tok) for tok in args.dims.split(",") if tok.strip()]
+    except ValueError as err:
+        raise InvalidInputError(f"--dims must list integers: {err}") from None
+    if not dims:
+        raise InvalidInputError("--dims must list at least one value")
+    rows = bench_dimension_scaling(dims, args.batches, args.n_samples, args.seed, out_dir=args.out)
     for row in rows:
         print(
             f"d={row['d']:>3} {row['method']:<10} iad={row['iad']:.4f} "
-            f"time={row['time_seconds']:.3f}s rep={row['repetition']}"
+            f"time={row['time_seconds']:.3f}s"
         )
 
 
@@ -229,7 +211,7 @@ def build_parser() -> _Parser:
     p.add_argument("--burn-in", type=int)
     p.add_argument("--thin", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--init", help="prior-draw, mle or comma-separated numbers")
+    p.add_argument("--init", choices=INIT_MODES)
     p.add_argument("--batches", type=int, help="batch count for data-free targets (default 1)")
     p.add_argument("--data", help="dataset CSV (data-backed targets)")
     p.add_argument("--assignment", help="partition CSV from the partition subcommand")
@@ -247,14 +229,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="score one sample file against another")
     p.add_argument("--approx", required=True)
     p.add_argument("--reference", required=True)
-    p.add_argument("--metrics", nargs="+", choices=METRIC_NAMES, default=list(METRIC_NAMES))
     p.add_argument("--out", help="also write the metric report as JSON")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("experiment", help="run an experiment config end to end")
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out", help="output directory (overrides the config)")
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("bench", help="dimension-scaling study on exact Gaussian draws")
@@ -262,7 +242,6 @@ def build_parser() -> _Parser:
     p.add_argument("--batches", type=int, default=10)
     p.add_argument("--n-samples", type=int, default=5000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--runs", type=int, default=1)
     p.add_argument("--out", help="directory for the plot-ready CSV")
     p.set_defaults(func=_cmd_bench)
 

@@ -66,22 +66,3 @@ def integer(value, name: str, minimum: int | None = None) -> int:
         raise InvalidInputError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
 
-
-def finite_vector(value, name: str, length: int | None = None, expected: str = "") -> tuple:
-    """``value`` as a non-empty tuple of finite floats (``length`` of them if given).
-
-    Each entry is checked as it was given, so only real numbers count: a
-    string, a boolean, None or a nested list does not, even where numpy
-    would convert it.  Else InvalidInputError ``"{name} must be {expected},
-    got ..."``, by default a list of (``length``) finite numbers.
-    """
-    try:
-        entries = list(value)
-    except TypeError:  # not iterable
-        entries = []
-    wrong_length = not entries or (length is not None and len(entries) != length)
-    if wrong_length or not all(map(is_finite_number, entries)):
-        count = f"{length} " if length else ""
-        expected = expected or f"a list of {count}finite numbers"
-        raise InvalidInputError(f"{name} must be {expected}, got {value!r}")
-    return tuple(float(v) for v in entries)

@@ -45,7 +45,7 @@ from .combiners import ar_combine, barycenter_combine, consensus_combine, swiss_
 from .errors import InvalidInputError, integer, prefixed
 from .io import write_json, write_table_csv
 from .linalg import draw_gaussian
-from .metrics import METRIC_NAMES, REPORT_KEYS, MetricReport, Reference, compute_metrics
+from .metrics import REPORT_KEYS, MetricReport, Reference, compute_metrics
 from .moments import Moments, SampleBatch, pool_moments
 from .rng import RngStream, mix_seed
 from .sampler import SamplerConfig, check_config, convention_chains, sample_all_batches
@@ -313,7 +313,7 @@ def _run_repetition(config: ExperimentConfig, base, dataset, rep: int) -> Experi
         diagnostics[convention] = [b.diagnostics for b in group]
     with prefixed(f"{failed} metrics"):
         reference = Reference(full_chain.draws)
-    scored = _score_combiners(config.combiners, by_convention, reference, METRIC_NAMES, failed)
+    scored = _score_combiners(config.combiners, by_convention, reference, REPORT_KEYS, failed)
 
     baselines = {}
     if "swiss" in config.combiners and base.laplace is not None:
@@ -374,7 +374,6 @@ def bench_dimension_scaling(
     n_samples: int,
     seed: int,
     *,
-    n_runs: int = 1,
     out_dir=None,
 ) -> list:
     """Dimension-scaling study on exact Gaussian batch draws (no MCMC).
@@ -386,44 +385,43 @@ def bench_dimension_scaling(
     moments are injected into every combiner: with widely spread batch means
     the precision-weighted pooling amplifies covariance-estimation noise
     roughly like d/sqrt(J), which would swamp the combiner differences this
-    study is after.  Returns plot-ready rows
-    (d, method, iad, time_seconds, repetition).
+    study is after.  Dimension d's suite and draws come from the seed
+    ``mix_seed(seed, d, 0)``.  Returns plot-ready rows
+    (d, method, iad, time_seconds), one per dimension and combiner.
     """
     dims = [integer(d, "dimension", 1) for d in dims]
     n_batches = integer(n_batches, "the batch count", 1)
     n_samples = integer(n_samples, "n_samples", 2)
     seed = integer(seed, "seed")
-    n_runs = integer(n_runs, "the run count", 1)
-    header = ["d", "method", "iad", "time_seconds", "repetition"]
+    header = ["d", "method", "iad", "time_seconds"]
     rows = []
     for d in dims:
-        for rep in range(n_runs):
-            failed = f"bench at d={d}, repetition {rep} failed during"
-            suite_seed = mix_seed(seed, d, rep)
-            per_batch, full = gaussian_conjugate_suite(d, n_batches, suite_seed)
-            draws = draw_gaussian(
-                full.mean,
-                full.cov,
-                n_batches * n_samples,
-                RngStream(suite_seed, n_batches).generator(),
-            )
-            with prefixed(f"{failed} metrics"):
-                reference = Reference(draws)
-            by_convention = {}
-            for convention, first_stream, shrink in (
-                ("inflated", 0, n_batches),
-                ("subposterior", n_batches + 1, 1),
-            ):
-                moments = [Moments(mom.mean, mom.cov / shrink) for mom in per_batch]
-                rngs = [RngStream(suite_seed, first_stream + b) for b in range(n_batches)]
-                batches = [
-                    SampleBatch(b, draw_gaussian(mom.mean, mom.cov, n_samples, rng.generator()))
-                    for b, (mom, rng) in enumerate(zip(moments, rngs))
-                ]
-                by_convention[convention] = (batches, moments)
-            scored = _score_combiners(COMBINER_NAMES, by_convention, reference, ("iad",), failed)
-            for name, (metric, seconds) in scored.items():
-                rows.append(dict(zip(header, (d, name, metric.iad, seconds, rep))))
+        failed = f"bench at d={d} failed during"
+        suite_seed = mix_seed(seed, d, 0)
+        per_batch, full = gaussian_conjugate_suite(d, n_batches, suite_seed)
+        draws = draw_gaussian(
+            full.mean,
+            full.cov,
+            n_batches * n_samples,
+            RngStream(suite_seed, n_batches).generator(),
+        )
+        with prefixed(f"{failed} metrics"):
+            reference = Reference(draws)
+        by_convention = {}
+        for convention, first_stream, shrink in (
+            ("inflated", 0, n_batches),
+            ("subposterior", n_batches + 1, 1),
+        ):
+            moments = [Moments(mom.mean, mom.cov / shrink) for mom in per_batch]
+            rngs = [RngStream(suite_seed, first_stream + b) for b in range(n_batches)]
+            batches = [
+                SampleBatch(b, draw_gaussian(mom.mean, mom.cov, n_samples, rng.generator()))
+                for b, (mom, rng) in enumerate(zip(moments, rngs))
+            ]
+            by_convention[convention] = (batches, moments)
+        scored = _score_combiners(COMBINER_NAMES, by_convention, reference, ("iad",), failed)
+        for name, (metric, seconds) in scored.items():
+            rows.append(dict(zip(header, (d, name, metric.iad, seconds))))
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -254,18 +254,16 @@ class MetricReport:
         )
 
 
-METRIC_NAMES = ("mahalanobis", "skew", "iad")
-
-
-def compute_metrics(approx, reference, *, which=METRIC_NAMES) -> MetricReport:
-    """Evaluate the requested discrepancy measures for one sample pair;
-    pass a ``Reference`` to share its preparation across calls."""
-    unknown = set(which) - set(METRIC_NAMES)
+def compute_metrics(approx, reference, *, which=REPORT_KEYS) -> MetricReport:
+    """Evaluate the discrepancy measures named in ``which`` (report keys)
+    for one sample pair; pass a ``Reference`` to share its preparation
+    across calls."""
+    unknown = set(which) - set(REPORT_KEYS)
     if unknown:
         raise InvalidInputError(f"unknown metrics: {sorted(unknown)}")
     approx, reference = _sample_pair(approx, reference)
     mah = mahalanobis(approx, reference) if "mahalanobis" in which else None
-    skew = skew_deviation(approx, reference) if "skew" in which else None
+    skew = skew_deviation(approx, reference) if "skew_dev" in which else None
     iad_clamped = raw = per_dim = None
     if "iad" in which:
         raw, per_dim = iad(approx, reference)

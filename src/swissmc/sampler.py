@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, finite_vector, integer, prefixed
+from .errors import InvalidInputError, integer, prefixed
 from .linalg import cholesky, symmetrize
 from .moments import BatchMeta, SampleBatch
 from .rng import RngStream
@@ -67,23 +67,23 @@ class SamplerConfig:
     n_samples: int
     burn_in: int = 1000
     thin: int = 1
-    init: object = "prior-draw"  # "prior-draw", "mle" or a vector of finite numbers
+    init: str = "prior-draw"  # one of INIT_MODES: the target's init_sampler or mle hook
     seed: int = 0
 
     def __post_init__(self):
         # n_samples >= 2: a SampleBatch holds at least 2 draws
         for name, minimum in (("n_samples", 2), ("burn_in", 0), ("thin", 1), ("seed", None)):
             object.__setattr__(self, name, integer(getattr(self, name), name, minimum))
+        # the str check first: an array must never reach ``in``
         if not (isinstance(self.init, str) and self.init in INIT_MODES):
-            expected = f"one of {INIT_MODES} or a vector of finite numbers"
-            object.__setattr__(self, "init", finite_vector(self.init, "init", expected=expected))
+            raise InvalidInputError(f"init must be one of {INIT_MODES}, got {self.init!r}")
 
 
 def check_config(target: TargetModel, config: SamplerConfig) -> None:
     """Refuse ``config`` if it cannot run on ``target``: the retained draws
     must exceed the target's dimension (every batch covariance, and the
-    reference's, needs d + 1 draws), an init mode needs the target's hook
-    for it, and an init vector needs the target's length."""
+    reference's, needs d + 1 draws), and the init mode needs the target's
+    hook for it."""
     d = target.dim
     if config.n_samples <= d:
         raise InvalidInputError(
@@ -91,14 +91,12 @@ def check_config(target: TargetModel, config: SamplerConfig) -> None:
         )
     if config.init == "prior-draw" and target.init_sampler is None:
         raise InvalidInputError(
-            f"target {target.name!r} has no init sampler; pass an explicit vector"
+            f"init 'prior-draw' needs an init-sampler hook; target {target.name!r} has none"
         )
     if config.init == "mle" and target.mle is None:
         raise InvalidInputError(
             f"init 'mle' needs an ML-estimate hook; target {target.name!r} has none"
         )
-    if config.init not in INIT_MODES and len(config.init) != d:
-        raise InvalidInputError(f"init has length {len(config.init)}, target dimension is {d}")
 
 
 class Chain(NamedTuple):
@@ -146,12 +144,12 @@ def _per_chain(labels: list, fn, *items) -> list:
 
 
 def _initial_point(target: TargetModel, data_batch, config: SamplerConfig, rng) -> np.ndarray:
-    init = config.init  # check_config has matched it to the target
-    if init == "prior-draw":
-        init = target.init_sampler(rng)
-    elif init == "mle":
-        init = target.mle(data_batch)
-    point = np.asarray(init, dtype=float).ravel()
+    # check_config has matched the init mode to one of the target's hooks
+    if config.init == "mle":
+        point = target.mle(data_batch)
+    else:
+        point = target.init_sampler(rng)
+    point = np.asarray(point, dtype=float).ravel()
     if point.size != target.dim:
         raise InvalidInputError(
             f"initial point has length {point.size}, target dimension is {target.dim}"
@@ -159,23 +157,16 @@ def _initial_point(target: TargetModel, data_batch, config: SamplerConfig, rng) 
     return point
 
 
-def sample(
-    target: TargetModel,
-    data_batch,
-    config: SamplerConfig,
-    *,
-    batch_id: int = 0,
-    stream_id: int | None = None,
-    powers: tuple = (1.0, 1.0),
-) -> SampleBatch:
-    """Run one chain at the (prior, likelihood) exponents ``powers`` and
-    return its post-burn-in, thinned draws.
+def sample(target: TargetModel, data_batch, config: SamplerConfig) -> SampleBatch:
+    """Run one chain at exponents (1, 1) on batch 0 and random stream 0 and
+    return its post-burn-in, thinned draws; ``sample_all_batches`` runs
+    chains with other exponents, batch ids or streams.
 
     Draws are reported on the target's reported scale; the chain itself runs
     on the sampling scale.  Diagnostics carry the post-burn-in acceptance
     rate, the frozen proposal scale and any tuning warnings.
     """
-    return _lockstep(target, [Chain(powers, data_batch, batch_id, stream_id)], config)[0]
+    return _lockstep(target, [Chain(data=data_batch)], config)[0]
 
 
 def _sample_one(target, data_batch, config, batch_id, stream_id):
@@ -190,8 +181,7 @@ def sample_all_batches(
     this process.
 
     Results come back in the order of ``chains``, each identical to what
-    ``sample`` returns for that chain alone.  Errors name the failing
-    chain's batch id.
+    that chain gives alone.  Errors name the failing chain's batch id.
     """
     return _lockstep(target, list(chains), config)
 

@@ -25,7 +25,6 @@ from swissmc import (
     eigh,
     iad,
     run_experiment,
-    sample,
     sample_all_batches,
     skew_deviation,
     spd_inverse,
@@ -194,7 +193,7 @@ def rare_bernoulli_chains():
     target = make_target("rare-bernoulli")
     config = SamplerConfig(n_samples=10_000, burn_in=1000, seed=106)
     n_batches = 10
-    full = sample(target, None, config, batch_id=0, stream_id=n_batches)
+    full = sample_all_batches(target, [Chain(stream_id=n_batches)], config)[0]
     inflated = sample_all_batches(
         target, [Chain(batch_id=b, stream_id=b) for b in range(n_batches)], config
     )

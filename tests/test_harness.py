@@ -85,16 +85,6 @@ class TestConfig:
         with pytest.raises(InvalidInputError, match="n_observations"):
             ExperimentConfig(target="logistic-rare", n_batches=5, n_samples=10)
 
-    def test_vector_init_serializes(self, tmp_path):
-        config = _tiny_config(n_runs=1, init=np.array([0.1, -0.2]), out_dir=str(tmp_path))
-        json.dumps(config.to_dict())  # must not choke on the array
-        summary = run_experiment(config)
-        assert (tmp_path / "run_0.json").exists()
-        reloaded = ExperimentConfig.from_dict(
-            json.loads((tmp_path / "run_0.json").read_text())["config"]
-        )
-        assert list(reloaded.init) == [0.1, -0.2]
-
 
 class TestRunExperiment:
     def test_report_shape_and_rows(self, tmp_path):
@@ -263,7 +253,7 @@ class TestBench:
         methods = {r["method"] for r in rows}
         assert methods == {"swiss", "consensus", "ar", "barycenter"}
         text = (tmp_path / "bench.csv").read_text().splitlines()
-        assert text[0] == "d,method,iad,time_seconds,repetition"
+        assert text[0] == "d,method,iad,time_seconds"
         assert len(text) == 1 + len(rows)
 
     def test_swiss_and_consensus_accurate_on_suite(self):
@@ -278,9 +268,9 @@ class TestBench:
         monkeypatch.setattr("swissmc.combiners._BARYCENTER_TOL", 1e-18)
         with pytest.raises(
             ConvergenceError,
-            match=r"^bench at d=3, repetition 0 failed during combine \(barycenter\): barycenter",
+            match=r"^bench at d=3 failed during combine \(barycenter\): barycenter",
         ):
-            bench_dimension_scaling([3], 3, 300, seed=26, n_runs=2)
+            bench_dimension_scaling([3], 3, 300, seed=26)
 
     @pytest.mark.parametrize(
         "args, message",

@@ -39,6 +39,17 @@ class _UnitGaussian(TargetModel):
         return rng.standard_normal(1)
 
 
+class _StartsAtZero(TargetModel):
+    """One-dimensional target whose chains start at 0; subclasses define the
+    likelihood."""
+
+    name = "starts-at-zero"
+    dim = 1
+
+    def init_sampler(self, rng):
+        return np.array([0.0])
+
+
 class TestSampleBasics:
     def test_standard_normal_moments(self):
         config = SamplerConfig(n_samples=50_000, burn_in=2000, seed=1)
@@ -86,23 +97,17 @@ class TestSampleBasics:
 
     def test_metadata_reflects_target(self):
         config = SamplerConfig(n_samples=100, burn_in=10, seed=7)
-        batch = sample(make_target("warped-gaussian"), None, config, powers=(0.5, 3.0))
+        batch = sample_all_batches(make_target("warped-gaussian"), [Chain((0.5, 3.0))], config)[0]
         assert batch.meta.inflation_exponent == 3.0
         assert batch.meta.prior_exponent == 0.5
         assert batch.meta.seed == 7
         assert batch.meta.target_name == "warped-gaussian"
 
-    def test_explicit_vector_init(self):
-        config = SamplerConfig(n_samples=100, burn_in=0, seed=8, init=np.array([0.2, 0.1]))
-        batch = sample(make_target("warped-gaussian"), None, config)
-        assert batch.draws.shape == (100, 2)
-
     def test_infinite_density_at_init_raises(self):
-        config = SamplerConfig(n_samples=10, burn_in=0, seed=9, init=np.array([0.0]))
+        config = SamplerConfig(n_samples=10, burn_in=0, seed=9)
 
-        class _Rejecting(TargetModel):
+        class _Rejecting(_StartsAtZero):
             name = "broken"
-            dim = 1
 
             def log_likelihood(self, theta, data_batch=None):
                 return np.full(np.shape(theta)[:-1], -math.inf)
@@ -129,7 +134,10 @@ class TestAdaptation:
                 points.append(float(theta[0, 0]))
                 return super().log_likelihood(theta, data_batch)
 
-        config = SamplerConfig(n_samples=n, burn_in=burn, seed=11, init=[0.5])
+            def init_sampler(self, rng):
+                return np.array([0.5])  # draws nothing, so the stream holds only noise
+
+        config = SamplerConfig(n_samples=n, burn_in=burn, seed=11)
         draws = sample(_Recording(), None, config).draws[:, 0]
         rng = RngStream(11, 0).generator()
         noise = []
@@ -184,8 +192,11 @@ class TestDetailedBalance:
                 t = np.asarray(theta)[..., 0]
                 return np.log(t) + 7.0 * np.log1p(-t)
 
+            def init_sampler(self, rng):
+                return np.array([0.2])
+
         target = _BetaKernel()
-        config = SamplerConfig(n_samples=500_000, burn_in=2000, seed=14, init=np.array([0.2]))
+        config = SamplerConfig(n_samples=500_000, burn_in=2000, seed=14)
         draws = sample(target, None, config).draws.ravel()
 
         edges = np.linspace(0.0, 1.0, 41)
@@ -209,7 +220,7 @@ class TestSampleAllBatches:
     def test_single_batch_equals_direct_call(self):
         config = SamplerConfig(n_samples=400, burn_in=100, seed=15)
         target = make_target("warped-gaussian")
-        direct = sample(target, None, config, batch_id=0, stream_id=0)
+        direct = sample(target, None, config)
         batched = sample_all_batches(target, [Chain()], config)
         assert np.array_equal(direct.draws, batched[0].draws)
 
@@ -246,16 +257,15 @@ class TestSampleAllBatches:
         assert not np.array_equal(plain[0].draws, offset[0].draws)
 
     def test_batch_error_carries_batch_id(self):
-        class _SecondBatchFails(TargetModel):
+        class _SecondBatchFails(_StartsAtZero):
             name = "partial"
-            dim = 1
 
             def log_likelihood(self, theta, data_batch=None):
                 # stacked points come with the list of per-chain data
                 return np.array([-math.inf if data == "bad" else 0.0 for data in data_batch])
 
         target = _SecondBatchFails()
-        config = SamplerConfig(n_samples=10, burn_in=0, seed=19, init=np.array([0.0]))
+        config = SamplerConfig(n_samples=10, burn_in=0, seed=19)
         with pytest.raises(InvalidInputError, match="batch 1"):
             sample_all_batches(target, [Chain(data="good"), Chain(data="bad", batch_id=1)], config)
 
@@ -277,23 +287,15 @@ class TestLockstep:
         config = SamplerConfig(n_samples=400, burn_in=600, thin=2, init="mle", seed=7)
         group = sample_all_batches(base, chains, config)
         for chain, batch in zip(chains, group):
-            alone = sample(
-                base,
-                chain.data,
-                config,
-                batch_id=chain.batch_id,
-                stream_id=chain.stream_id,
-                powers=chain.powers,
-            )
+            alone = sample_all_batches(base, [chain], config)[0]
             assert _same_chain(batch, alone)
         assert len({batch.diagnostics["acceptance_rate"] for batch in group}) > 1
 
     def test_non_positive_definite_proposal_names_its_batch(self, monkeypatch):
-        class _Scaled(TargetModel):
+        class _Scaled(_StartsAtZero):
             """N(0, scale^2) with a per-chain scale as its data."""
 
             name = "scaled"
-            dim = 1
 
             def log_likelihood(self, theta, data_batch=None):
                 scales = np.asarray(data_batch, dtype=float)
@@ -301,7 +303,7 @@ class TestLockstep:
 
         # a negative regularizer leaves only the wide chain's covariance positive
         monkeypatch.setattr(swissmc.sampler, "_COV_JITTER", -1e-2)
-        config = SamplerConfig(n_samples=10, burn_in=100, seed=21, init=np.array([0.0]))
+        config = SamplerConfig(n_samples=10, burn_in=100, seed=21)
         chains = [Chain(data=1.0), Chain(data=1e-3, batch_id=3), Chain(data=1.0, batch_id=4)]
         with pytest.raises(NotPositiveDefiniteError, match="^batch 3: Cholesky"):
             sample_all_batches(_Scaled(), chains, config)
@@ -353,15 +355,11 @@ class TestSamplerConfigValidation:
         with pytest.raises(InvalidInputError, match="init must be one of"):
             SamplerConfig(n_samples=10, init=init)
 
-    def test_init_vector_is_kept_as_floats(self):
-        assert SamplerConfig(n_samples=10, init=np.array([1, 2])).init == (1.0, 2.0)
-
     @pytest.mark.parametrize(
         "settings, message",
         [
             (dict(n_samples=2), "n_samples must be >= 3"),
             (dict(n_samples=10, init="mle"), "needs an ML-estimate hook"),
-            (dict(n_samples=10, init=[1.0, 2.0, 3.0]), "init has length 3, target dimension is 2"),
         ],
     )
     def test_sample_refuses_a_config_its_target_cannot_run(self, settings, message):

@@ -425,8 +425,11 @@ class TestPartition:
         with pytest.raises(InvalidInputError, match="batch ids must be integers"):
             Partition(ids)
 
-    def test_integral_float_ids_accepted(self):
-        np.testing.assert_array_equal(Partition([0.0, 1.0, 1.0]).assignment, [0, 1, 1])
+    def test_integral_float_ids_rejected(self):
+        # one integer rule for the package: 1.0 is a float, not an id, as in
+        # an assignment CSV; the error names the dtype
+        with pytest.raises(InvalidInputError, match="batch ids must be integers, got dtype float64"):
+            Partition([0.0, 1.0, 1.0])
 
     def test_too_many_batches(self):
         with pytest.raises(InvalidInputError):
