@@ -125,6 +125,11 @@ class ExperimentConfig(SamplerConfig):
                 f"target {self.target!r} needs n_observations >= n_batches, "
                 f"got {self.n_observations} < {self.n_batches}"
             )
+        if self.target not in DATA_BACKED_TARGETS and self.n_observations != 0:
+            raise InvalidInputError(
+                f"target {self.target!r} is data-free and takes no n_observations, "
+                f"got {self.n_observations}"
+            )
 
     def to_dict(self) -> dict:
         payload = asdict(self)

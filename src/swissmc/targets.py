@@ -49,9 +49,6 @@ RARE_FEATURE_COEFS = (-3.0, 1.2, -0.5, 0.8, 3.0)
 # and a flat prior, i.e. density proportional to theta * (1 - theta)^999.
 RARE_BERNOULLI_FAILURES = 999
 
-# The two modes of the bivariate Gaussian-mixture target.
-MIXTURE_MODES = ((-2.0, 0.0), (2.0, 0.0))
-
 # Variance of the logistic target's N(0, variance I) prior.
 LOGISTIC_PRIOR_VAR = 100.0
 
@@ -218,48 +215,6 @@ class RareBernoulli(TargetModel):
 
     def report(self, draws: np.ndarray) -> np.ndarray:
         return sigmoid(draws)
-
-
-# --------------------------------------------------------------------------
-# Warped Gaussian and Gaussian-mixture targets
-# --------------------------------------------------------------------------
-
-_LOG_2PI = math.log(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class WarpedGaussian(TargetModel):
-    """Banana-shaped density: standard normal in (theta_1, theta_2 + theta_1^2)."""
-
-    name = "warped-gaussian"
-    dim = 2
-
-    def log_likelihood(self, theta, data_batch):
-        first, second = theta[:, 0], theta[:, 1]
-        return -0.5 * first**2 - 0.5 * (second + first**2) ** 2 - _LOG_2PI
-
-    def init_sampler(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.standard_normal(2)
-
-
-@dataclass(frozen=True)
-class GaussianMixture(TargetModel):
-    """Equal mix of unit-covariance Gaussians at the two ``MIXTURE_MODES``,
-    unnormalized: the log-density is log(N_a + N_b), without the weights 1/2."""
-
-    name = "gaussian-mixture"
-    dim = 2
-
-    def log_likelihood(self, theta, data_batch):
-        log_a, log_b = (
-            -0.5 * _sum_last((theta - mode) ** 2) - _LOG_2PI for mode in MIXTURE_MODES
-        )
-        return np.logaddexp(log_a, log_b)
-
-    def init_sampler(self, rng: np.random.Generator) -> np.ndarray:
-        """Standard-normal draw around one of the two modes, chosen by coin flip."""
-        mode = MIXTURE_MODES[0] if rng.random() < 0.5 else MIXTURE_MODES[1]
-        return np.asarray(mode, dtype=float) + rng.standard_normal(len(mode))
 
 
 # --------------------------------------------------------------------------
@@ -557,8 +512,6 @@ def shard_data(data: Dataset, split: Partition) -> list[LogisticData]:
 # Registered targets by name.
 _TARGETS = {
     "rare-bernoulli": RareBernoulli,
-    "warped-gaussian": WarpedGaussian,
-    "gaussian-mixture": GaussianMixture,
     "logistic-rare": LogisticRegression,
 }
 TARGET_NAMES = tuple(_TARGETS)

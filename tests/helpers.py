@@ -1,11 +1,41 @@
-"""Shared test utilities: random matrix factories, exact Gaussian clouds,
-Monte Carlo error bars and the lockstep-independence check of experiments."""
+"""Shared test utilities: a curved test target, random matrix factories,
+exact Gaussian clouds, Monte Carlo error bars and the lockstep-independence
+check of experiments."""
 
-from dataclasses import replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from swissmc import COMBINER_NAMES, cholesky, run_experiment, strip_timing, symmetrize
+from swissmc import (
+    COMBINER_NAMES,
+    TargetModel,
+    cholesky,
+    run_experiment,
+    strip_timing,
+    symmetrize,
+)
+
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+@dataclass(frozen=True)
+class WarpedGaussian(TargetModel):
+    """Banana-shaped density: standard normal in (theta_1, theta_2 + theta_1^2).
+
+    The sampler tests' curved two-dimensional data-free target; it is not
+    registered with ``make_target``.
+    """
+
+    name = "warped-gaussian"
+    dim = 2
+
+    def log_likelihood(self, theta, data_batch):
+        first, second = theta[:, 0], theta[:, 1]
+        return -0.5 * first**2 - 0.5 * (second + first**2) ** 2 - _LOG_2PI
+
+    def init_sampler(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.standard_normal(2)
 
 
 def random_spd(d, rng, jitter=0.1):

@@ -349,7 +349,7 @@ def test_criterion_10_determinism_across_workers():
     the baselines too."""
     mismatches = lockstep_mismatches(
         ExperimentConfig(
-            target="warped-gaussian", n_batches=3, n_samples=400, burn_in=200, seed=110, n_runs=2
+            target="rare-bernoulli", n_batches=3, n_samples=400, burn_in=200, seed=110, n_runs=2
         )
     )
     mismatches += lockstep_mismatches(

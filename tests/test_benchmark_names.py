@@ -45,7 +45,7 @@ def test_tracer_installs_counts_and_uninstalls():
         tracer.install()
         assert TargetModel.log_density is not log_density
         config = SamplerConfig(n_samples=5, burn_in=5, seed=1)
-        swissmc.sample(make_target("warped-gaussian"), None, config)
+        swissmc.sample(make_target("rare-bernoulli"), None, config)
         # one evaluation at the start plus one per iteration, through a subclass
         assert tracer.counters["targets.log_density"][0] == 11
         assert [span[0] for span in tracer.spans] == ["sampler.chain"]

@@ -165,7 +165,7 @@ class TestEvaluate:
 class TestExperimentCommand:
     def test_config_run_and_determinism(self, tmp_path):
         config = {
-            "target": "warped-gaussian",
+            "target": "rare-bernoulli",
             "n_batches": 2,
             "n_samples": 200,
             "burn_in": 100,
@@ -194,7 +194,7 @@ class TestExperimentCommand:
 
     def test_bad_config_key_is_usage_error(self, tmp_path):
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({"target": "warped-gaussian", "oops": 1,
+        cfg_path.write_text(json.dumps({"target": "rare-bernoulli", "oops": 1,
                                         "n_batches": 1, "n_samples": 10}))
         assert run_cli("experiment", "--config", str(cfg_path)) == 1
 
@@ -249,9 +249,9 @@ class TestChainDefaults:
         # config and the sample command take their defaults from it
         declared = {f.name: f.default for f in fields(SamplerConfig)}
         assert declared.pop("n_samples") is MISSING
-        config = ExperimentConfig(target="warped-gaussian", n_batches=1, n_samples=10)
+        config = ExperimentConfig(target="rare-bernoulli", n_batches=1, n_samples=10)
         args = build_parser().parse_args(
-            ["sample", "--target", "warped-gaussian", "--n-samples", "10", "--out-dir", "x"]
+            ["sample", "--target", "rare-bernoulli", "--n-samples", "10", "--out-dir", "x"]
         )
         for name, default in declared.items():
             assert getattr(config, name) == default, name
@@ -310,7 +310,7 @@ class TestExitCodes:
 
     def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_bytes(b'{"target": "warped-gaussian",\n "n_batches": \xff1}\n')
+        cfg_path.write_bytes(b'{"target": "rare-bernoulli",\n "n_batches": \xff1}\n')
         assert run_cli("experiment", "--config", str(cfg_path)) == 1
         assert "config.json:2: not UTF-8" in capsys.readouterr().err
 
@@ -351,7 +351,7 @@ class TestExitCodes:
             ("--assignment", str(assign)),
         ):
             code = run_cli(
-                "sample", "--target", "warped-gaussian", *flags,
+                "sample", "--target", "rare-bernoulli", *flags,
                 "--n-samples", "10", "--out-dir", str(tmp_path / "x"),
             )
             assert code == 1
@@ -365,18 +365,29 @@ class TestExitCodes:
     def test_experiment_override_is_validated(self, tmp_path, capsys):
         # a config that overrides the default worker count with 0
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({"target": "warped-gaussian", "n_batches": 1,
+        cfg_path.write_text(json.dumps({"target": "rare-bernoulli", "n_batches": 1,
                                         "n_samples": 10, "burn_in": 10, "workers": 0}))
         out = tmp_path / "out"
         assert run_cli("experiment", "--config", str(cfg_path), "--out", str(out)) == 1
         assert "workers" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_data_free_config_with_observations_is_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"target": "rare-bernoulli", "n_batches": 2,
+                                        "n_samples": 20, "burn_in": 10,
+                                        "n_observations": 5000}))
+        out = tmp_path / "out"
+        assert run_cli("experiment", "--config", str(cfg_path), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "'rare-bernoulli' is data-free" in err and "n_observations" in err
+        assert not out.exists()
+
     def test_single_draw_is_usage_error_before_output(self, tmp_path, capsys):
         # a batch needs two draws; the chain must not run before that is known
         out = tmp_path / "out1"
         code = run_cli(
-            "sample", "--target", "warped-gaussian", "--n-samples", "1", "--burn-in", "500",
+            "sample", "--target", "rare-bernoulli", "--n-samples", "1", "--burn-in", "500",
             "--out-dir", str(out),
         )
         assert code == 1
@@ -396,7 +407,7 @@ class TestExitCodes:
         run_cli("simulate", "--n", "50", "--seed", "0", "--out", str(data))
         capsys.readouterr()
         code = run_cli(
-            "sample", "--target", "warped-gaussian", "--params", '{"bogus": 1}',
+            "sample", "--target", "rare-bernoulli", "--params", '{"bogus": 1}',
             "--n-samples", "10", "--out-dir", str(out),
         )
         assert code == 1
@@ -423,7 +434,7 @@ class TestExitCodes:
     ):
         out = tmp_path / "x"
         code = run_cli(
-            "sample", "--target", "warped-gaussian", "--convention", convention,
+            "sample", "--target", "rare-bernoulli", "--convention", convention,
             "--batches", batches, "--n-samples", "10", "--burn-in", "0", "--out-dir", str(out),
         )
         assert code == 1
@@ -480,12 +491,12 @@ class TestExitCodes:
         )
         assert code == 1
 
-    # "mle": warped-gaussian has no ML-estimate hook; the others are not init modes
+    # "mle": rare-bernoulli has no ML-estimate hook; the others are not init modes
     @pytest.mark.parametrize("init", ["bogus", "1,x", "1,nan", ",", "mle", "1,2,3"])
     def test_bad_init_is_usage_error_before_output(self, tmp_path, capsys, init):
         out = tmp_path / "x"
         code = run_cli(
-            "sample", "--target", "warped-gaussian", "--init", init,
+            "sample", "--target", "rare-bernoulli", "--init", init,
             "--n-samples", "10", "--out-dir", str(out),
         )
         assert code == 1
@@ -569,7 +580,7 @@ class TestExitCodes:
         ],
     )
     def test_config_field_of_wrong_type_is_usage_error(self, tmp_path, capsys, override, field):
-        config = {"target": "warped-gaussian", "n_batches": 2, "n_samples": 10, "burn_in": 10}
+        config = {"target": "rare-bernoulli", "n_batches": 2, "n_samples": 10, "burn_in": 10}
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({**config, **override}))
         out = tmp_path / "out"
@@ -580,7 +591,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key", ["target", "n_batches", "n_samples"])
     def test_config_missing_a_required_key_is_usage_error(self, tmp_path, capsys, key):
-        config = {"target": "warped-gaussian", "n_batches": 2, "n_samples": 10, "burn_in": 10}
+        config = {"target": "rare-bernoulli", "n_batches": 2, "n_samples": 10, "burn_in": 10}
         del config[key]
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config))

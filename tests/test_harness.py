@@ -26,7 +26,7 @@ from helpers import lockstep_mismatches
 
 def _tiny_config(**overrides):
     base = dict(
-        target="warped-gaussian",
+        target="rare-bernoulli",
         n_batches=3,
         n_samples=300,
         burn_in=150,
@@ -55,7 +55,7 @@ class TestConfig:
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(InvalidInputError, match="unknown config keys"):
-            ExperimentConfig.from_dict({"target": "warped-gaussian", "n_batches": 1,
+            ExperimentConfig.from_dict({"target": "rare-bernoulli", "n_batches": 1,
                                         "n_samples": 10, "typo": 1})
 
     def test_unknown_combiner_rejected(self):
@@ -85,6 +85,12 @@ class TestConfig:
         with pytest.raises(InvalidInputError, match="n_observations"):
             ExperimentConfig(target="logistic-rare", n_batches=5, n_samples=10)
 
+    def test_data_free_target_takes_no_observations(self):
+        # nothing would use the count, yet the report's config would record it
+        with pytest.raises(InvalidInputError, match="'rare-bernoulli' is data-free .* n_observations"):
+            _tiny_config(n_observations=5000)
+        assert _tiny_config(n_observations=0).n_observations == 0
+
 
 class TestRunExperiment:
     def test_report_shape_and_rows(self, tmp_path):
@@ -104,7 +110,7 @@ class TestRunExperiment:
         # B = 1: every combiner reduces to the batch itself, so metrics sit at
         # the chain-noise level of two independent chains on the same target
         config = ExperimentConfig(
-            target="warped-gaussian",
+            target="rare-bernoulli",
             n_batches=1,
             n_samples=20_000,
             burn_in=2000,

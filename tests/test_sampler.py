@@ -21,7 +21,7 @@ from swissmc import (
 from swissmc.rng import RngStream
 from swissmc.sampler import convention_chains
 from swissmc.targets import shard_data
-from helpers import block_mean_se
+from helpers import WarpedGaussian, block_mean_se
 
 
 class _UnitGaussian(TargetModel):
@@ -70,7 +70,7 @@ class TestSampleBasics:
     def test_warped_gaussian_first_marginal(self):
         # integrating the curved coordinate out leaves a standard normal
         config = SamplerConfig(n_samples=50_000, burn_in=3000, seed=20)
-        draws = sample(make_target("warped-gaussian"), None, config).draws
+        draws = sample(WarpedGaussian(), None, config).draws
         first = draws[:, 0]
         se = block_mean_se(first)
         assert abs(first.mean()) <= 3 * se
@@ -78,8 +78,8 @@ class TestSampleBasics:
 
     def test_bitwise_deterministic(self):
         config = SamplerConfig(n_samples=2000, burn_in=500, seed=3)
-        a = sample(make_target("warped-gaussian"), None, config)
-        b = sample(make_target("warped-gaussian"), None, config)
+        a = sample(WarpedGaussian(), None, config)
+        b = sample(WarpedGaussian(), None, config)
         assert np.array_equal(a.draws, b.draws)
         assert a.diagnostics == b.diagnostics
 
@@ -97,7 +97,7 @@ class TestSampleBasics:
 
     def test_metadata_reflects_target(self):
         config = SamplerConfig(n_samples=100, burn_in=10, seed=7)
-        batch = sample_all_batches(make_target("warped-gaussian"), [Chain((0.5, 3.0))], config)[0]
+        batch = sample_all_batches(WarpedGaussian(), [Chain((0.5, 3.0))], config)[0]
         assert batch.meta.inflation_exponent == 3.0
         assert batch.meta.prior_exponent == 0.5
         assert batch.meta.seed == 7
@@ -120,7 +120,7 @@ class TestSampleBasics:
 class TestAdaptation:
     def test_acceptance_near_target(self):
         config = SamplerConfig(n_samples=20_000, burn_in=5000, seed=10)
-        batch = sample(make_target("warped-gaussian"), None, config)
+        batch = sample(WarpedGaussian(), None, config)
         assert 0.1 < batch.diagnostics["acceptance_rate"] < 0.45
 
     def test_proposal_frozen_after_burn_in(self):
@@ -219,17 +219,18 @@ def _same_chain(a, b) -> bool:
 class TestSampleAllBatches:
     def test_single_batch_equals_direct_call(self):
         config = SamplerConfig(n_samples=400, burn_in=100, seed=15)
-        target = make_target("warped-gaussian")
+        target = WarpedGaussian()
         direct = sample(target, None, config)
         batched = sample_all_batches(target, [Chain()], config)
         assert np.array_equal(direct.draws, batched[0].draws)
 
-    @pytest.mark.parametrize("name", ["warped-gaussian", "gaussian-mixture", "rare-bernoulli"])
-    def test_data_free_chains_match_in_any_group_order(self, name):
+    @pytest.mark.parametrize(
+        "target", [WarpedGaussian(), make_target("rare-bernoulli")], ids=lambda t: t.name
+    )
+    def test_data_free_chains_match_in_any_group_order(self, target):
         # 600 burn-in steps cross a 512-step noise block and refresh the
         # proposal covariance; the retained steps come from whole blocks
         config = SamplerConfig(n_samples=700, burn_in=600, seed=16)
-        target = make_target(name)
         chains = [Chain(batch_id=b, stream_id=3 * b + 1) for b in range(5)]
         forward = sample_all_batches(target, chains, config)
         backward = sample_all_batches(target, chains[::-1], config)[::-1]
@@ -251,7 +252,7 @@ class TestSampleAllBatches:
 
     def test_stream_offset_changes_streams(self):
         config = SamplerConfig(n_samples=200, burn_in=50, seed=18)
-        target = make_target("warped-gaussian")
+        target = WarpedGaussian()
         plain = sample_all_batches(target, [Chain()], config)
         offset = sample_all_batches(target, [Chain(stream_id=5)], config)
         assert not np.array_equal(plain[0].draws, offset[0].draws)
@@ -365,4 +366,4 @@ class TestSamplerConfigValidation:
     def test_sample_refuses_a_config_its_target_cannot_run(self, settings, message):
         # sample checks the config against the target, as the CLI and harness do
         with pytest.raises(InvalidInputError, match=message):
-            sample(make_target("warped-gaussian"), None, SamplerConfig(**settings))
+            sample(WarpedGaussian(), None, SamplerConfig(**settings))

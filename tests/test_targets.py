@@ -2,6 +2,8 @@
 
 import math
 import pickle
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,15 +28,14 @@ from swissmc.targets import (
     RARE_FEATURE_COEFS,
     RARE_FEATURE_RATES,
     TARGET_NAMES,
-    GaussianMixture,
     LogisticRegression,
     TargetModel,
-    WarpedGaussian,
     _logistic_grad_neg_hess,
     collapse_logistic,
     shard_data,
     sigmoid,
 )
+from helpers import WarpedGaussian
 
 
 def _loglik(model, theta, data_batch=None):
@@ -93,31 +94,6 @@ class TestWarpedGaussian:
             marginal = np.trapezoid(values, grid2)
             expected = math.exp(-0.5 * t1**2) / math.sqrt(2 * math.pi)
             assert marginal == pytest.approx(expected, rel=1e-6)
-
-
-class TestGaussianMixture:
-    def test_density_is_the_equal_mix_of_unit_gaussians_at_the_two_modes(self):
-        # log(N(theta; (-2, 0), I) / 2 + N(theta; (2, 0), I) / 2), written out;
-        # the target leaves out the weight 1/2, a constant log 2 higher
-        for theta in ([0.0, 0.0], [1.0, 2.0], [-2.0, 0.0], [3.5, -1.25]):
-            t1, t2 = theta
-            left = math.exp(-0.5 * ((t1 + 2.0) ** 2 + t2**2)) / (2 * math.pi)
-            right = math.exp(-0.5 * ((t1 - 2.0) ** 2 + t2**2)) / (2 * math.pi)
-            expected = math.log(0.5 * left + 0.5 * right) + math.log(2.0)
-            assert GaussianMixture().log_density(theta) == pytest.approx(expected, rel=1e-12)
-
-    def test_symmetry_for_opposite_modes(self):
-        model = GaussianMixture()
-        for theta in ([0.3, 1.0], [-2.0, 0.7]):
-            a = model.log_density(theta)
-            b = model.log_density([-theta[0], -theta[1]])
-            assert a == pytest.approx(b, rel=1e-12)
-
-    def test_saddle_is_much_lower_than_modes(self):
-        model = GaussianMixture()
-        mode = model.log_density([2.0, 0.0])
-        saddle = model.log_density([0.0, 0.0])
-        assert saddle < mode - 1.0  # density ratio below exp(-1)
 
 
 class TestGaussianConjugateSuite:
@@ -529,22 +505,50 @@ class TestDatasetCsv:
 
 class TestMakeTarget:
     def test_unknown_name(self):
-        with pytest.raises(InvalidInputError, match="unknown target"):
-            make_target("mystery")
+        # the two toy targets are not registered; the sampler tests have
+        # their own WarpedGaussian
+        assert TARGET_NAMES == ("rare-bernoulli", "logistic-rare")
+        for name in ("mystery", "warped-gaussian", "gaussian-mixture"):
+            with pytest.raises(InvalidInputError, match="unknown target"):
+                make_target(name)
 
     def test_logistic_requires_dataset(self):
         with pytest.raises(InvalidInputError, match="dataset"):
             make_target("logistic-rare")
 
 
-@pytest.mark.parametrize("name", TARGET_NAMES)
+class TestReadmeTargetRecipe:
+    def test_recipe_block_runs(self, capsys):
+        # README's "Targets" section shows a user's own toy target as one
+        # class run with sample(); the block must run as printed
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("\n## Targets\n", 1)[1].split("\n## ", 1)[0]
+        block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        namespace = {"__name__": "readme_recipe"}
+        exec(compile(block, "README.md", "exec"), namespace)
+        target, batch = namespace["Banana"](), namespace["batch"]
+        assert isinstance(target, TargetModel) and target.dim == 2
+        assert batch.draws.shape == (500, 2) and np.all(np.isfinite(batch.draws))
+        assert 0.0 < batch.diagnostics["acceptance_rate"] < 1.0
+        assert capsys.readouterr().out
+        # the banana is WarpedGaussian without its normalizing constant
+        point = np.array([0.3, -0.4])
+        gap = target.log_density(point) - WarpedGaussian().log_density(point)
+        assert gap == pytest.approx(math.log(2 * math.pi), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", [*TARGET_NAMES, WarpedGaussian.name])
 class TestTargetContract:
-    """What every registered target owes the sampler and the harness."""
+    """What every target owes the sampler and the harness: the registered
+    ones and the test WarpedGaussian, a two-dimensional data-free target."""
 
     @staticmethod
     def _target_and_points(name):
         data = simulate_rare_feature_data(600, seed=41)
-        target = make_target(name, dataset=data)
+        if name == WarpedGaussian.name:
+            target = WarpedGaussian()
+        else:
+            target = make_target(name, dataset=data)
         batch = shard_data(data, partition(data, 3, seed=42))[1] if target.data_backed else None
         points = 0.5 * np.random.default_rng(43).standard_normal((5, target.dim))
         return target, batch, points
