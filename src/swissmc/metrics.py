@@ -7,12 +7,15 @@ marginal Gaussian kernel density estimates.
 
 The IAD uses a Gaussian kernel with Silverman's bandwidth, one shared
 512-point grid per dimension and trapezoid integration.  Each kernel reaches
-six bandwidths, on the binned and the direct path alike.
+six bandwidths, on the binned and the direct path alike.  A column's
+Silverman quartiles and its range are read from one sorted copy of it,
+with numpy's ``linear`` percentile rule, so they equal ``np.percentile``,
+``min`` and ``max`` bit for bit.
 
 A reference sample is prepared once per scoring call as a ``Reference``,
 which every measure takes in place of a sample matrix: its draws are
 validated once and each per-column or whole-sample quantity the measures
-read (bandwidths, ranges, mean, precision, skewness) is computed at most
+read (bandwidths and ranges, mean, precision, skewness) is computed at most
 once, however many approximate sets are scored against it.
 """
 
@@ -55,11 +58,12 @@ class Reference:
     The draws are validated once and kept as an (n, d) matrix; everything
     the metrics read of them (contiguous (d, n) columns, per-column Silverman
     bandwidths and ranges, mean, precision, standardized skewness) is
-    computed on first use and then kept.  Score many approximate sets
-    against one reference by passing the same ``Reference`` each time; it
-    holds nothing else, so the values equal those of the plain draws.  The
-    draws are not copied: leave them unchanged while the ``Reference`` is
-    in use.
+    computed on first use and then kept.  A column's bandwidth and range
+    come from one sorted copy of it, which is dropped once they are read.
+    Score many approximate sets against one reference by passing the same
+    ``Reference`` each time; it holds nothing else, so the values equal
+    those of the plain draws.  The draws are not copied: leave them
+    unchanged while the ``Reference`` is in use.
     """
 
     def __init__(self, draws):
@@ -70,16 +74,9 @@ class Reference:
         return np.ascontiguousarray(self.draws.T)
 
     @cached_property
-    def bandwidths(self) -> list:
-        return [silverman_bandwidth(column) for column in self.columns]
-
-    @cached_property
-    def lows(self) -> list:
-        return self.columns.min(axis=1).tolist()
-
-    @cached_property
-    def highs(self) -> list:
-        return self.columns.max(axis=1).tolist()
+    def kde_scales(self) -> list:
+        """Per column: (Silverman bandwidth, low, high)."""
+        return [_kde_scale(column) for column in self.columns]
 
     @cached_property
     def mean(self) -> np.ndarray:
@@ -114,13 +111,38 @@ def silverman_bandwidth(x) -> float:
     x = np.asarray(x, dtype=float).ravel()
     if x.size < 2:
         raise InvalidInputError("need at least two samples for a bandwidth")
+    if not np.all(np.isfinite(x)):
+        raise DataError("samples contain non-finite values")
+    return _kde_scale(x)[0]
+
+
+def _sorted_quantile(ordered: np.ndarray, q: float) -> float:
+    """numpy's ``linear`` percentile of a sorted sample, in numpy's own
+    arithmetic: the index (n - 1) * q is exact for quartiles, and the
+    interpolation runs from the upper point when its weight is >= 0.5."""
+    index = (ordered.size - 1) * q
+    below = int(index)
+    gamma = index - below
+    a, b = float(ordered[below]), float(ordered[below + 1])
+    if gamma >= 0.5:
+        return b - (b - a) * (1 - gamma)
+    return a + (b - a) * gamma
+
+
+def _kde_scale(x: np.ndarray) -> tuple[float, float, float]:
+    """Silverman bandwidth, low and high of one finite sample column.
+
+    The quartiles and the range come from one sorted copy; the standard
+    deviation sums the column in its own order, as a sum over the sorted
+    copy would round differently.
+    """
     sd = float(x.std(ddof=1))
     if sd <= 0:
         raise DataError("samples have zero spread")
-    q75, q25 = np.percentile(x, [75, 25])
-    iqr = float(q75 - q25)
+    ordered = np.sort(x)
+    iqr = _sorted_quantile(ordered, 0.75) - _sorted_quantile(ordered, 0.25)
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd
-    return 0.9 * spread * x.size ** (-0.2)
+    return 0.9 * spread * x.size ** (-0.2), float(ordered[0]), float(ordered[-1])
 
 
 def _direct_kde_sum(x: np.ndarray, bandwidth: float, grid: np.ndarray) -> np.ndarray:
@@ -184,19 +206,20 @@ def iad(approx, reference) -> tuple[float, np.ndarray]:
     """Integrated absolute distance between marginal KDEs.
 
     Per dimension both density estimates are evaluated on one shared grid
-    spanning the union of the two sample ranges padded by three pooled
-    bandwidths, and the value is half the trapezoid integral of their
-    absolute difference.  Returns the average over dimensions and the
-    per-dimension vector.  The raw average can exceed 1 by grid error; it is
-    clamped only when placed into a MetricReport.
+    spanning the union of the two sample ranges padded on each side by
+    three times the larger of the two bandwidths, and the value is half the
+    trapezoid integral of their absolute difference.  Returns the average
+    over dimensions and the per-dimension vector.  The raw average can
+    exceed 1 by grid error; it is clamped only when placed into a
+    MetricReport.
     """
     a, f = _sample_pair(approx, reference)
     per_dim = np.empty(len(a.columns))
     for j, (xa, xf) in enumerate(zip(a.columns, f.columns)):
-        ha, hf = a.bandwidths[j], f.bandwidths[j]
+        (ha, lo_a, hi_a), (hf, lo_f, hi_f) = a.kde_scales[j], f.kde_scales[j]
         pad = max(ha, hf)
-        lo = min(a.lows[j], f.lows[j])
-        hi = max(a.highs[j], f.highs[j])
+        lo = min(lo_a, lo_f)
+        hi = max(hi_a, hi_f)
         grid = np.linspace(lo - 3.0 * pad, hi + 3.0 * pad, _GRID_SIZE)
         da = _gaussian_kde_on_grid(xa, ha, grid)
         df = _gaussian_kde_on_grid(xf, hf, grid)

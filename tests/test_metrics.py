@@ -8,6 +8,7 @@ import pytest
 from swissmc import (
     DataError,
     InvalidInputError,
+    Reference,
     compute_metrics,
     iad,
     mahalanobis,
@@ -109,12 +110,29 @@ class TestKde1D:
         assert np.max(np.abs(fast - slow)) < 5e-4
 
     def test_silverman_matches_formula(self):
+        # The quartiles come from a sorted copy, not np.percentile: they must
+        # agree bit for bit at every n, on tied draws and at zero IQR.
         rng = np.random.default_rng(12)
-        draws = rng.standard_normal(2000)
-        sd = draws.std(ddof=1)
-        iqr = np.subtract(*np.percentile(draws, [75, 25]))
-        expected = 0.9 * min(sd, iqr / 1.34) * 2000 ** (-0.2)
-        assert silverman_bandwidth(draws) == pytest.approx(expected, rel=1e-12)
+        for n in [*range(2, 301), 2000, 4999, 5000, 50_000]:
+            draws = rng.standard_normal(n) * rng.uniform(0.01, 100.0)
+            for x in (draws, np.round(draws), np.round(draws * 3.0) / 7.0 + 1e6):
+                if np.ptp(x) > 0:
+                    assert silverman_bandwidth(x) == _silverman_by_percentile(x)
+        zero_iqr = np.array([0.0] * 10 + [1.0, 2.0])
+        assert np.subtract(*np.percentile(zero_iqr, [75, 25])) == 0.0
+        assert silverman_bandwidth(zero_iqr) == _silverman_by_percentile(zero_iqr)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_silverman_rejects_non_finite_input(self, bad):
+        with pytest.raises(DataError, match="non-finite"):
+            silverman_bandwidth([1.0, 2.0, bad])
+
+
+def _silverman_by_percentile(x):
+    sd = x.std(ddof=1)
+    iqr = np.subtract(*np.percentile(x, [75, 25]))
+    spread = min(sd, iqr / 1.34) if iqr > 0 else sd
+    return 0.9 * spread * x.size ** (-0.2)
 
 
 class TestIad:
@@ -155,6 +173,15 @@ class TestIad:
         total, per_dim = iad(a, b)
         assert total == pytest.approx(per_dim.mean(), rel=1e-12)
         assert per_dim[0] < per_dim[1] < per_dim[2]
+
+    def test_reference_range_is_column_min_and_max(self):
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((5000, 4)) * [1.0, 1e-3, 1e3, 1.0]
+        x[:, 3] = np.round(x[:, 3])
+        scales = Reference(x).kde_scales
+        assert [lo for _, lo, _ in scales] == list(x.min(axis=0))
+        assert [hi for _, _, hi in scales] == list(x.max(axis=0))
+        assert [h for h, _, _ in scales] == [silverman_bandwidth(c) for c in x.T]
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
