@@ -19,7 +19,7 @@ import sys
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
-from .errors import InvalidInputError, ParseError, SwissError, integer
+from .errors import InvalidInputError, ParseError, SwissError, integer, prefixed
 from .harness import (
     _COMBINE,
     COMBINER_NAMES,
@@ -39,7 +39,7 @@ from .io import (
     write_json,
     write_sample_csv,
 )
-from .metrics import REPORT_KEYS, compute_metrics
+from .metrics import REPORT_KEYS, Reference, compute_metrics
 from .sampler import (
     INIT_MODES,
     SamplerConfig,
@@ -147,8 +147,15 @@ def _cmd_combine(args) -> None:
 
 
 def _cmd_evaluate(args) -> None:
-    approx = read_sample_csv(args.approx)
-    reference = read_sample_csv(args.reference)
+    approx_draws, reference_draws = read_sample_csv(args.approx), read_sample_csv(args.reference)
+    # Each file is prepared under its name: what the metrics read of it is
+    # computed here, so that a degenerate column is reported with its file.
+    with prefixed(args.approx):
+        approx = Reference(approx_draws)
+        approx.skewness, approx.kde_scales
+    with prefixed(args.reference):
+        reference = Reference(reference_draws)
+        reference.skewness, reference.kde_scales, reference.precision
     report = compute_metrics(approx, reference)
     payload = report.to_dict()
     for key in REPORT_KEYS:

@@ -10,7 +10,10 @@ The IAD uses a Gaussian kernel with Silverman's bandwidth, one shared
 six bandwidths, on the binned and the direct path alike.  A column's
 Silverman quartiles and its range are read from one sorted copy of it,
 with numpy's ``linear`` percentile rule, so they equal ``np.percentile``,
-``min`` and ``max`` bit for bit.
+``min`` and ``max`` bit for bit.  The skewness cubes each standardized value
+as the IEEE product ``z * z * z``: numpy sends ``z ** 3`` to libm's ``pow``,
+which costs about fifty times more here and rounds as the platform's libm
+does.
 
 A reference sample is prepared once per scoring call as a ``Reference``,
 which every measure takes in place of a sample matrix: its draws are
@@ -26,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError, InvalidInputError
+from .errors import DataError, InvalidInputError, prefixed
 from .linalg import spd_inverse, symmetrize
 
 # Points in the shared per-dimension IAD grid.
@@ -59,7 +62,9 @@ class Reference:
     the metrics read of them (contiguous (d, n) columns, per-column Silverman
     bandwidths and ranges, mean, precision, standardized skewness) is
     computed on first use and then kept.  A column's bandwidth and range
-    come from one sorted copy of it, which is dropped once they are read.
+    come from one sorted copy of it, which is dropped once they are read;
+    the skewness cubes by IEEE multiplication, not ``pow``.  A column
+    without spread is refused with its index.
     Score many approximate sets against one reference by passing the same
     ``Reference`` each time; it holds nothing else, so the values equal
     those of the plain draws.  The draws are not copied: leave them
@@ -76,7 +81,11 @@ class Reference:
     @cached_property
     def kde_scales(self) -> list:
         """Per column: (Silverman bandwidth, low, high)."""
-        return [_kde_scale(column) for column in self.columns]
+        scales = []
+        for j, column in enumerate(self.columns):
+            with prefixed(f"dimension {j}"):
+                scales.append(_kde_scale(column))
+        return scales
 
     @cached_property
     def mean(self) -> np.ndarray:
@@ -93,7 +102,8 @@ class Reference:
         bad = np.flatnonzero(sd <= 0)
         if bad.size:
             raise DataError(f"zero variance in dimension {int(bad[0])}")
-        return np.mean(((self.draws - self.mean) / sd) ** 3, axis=0)
+        z = (self.draws - self.mean) / sd
+        return np.mean(z * z * z, axis=0)
 
 
 def _sample_pair(approx, reference) -> tuple[Reference, Reference]:

@@ -20,7 +20,11 @@ Robbins-Monro recursion toward an acceptance rate of 0.44 at d = 1 and 0.234
 above (the optimal-scaling values of Roberts, Gelman & Gilks 1997 and
 Roberts & Rosenthal 2001), and Sigma_hat tracks the running sample
 covariance (regularized by +1e-6 I); both freeze when burn-in ends, so the
-retained chain is Markov.
+retained chain is Markov.  Sigma_hat is refreshed every 25 burn-in
+iterations, so a noise block's steps L z are taken 25 rows at a time during
+burn-in, just before they are used, and for the rest of the block at once
+after it; a refresh drops the rows not yet used.  Each row thus uses the L
+that is current at its iteration.
 """
 
 from __future__ import annotations
@@ -190,9 +194,10 @@ def _proposal_steps(chol: np.ndarray, z: np.ndarray) -> np.ndarray:
     """chol[k] @ z[..., k, :] for every chain k, with z of shape (..., K, d).
 
     The sum over j runs left to right whatever the shapes, so a chain's step
-    does not depend on the group or on how many iterations are stacked.  L
-    changes only every 25 burn-in iterations, so L z is taken for the rest
-    of a noise block at once.
+    does not depend on the group or on how many iterations are stacked.
+    ``_lockstep`` takes L z for the rows of a noise block just before it
+    uses them: 25 rows at a time during burn-in, where L may change every
+    25 iterations, and the rest of the block at once after it.
     """
     steps = chol[:, :, 0] * z[..., :1]
     for j in range(1, z.shape[-1]):
@@ -251,7 +256,9 @@ def _lockstep(model: TargetModel, chains: list, config: SamplerConfig) -> list[S
     accept = np.empty(k, dtype=bool)
     accept_rows = accept[:, None]
 
-    cursor = block = 0
+    # noise[cursor] is the next iteration's; shape_steps holds L z for rows
+    # cursor..ready-1
+    cursor = ready = block = 0
     with np.errstate(**_QUIET):
         for it in range(total_iters):
             if cursor == block:
@@ -262,8 +269,13 @@ def _lockstep(model: TargetModel, chains: list, config: SamplerConfig) -> list[S
                     noise[:, i] = rng.standard_normal((block, d))
                     log_u[:, i] = rng.random(block)
                 log_u = np.log(log_u)  # log(0) = -inf never accepts
-                shape_steps = _proposal_steps(shape_chol, noise)
-                cursor = 0
+                shape_steps = np.empty_like(noise)
+                cursor = ready = 0
+            if cursor == ready:
+                # rows up to the next possible refresh of L, or the rest of
+                # the block once L is frozen
+                ready = min(block, cursor + _COV_UPDATE_INTERVAL) if it < burn else block
+                shape_steps[cursor:ready] = _proposal_steps(shape_chol, noise[cursor:ready])
             proposal = x + scale * shape_steps[cursor]
             logp_prop = model.log_density(proposal, data, powers)
             log_alpha = logp_prop - logp
@@ -290,7 +302,7 @@ def _lockstep(model: TargetModel, chains: list, config: SamplerConfig) -> list[S
                     if not factored:
                         # chain by chain, so that the error names the failing one
                         shape_chol = np.array(_per_chain(labels, cholesky, cov))
-                    shape_steps[cursor:] = _proposal_steps(shape_chol, noise[cursor:])
+                    ready = cursor  # rows taken ahead with the old L are taken again
                 scale = np.exp(log_scale)[:, None]
                 if it == burn - 1:
                     # Freeze: nothing past this point touches the proposal.

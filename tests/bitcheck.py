@@ -1,0 +1,104 @@
+"""Digests for byte-identity checks between two trees of this repository.
+
+    python3 tests/bitcheck.py > digests.txt
+
+prints one SHA-256 per line, each over outputs that a change to the
+sampler's or the metrics' arithmetic could move:
+
+* ``chains burn_in=B thin=T``: the draws and diagnostics of a K = 4 group
+  of inflated logistic-rare chains and a K = 2 group of inflated
+  rare-Bernoulli chains, for burn-in lengths on, next to and off the
+  25-iteration refresh grid and the 512-iteration noise blocks;
+* ``report configs/<name>.json``: every run report and the summary of
+  ``run_experiment`` on that config, after ``strip_timing``, without
+  ``out_dir`` and with every ``skew_dev`` value dropped.
+
+Run it in each tree and ``diff`` the two outputs: a line that differs names
+the config whose outputs changed.  The package is imported from the
+``src`` directory next to this file, whatever is installed.  pytest does
+not collect this file.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from swissmc import (  # noqa: E402
+    ExperimentConfig,
+    SamplerConfig,
+    make_target,
+    partition,
+    run_experiment,
+    sample_all_batches,
+    simulate_rare_feature_data,
+    strip_timing,
+)
+from swissmc.io import read_json  # noqa: E402
+from swissmc.sampler import convention_chains  # noqa: E402
+from swissmc.targets import shard_data  # noqa: E402
+
+BURN_INS = (0, 1, 20, 24, 25, 26, 37, 511, 512, 513, 1037, 1537)
+THINS = (1, 3)
+N_SAMPLES = 400
+SEED = 5
+
+
+def _groups():
+    """(target, chains, init) of each group: four logistic shards and two
+    rare-Bernoulli batches."""
+    dataset = simulate_rare_feature_data(2000, SEED)
+    logistic = make_target("logistic-rare", dataset)
+    shards = shard_data(dataset, partition(dataset, 4, seed=SEED))
+    rare = make_target("rare-bernoulli")
+    return [
+        (logistic, convention_chains(logistic, "inflated", shards), "mle"),
+        (rare, convention_chains(rare, "inflated", [None, None]), "prior-draw"),
+    ]
+
+
+def chain_digest(groups, burn_in: int, thin: int) -> str:
+    digest = hashlib.sha256()
+    for target, chains, init in groups:
+        config = SamplerConfig(N_SAMPLES, burn_in=burn_in, thin=thin, init=init, seed=SEED)
+        for batch in sample_all_batches(target, chains, config):
+            digest.update(batch.draws.tobytes())
+            digest.update(json.dumps(batch.diagnostics, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def _without_skew(payload):
+    if isinstance(payload, dict):
+        return {k: _without_skew(v) for k, v in payload.items() if k != "skew_dev"}
+    if isinstance(payload, list):
+        return [_without_skew(v) for v in payload]
+    return payload
+
+
+def report_digest(path: Path) -> str:
+    config = replace(ExperimentConfig.from_dict(read_json(path)), out_dir=None)
+    summary = run_experiment(config)
+    payloads = [report.to_dict() for report in summary.reports] + [summary.aggregates]
+    for payload in payloads:
+        payload.get("config", {}).pop("out_dir", None)
+    text = json.dumps(_without_skew(strip_timing(payloads)), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main() -> None:
+    groups = _groups()
+    for burn_in in BURN_INS:
+        for thin in THINS:
+            print(f"chains burn_in={burn_in} thin={thin} {chain_digest(groups, burn_in, thin)}")
+    for path in sorted((ROOT / "configs").glob("*.json")):
+        print(f"report configs/{path.name} {report_digest(path)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -161,6 +161,22 @@ class TestEvaluate:
         assert payload["iad"] == 0.0
         assert "iad = 0.000000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("side", ["--approx", "--reference"])
+    def test_constant_column_names_its_file(self, tmp_path, capsys, side):
+        # column 1 of one file is constant: exit 2, and the error names that
+        # file and the column, whichever side the file is on
+        rng = np.random.default_rng(3)
+        good, flat = tmp_path / "good.csv", tmp_path / "flat.csv"
+        write_batch(good, SampleBatch(0, rng.standard_normal((200, 3))))
+        constant = rng.standard_normal((200, 3))
+        constant[:, 1] = 0.5
+        write_batch(flat, SampleBatch(0, constant))
+        other = "--reference" if side == "--approx" else "--approx"
+        assert run_cli("evaluate", side, str(flat), other, str(good)) == 2
+        err = capsys.readouterr().err
+        assert f"{flat}: zero variance in dimension 1" in err
+        assert str(good) not in err
+
 
 class TestExperimentCommand:
     def test_config_run_and_determinism(self, tmp_path):

@@ -1,6 +1,7 @@
 """Discrepancy metrics against closed forms and brute-force oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,6 +75,19 @@ class TestSkewDeviation:
         with pytest.raises(DataError, match="zero variance"):
             skew_deviation(np.ones((10, 1)), np.random.default_rng(6).standard_normal((10, 1)))
 
+    def test_matches_exact_third_standardized_moment(self):
+        # mean((x - mean)^3) / sd^3 with the ddof = 1 variance, in exact
+        # rational arithmetic and rounded once at the end
+        draws = np.random.default_rng(9).standard_normal((40, 3)) ** 2
+        skewness = Reference(draws).skewness
+        for j, column in enumerate(draws.T):
+            values = [Fraction(v) for v in column]
+            mean = sum(values) / len(values)
+            third = sum((v - mean) ** 3 for v in values) / len(values)
+            variance = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
+            exact = math.copysign(math.sqrt(third**2 / variance**3), third)
+            assert skewness[j] == pytest.approx(exact, rel=1e-12)
+
 
 def _kde_on_iad_grid(draws):
     """One sample's density on the grid iad builds when both sets are ``draws``."""
@@ -99,6 +113,12 @@ class TestKde1D:
     def test_zero_spread_raises(self):
         with pytest.raises(DataError, match="spread"):
             _kde_on_iad_grid(np.ones(100))
+
+    def test_zero_spread_names_its_column(self):
+        draws = np.random.default_rng(10).standard_normal((50, 3))
+        draws[:, 2] = 1.0
+        with pytest.raises(DataError, match="^dimension 2: samples have zero spread$"):
+            Reference(draws).kde_scales
 
     def test_binned_evaluation_matches_direct_sum(self):
         rng = np.random.default_rng(11)

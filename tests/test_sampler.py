@@ -117,6 +117,45 @@ class TestSampleBasics:
             sample(target, None, config)
 
 
+class _CorrelatedGaussian(TargetModel):
+    """Zero-mean Gaussian target in three dimensions with correlated,
+    unequally scaled coordinates."""
+
+    name = "correlated-gaussian"
+    dim = 3
+    _PRECISION = np.linalg.inv([[1.0, 0.6, 0.2], [0.6, 2.0, -0.5], [0.2, -0.5, 0.5]])
+
+    def log_likelihood(self, theta, data_batch=None):
+        t = np.asarray(theta)
+        return -0.5 * np.sum(t * (t @ self._PRECISION), axis=-1)
+
+
+def _post_burn_in_steps(target_class, burn, n, seed):
+    """Run one chain on ``target_class`` from 0.5 in every coordinate and
+    return each post-burn-in step but the first (the proposal minus the
+    chain's state) and the noise draw of its iteration, as (n - 1, d)."""
+    points = []
+
+    class _Recording(target_class):
+        def log_likelihood(self, theta, data_batch=None):
+            points.append(np.array(theta[0]))
+            return super().log_likelihood(theta, data_batch)
+
+        def init_sampler(self, rng):
+            return np.full(self.dim, 0.5)  # draws nothing, so the stream holds only noise
+
+    config = SamplerConfig(n_samples=n, burn_in=burn, seed=seed)
+    draws = sample(_Recording(), None, config).draws
+    rng = RngStream(seed, 0).generator()
+    noise = []
+    for start in range(0, burn + n, 512):  # the sampler's noise blocks
+        noise.append(rng.standard_normal((min(512, burn + n - start), draws.shape[1])))
+        rng.random(min(512, burn + n - start))
+    z = np.concatenate(noise)[burn + 1 :]
+    steps = np.array(points[burn + 2 :]) - draws[:-1]  # points[0]: the initial point
+    return steps, z
+
+
 class TestAdaptation:
     def test_acceptance_near_target(self):
         config = SamplerConfig(n_samples=20_000, burn_in=5000, seed=10)
@@ -126,29 +165,16 @@ class TestAdaptation:
     def test_proposal_frozen_after_burn_in(self):
         # d = 1: each step is scale * L * z for the iteration's noise z, so
         # after burn-in every step is one fixed multiple of its noise draw
-        burn, n = 2000, 5000
-        points = []
-
-        class _Recording(_UnitGaussian):
-            def log_likelihood(self, theta, data_batch=None):
-                points.append(float(theta[0, 0]))
-                return super().log_likelihood(theta, data_batch)
-
-            def init_sampler(self, rng):
-                return np.array([0.5])  # draws nothing, so the stream holds only noise
-
-        config = SamplerConfig(n_samples=n, burn_in=burn, seed=11)
-        draws = sample(_Recording(), None, config).draws[:, 0]
-        rng = RngStream(11, 0).generator()
-        noise = []
-        for start in range(0, burn + n, 512):  # the sampler's noise blocks
-            noise.extend(rng.standard_normal((min(512, burn + n - start), 1))[:, 0])
-            rng.random(min(512, burn + n - start))
-        z = np.array(noise[burn + 1 :])
-        steps = np.array(points[burn + 2 :]) - draws[:-1]  # points[0]: the initial point
+        steps, z = _post_burn_in_steps(_UnitGaussian, burn=2000, n=5000, seed=11)
         multiple = np.median(steps / z)
         assert multiple > 0
         np.testing.assert_allclose(steps, multiple * z, rtol=0, atol=1e-12)
+        # d = 3, burn-in off the 25-iteration refresh grid and ending partway
+        # through a noise block: every step is M z for one matrix M (scale * L),
+        # so a step taken with the L of an earlier refresh does not fit
+        steps, z = _post_burn_in_steps(_CorrelatedGaussian, burn=1037, n=3000, seed=11)
+        m = np.linalg.lstsq(z, steps, rcond=None)[0]
+        np.testing.assert_allclose(steps, z @ m, rtol=0, atol=1e-12)
 
     def test_adaptation_disabled_keeps_initial_scale(self):
         # without burn-in nothing adapts the proposal: the scale stays 2.38/sqrt(d)
