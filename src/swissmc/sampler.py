@@ -24,7 +24,12 @@ retained chain is Markov.  Sigma_hat is refreshed every 25 burn-in
 iterations, so a noise block's steps L z are taken 25 rows at a time during
 burn-in, just before they are used, and for the rest of the block at once
 after it; a refresh drops the rows not yet used.  Each row thus uses the L
-that is current at its iteration.
+that is current at its iteration.  Once the scale is frozen, the rows are
+multiplied by it when they are taken (scale * (L z), the same product as per
+iteration), so a retained iteration only adds its row to the state; rows
+taken ahead during burn-in, still unscaled, are taken again at the freeze.
+Accept flags go into a (block, K) array for the current noise block and are
+counted per chain at the freeze and at the end of each block.
 """
 
 from __future__ import annotations
@@ -215,14 +220,20 @@ def _lockstep(model: TargetModel, chains: list, config: SamplerConfig) -> list[S
         RngStream(config.seed, c.batch_id if c.stream_id is None else c.stream_id).generator()
         for c in chains
     ]
-    x = np.array(
-        _per_chain(
-            labels,
-            lambda chain, rng: _initial_point(model, chain.data, config, rng),
-            chains,
-            rngs,
-        )
-    )
+    # An ML start depends on the chain's data alone: chains on one data object
+    # (an inflated and an un-inflated chain on a shard) share one solve, and
+    # an error names the first of them.
+    mle_starts = {}
+
+    def start(chain, rng):
+        if config.init != "mle":
+            return _initial_point(model, chain.data, config, rng)
+        key = id(chain.data)
+        if key not in mle_starts:
+            mle_starts[key] = _initial_point(model, chain.data, config, rng)
+        return mle_starts[key]
+
+    x = np.array(_per_chain(labels, start, chains, rngs))
     data = model.stack_data([chain.data for chain in chains])
     powers = tuple(np.array(column, dtype=float) for column in zip(*(c.powers for c in chains)))
     with np.errstate(**_QUIET):
@@ -253,15 +264,19 @@ def _lockstep(model: TargetModel, chains: list, config: SamplerConfig) -> list[S
     accepted_burn = np.zeros(k, dtype=np.int64)
     accepted_post = np.zeros(k, dtype=np.int64)
     warnings: list[list[str]] = [[] for _ in chains]
-    accept = np.empty(k, dtype=bool)
-    accept_rows = accept[:, None]
 
-    # noise[cursor] is the next iteration's; shape_steps holds L z for rows
-    # cursor..ready-1
-    cursor = ready = block = 0
+    # Per noise block: noise[cursor] and log_u[cursor] are the next
+    # iteration's; shape_steps holds the steps of rows cursor..ready-1 (L z
+    # during burn-in, scale * L z once the scale is frozen); flags[r] are row
+    # r's accept flags, of which rows before `counted` are tallied already.
+    cursor = ready = counted = block = 0
+    flags = np.zeros((0, k), dtype=bool)
     with np.errstate(**_QUIET):
         for it in range(total_iters):
             if cursor == block:
+                # a block ending at the freeze was tallied there
+                tally = accepted_burn if it < burn else accepted_post
+                tally += flags[counted:].sum(axis=0)
                 block = min(_BLOCK, total_iters - it)
                 noise = np.empty((block, k, d))
                 log_u = np.empty((block, k))
@@ -270,22 +285,29 @@ def _lockstep(model: TargetModel, chains: list, config: SamplerConfig) -> list[S
                     log_u[:, i] = rng.random(block)
                 log_u = np.log(log_u)  # log(0) = -inf never accepts
                 shape_steps = np.empty_like(noise)
-                cursor = ready = 0
+                flags = np.empty((block, k), dtype=bool)
+                flag_rows = flags[:, :, None]
+                cursor = ready = counted = 0
             if cursor == ready:
                 # rows up to the next possible refresh of L, or the rest of
-                # the block once L is frozen
+                # the block once L and the scale are frozen
                 ready = min(block, cursor + _COV_UPDATE_INTERVAL) if it < burn else block
                 shape_steps[cursor:ready] = _proposal_steps(shape_chol, noise[cursor:ready])
-            proposal = x + scale * shape_steps[cursor]
+                if it >= burn:
+                    shape_steps[cursor:ready] *= scale
+            if it < burn:
+                proposal = x + scale * shape_steps[cursor]
+            else:
+                proposal = x + shape_steps[cursor]
             logp_prop = model.log_density(proposal, data, powers)
             log_alpha = logp_prop - logp
+            accept = flags[cursor]
             np.less(log_u[cursor], log_alpha, out=accept)
-            cursor += 1
-            np.copyto(x, proposal, where=accept_rows)
+            np.copyto(x, proposal, where=flag_rows[cursor])
             np.copyto(logp, logp_prop, where=accept)
+            cursor += 1
 
             if it < burn:
-                accepted_burn += accept
                 alpha = np.where(np.isfinite(log_alpha), np.exp(np.minimum(0.0, log_alpha)), 0.0)
                 log_scale += (it + 1) ** -0.6 * (alpha - target_accept)
                 run_n = it + 1
@@ -306,17 +328,20 @@ def _lockstep(model: TargetModel, chains: list, config: SamplerConfig) -> list[S
                 scale = np.exp(log_scale)[:, None]
                 if it == burn - 1:
                     # Freeze: nothing past this point touches the proposal.
+                    # Rows taken ahead are unscaled; they are taken again.
+                    ready = cursor
+                    accepted_burn += flags[counted:cursor].sum(axis=0)
+                    counted = cursor
                     scale_at_freeze = np.exp(log_scale)
                     for i in np.flatnonzero(accepted_burn / burn < _TUNING_FLOOR):
                         warnings[i].append(
                             f"tuning-failure: burn-in acceptance rate "
                             f"{accepted_burn[i] / burn:.4f} below {_TUNING_FLOOR}"
                         )
-            else:
-                accepted_post += accept
-                if (it - burn + 1) % config.thin == 0:
-                    draws[kept] = x
-                    kept += 1
+            elif (it - burn + 1) % config.thin == 0:
+                draws[kept] = x
+                kept += 1
+        accepted_post += flags[counted:cursor].sum(axis=0)
 
     batches = []
     for i, chain in enumerate(chains):

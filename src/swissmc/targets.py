@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -67,11 +68,14 @@ def _sum_planes(terms: np.ndarray) -> np.ndarray:
     ``sum`` and ``@`` pick their summation order by array length and layout,
     so a chain's value could depend on the group it runs in.  A fixed order
     keeps each chain of a lockstep group bit-identical to the same chain run
-    alone.  Meant for a short leading axis (one plane per coordinate).
+    alone.  Meant for a short leading axis (one plane per coordinate).  The
+    sum is one fresh array, or ``terms[0]`` itself when there is one plane.
     """
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
+    if len(terms) == 1:
+        return terms[0]
+    total = terms[0] + terms[1]
+    for term in terms[2:]:
+        total += term
     return total
 
 
@@ -302,14 +306,28 @@ class LogisticRegression(TargetModel):
     def dim(self) -> int:
         return self.data.rows.shape[1]
 
+    @cached_property
+    def _prior_norm(self) -> float:
+        """Log of the prior's normalising constant."""
+        return 0.5 * self.dim * math.log(2.0 * math.pi * LOGISTIC_PRIOR_VAR)
+
     def log_prior(self, theta):
-        norm = 0.5 * self.dim * math.log(2.0 * math.pi * LOGISTIC_PRIOR_VAR)
-        return -0.5 * _sum_planes(theta.T * theta.T) / LOGISTIC_PRIOR_VAR - norm
+        # -0.5 * |theta|^2 / variance - norm, each step on one fresh array
+        total = _sum_last(theta * theta)
+        total *= -0.5
+        total /= LOGISTIC_PRIOR_VAR
+        total -= self._prior_norm
+        return total
 
     def log_likelihood(self, theta, data_batch):
+        # successes * eta - counts * softplus(eta), summed over the rows
         rows, successes, counts = data_batch
         eta = _sum_planes(rows * theta.T[:, :, None])
-        return _sum_last(successes * eta - counts * _softplus(eta))
+        terms = successes * eta
+        penalty = _softplus(eta)
+        penalty *= counts
+        terms -= penalty
+        return _sum_last(terms)
 
     def stack_data(self, batches: list) -> LogisticData:
         """Per-chain LogisticData padded with zero-count rows to one width R.

@@ -8,6 +8,7 @@ import pytest
 import swissmc.sampler
 from swissmc import (
     Chain,
+    ConvergenceError,
     InvalidInputError,
     NotPositiveDefiniteError,
     SamplerConfig,
@@ -20,7 +21,7 @@ from swissmc import (
 )
 from swissmc.rng import RngStream
 from swissmc.sampler import convention_chains
-from swissmc.targets import shard_data
+from swissmc.targets import LogisticRegression, shard_data
 from helpers import WarpedGaussian, block_mean_se
 
 
@@ -156,7 +157,56 @@ def _post_burn_in_steps(target_class, burn, n, seed):
     return steps, z
 
 
+def _recounted_acceptance(burn, thin, n, seed, streams):
+    """Run unit-Gaussian chains (one per stream) from 0.5 in lockstep and
+    recount each chain's accepted proposals by replaying the Metropolis test
+    on the recorded densities and the uniforms of its stream.  Returns the
+    batches and each chain's (burn-in, post-burn-in) count."""
+    values = []
+
+    class _Recording(_UnitGaussian):
+        def log_likelihood(self, theta, data_batch=None):
+            value = super().log_likelihood(theta, data_batch)
+            values.append(np.array(value))  # at exponents (1, 1) the log-density
+            return value
+
+        def init_sampler(self, rng):
+            return np.array([0.5])  # draws nothing, so the stream holds only noise
+
+    config = SamplerConfig(n_samples=n, burn_in=burn, thin=thin, seed=seed)
+    chains = [Chain(batch_id=b, stream_id=stream) for b, stream in enumerate(streams)]
+    batches = sample_all_batches(_Recording(), chains, config)
+    total = burn + n * thin
+    counts = []
+    for i, stream in enumerate(streams):
+        rng = RngStream(seed, stream).generator()
+        log_u = []
+        for start in range(0, total, 512):  # the sampler's noise blocks
+            rng.standard_normal((min(512, total - start), 1))
+            log_u.append(np.log(rng.random(min(512, total - start))))
+        log_u = np.concatenate(log_u)
+        logp, accepted = values[0][i], []  # values[0]: the initial points
+        for it in range(total):
+            accepted.append(bool(log_u[it] < values[it + 1][i] - logp))
+            if accepted[-1]:
+                logp = values[it + 1][i]
+        counts.append((sum(accepted[:burn]), sum(accepted[burn:])))
+    return batches, counts
+
+
 class TestAdaptation:
+    @pytest.mark.parametrize("thin", [1, 3])
+    @pytest.mark.parametrize("burn", [0, 1, 25, 511, 512, 513, 1037])
+    def test_acceptance_counts_match_a_recount(self, burn, thin):
+        # burn-in ending on, next to and off the 512-iteration noise blocks
+        n = 300
+        batches, counts = _recounted_acceptance(burn, thin, n, seed=9, streams=[0, 4])
+        for batch, (burn_count, post_count) in zip(batches, counts):
+            assert 0 < post_count < n * thin
+            assert batch.diagnostics["acceptance_rate"] == post_count / (n * thin)
+            expected = burn_count / burn if burn else None
+            assert batch.diagnostics["burn_in_acceptance"] == expected
+
     def test_acceptance_near_target(self):
         config = SamplerConfig(n_samples=20_000, burn_in=5000, seed=10)
         batch = sample(WarpedGaussian(), None, config)
@@ -334,6 +384,47 @@ class TestLockstep:
         chains = [Chain(data=1.0), Chain(data=1e-3, batch_id=3), Chain(data=1.0, batch_id=4)]
         with pytest.raises(NotPositiveDefiniteError, match="^batch 3: Cholesky"):
             sample_all_batches(_Scaled(), chains, config)
+
+
+class TestInitialPoints:
+    @staticmethod
+    def _criterion_8_group(fails_on=None):
+        """A counting logistic target and criterion 8's chains on it: the
+        full-data chain, then five inflated and five un-inflated shard
+        chains, which share each shard's data object.  Its ML estimate fails
+        on the data ``fails_on``."""
+        data = simulate_rare_feature_data(2000, seed=5)
+        shards = shard_data(data, partition(data, 5, seed=6))
+        solved = []
+
+        class _Counting(LogisticRegression):
+            def mle(self, data_batch=None):
+                solved.append(data_batch)
+                if fails_on is not None and data_batch is shards[fails_on]:
+                    raise ConvergenceError("ML estimate did not converge")
+                return super().mle(data_batch)
+
+        base = _Counting(make_target("logistic-rare", dataset=data).data)
+        chains = []
+        for convention in ("full", "inflated", "subposterior"):
+            chains += convention_chains(base, convention, shards)
+        return base, chains, shards, solved
+
+    def test_one_ml_start_per_data_object(self):
+        base, chains, shards, solved = self._criterion_8_group()
+        config = SamplerConfig(n_samples=20, burn_in=10, init="mle", seed=7)
+        group = sample_all_batches(base, chains, config)
+        assert len(chains) == 11
+        assert len(solved) == 6
+        assert solved[0] is None and all(a is b for a, b in zip(solved[1:], shards))
+        for chain, batch in zip(chains, group):
+            assert _same_chain(batch, sample_all_batches(base, [chain], config)[0])
+
+    def test_failing_ml_start_names_the_first_chain_on_its_data(self):
+        base, chains, _, _ = self._criterion_8_group(fails_on=2)
+        config = SamplerConfig(n_samples=20, burn_in=10, init="mle", seed=7)
+        with pytest.raises(ConvergenceError, match="^inflated batch 2: ML estimate"):
+            sample_all_batches(base, chains, config)
 
 
 class TestConventionChains:
