@@ -4,13 +4,19 @@ Every CSV file has one header line and one row per non-blank line after it:
 sample batches (header ``param_0..param_{d-1}``, one draw per row), datasets
 (optional response ``y``, features ``x0..x{p-1}``; any other column is
 ignored) and batch assignments (header ``batch``, one batch id per row).
-Floats are written with ``%.17g``, so a write/read round trip is lossless.
-Input is UTF-8, blank lines are skipped, and every malformed line raises
-ParseError with ``path:line``.  A sidecar named after a sample CSV with a
-``.meta.json`` extension carries batch id, sizes, exponents, seed, target
-name and any chain diagnostics.  Reports are JSON, and the report tables
-(``metrics.csv``, ``bench.csv``) are CSV written by ``write_table_csv``:
-an empty field for None, floats by ``repr``, anything else by ``str``.
+Floats are written with ``%.17g``, so a write/read round trip is lossless;
+a writer formats 1024 rows with one ``%`` and writes the bytes that
+``np.savetxt`` would.  Input is UTF-8, blank lines are skipped, and every
+malformed line raises ParseError with ``path:line``.  A reader parses first
+and diagnoses only on failure: one ``np.loadtxt`` call reads the whole body,
+and only a body that it refuses, or whose values are not a finite table as
+wide as the header, is walked line by line to name the line it rejects.
+
+A sidecar named after a sample CSV with a ``.meta.json`` extension carries
+batch id, sizes, exponents, seed, target name and any chain diagnostics.
+Reports are JSON, and the report tables (``metrics.csv``, ``bench.csv``)
+are CSV written by ``write_table_csv``: an empty field for None, floats by
+``repr``, anything else by ``str``.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ from .errors import ParseError, is_finite_number, is_integer
 from .moments import BatchMeta, SampleBatch
 from .targets import Dataset, Partition
 
+_CHUNK_ROWS = 1024  # rows per format call and write in _write_csv
+
 
 def _read_text(path: Path) -> str:
     """The file's text; bytes that are not UTF-8 raise ParseError at their line."""
@@ -36,14 +44,8 @@ def _read_text(path: Path) -> str:
         raise ParseError(f"{path}:{line_no}: not UTF-8 text") from None
 
 
-def _read_csv(path, columns, dtype=float):
-    """Parse a CSV file into ``(header, values)``.
-
-    ``columns(header)`` checks the stripped header fields, or raises
-    ValueError, and returns the indices of the columns to read.  ``values``
-    holds those columns of every row as an (n, k) array of ``dtype``.
-    """
-    path = Path(path)
+def _split_csv(path: Path, columns):
+    """The file's lines, its stripped header fields and ``columns(header)``."""
     lines = _read_text(path).splitlines()
     if not lines:
         raise ParseError(f"{path}:1: empty file")
@@ -52,6 +54,38 @@ def _read_csv(path, columns, dtype=float):
         usecols = columns(header)
     except ValueError as err:
         raise ParseError(f"{path}:1: {err}") from None
+    return lines, header, usecols
+
+
+def _read_csv(path, columns, dtype=float):
+    """Parse a CSV file into ``(header, values)``.
+
+    ``columns(header)`` checks the stripped header fields, or raises
+    ValueError, and returns the indices of the columns to read.  ``values``
+    holds those columns of every row as an (n, k) array of ``dtype``.
+    One ``np.loadtxt`` call parses every column of the body.  When it fails,
+    or finds no row, a width other than the header's or a non-finite value,
+    ``_parse_lines`` reads the body again to name the line at fault.
+    """
+    path = Path(path)
+    lines, header, usecols = _split_csv(path, columns)
+    body = lines[1:]
+    # loadtxt skips only empty lines and warns on a body of nothing else
+    if any(body):
+        try:
+            values = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if values.shape[1] == len(header) and np.isfinite(values).all():
+                # a C-ordered copy, as loadtxt's usecols gives; [:, usecols] is not
+                return header, values.take(usecols, axis=1)
+    return header, _parse_lines(path, lines, header, usecols, dtype)
+
+
+def _parse_lines(path: Path, lines: list, header: list, usecols, dtype) -> np.ndarray:
+    """The body of ``lines`` parsed line by line: blank lines are skipped,
+    and the first malformed line raises ParseError at ``path:line``."""
     body = [(line_no, line) for line_no, line in enumerate(lines[1:], start=2) if line.strip()]
     if not body:
         raise ParseError(f"{path}:2: no rows")
@@ -77,13 +111,21 @@ def _read_csv(path, columns, dtype=float):
     if not finite.all():
         line_no = body[int(np.argmin(finite))][0]
         raise ParseError(f"{path}:{line_no}: non-finite value (nan or inf)")
-    return header, values
+    return values
 
 
 def _write_csv(path, header: list, table: np.ndarray, fmt="%.17g") -> None:
-    np.savetxt(
-        path, table, fmt=fmt, delimiter=",", header=",".join(header), comments="", encoding="utf-8"
-    )
+    """Write ``table`` under ``header``, byte for byte as ``np.savetxt`` with
+    ``delimiter=","``, ``comments=""`` and UTF-8 does, but with one ``%``
+    format and one write per ``_CHUNK_ROWS`` rows in place of one per row."""
+    row = ",".join([fmt] * table.shape[1]) + "\n"
+    names = ",".join(header)
+    with open(path, "w", encoding="utf-8") as out:
+        if names:  # as in np.savetxt, an empty header writes no line
+            out.write(names + "\n")
+        for start in range(0, len(table), _CHUNK_ROWS):
+            chunk = table[start : start + _CHUNK_ROWS]
+            out.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def _table_field(value) -> str:

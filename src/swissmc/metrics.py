@@ -43,6 +43,10 @@ _KDE_CHUNK = 4096
 # is below exp(-18), 1.5e-8 of the kernel's peak.
 _KDE_REACH = 6.0
 
+# Rows per slab when the draws are copied into (d, n) columns: a slab's
+# transpose stays in cache, where one whole-matrix transpose does not.
+_COLUMN_SLAB = 256
+
 
 def _as_matrix(samples) -> np.ndarray:
     x = np.asarray(samples, dtype=float)
@@ -61,10 +65,12 @@ class Reference:
     The draws are validated once and kept as an (n, d) matrix; everything
     the metrics read of them (contiguous (d, n) columns, per-column Silverman
     bandwidths and ranges, mean, precision, standardized skewness) is
-    computed on first use and then kept.  A column's bandwidth and range
-    come from one sorted copy of it, which is dropped once they are read;
-    the skewness cubes by IEEE multiplication, not ``pow``.  A column
-    without spread is refused with its index.
+    computed on first use and then kept.  The columns are copied in slabs of
+    ``_COLUMN_SLAB`` rows, which is faster than one transpose and gives the
+    same values.  A column's bandwidth and range come from one sorted copy
+    of it, which is dropped once they are read; the skewness cubes by IEEE
+    multiplication, not ``pow``.  A column without spread is refused with
+    its index.
     Score many approximate sets against one reference by passing the same
     ``Reference`` each time; it holds nothing else, so the values equal
     those of the plain draws.  The draws are not copied: leave them
@@ -76,7 +82,11 @@ class Reference:
 
     @cached_property
     def columns(self) -> np.ndarray:
-        return np.ascontiguousarray(self.draws.T)
+        n, d = self.draws.shape
+        columns = np.empty((d, n))
+        for start in range(0, n, _COLUMN_SLAB):
+            columns[:, start : start + _COLUMN_SLAB] = self.draws[start : start + _COLUMN_SLAB].T
+        return columns
 
     @cached_property
     def kde_scales(self) -> list:

@@ -11,7 +11,12 @@ sampler's or the metrics' arithmetic could move:
   25-iteration refresh grid and the 512-iteration noise blocks;
 * ``report configs/<name>.json``: every run report and the summary of
   ``run_experiment`` on that config, after ``strip_timing``, without
-  ``out_dir`` and with every ``skew_dev`` value dropped.
+  ``out_dir`` and with every ``skew_dev`` value dropped;
+* ``writer <function>``: the bytes that each CSV writer of ``swissmc.io``
+  writes for a fixed table (2049 rows, past two 1024-row chunks, with
+  signed zeros, subnormals and the largest finite floats);
+* ``combine swiss``: the CSV that ``swissmc combine --method swiss`` writes
+  for four fixed batch files.
 
 Run it in each tree and ``diff`` the two outputs: a line that differs names
 the config whose outputs changed.  The package is imported from the
@@ -21,17 +26,25 @@ not collect this file.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from swissmc import (  # noqa: E402
+    Dataset,
     ExperimentConfig,
+    Partition,
+    SampleBatch,
     SamplerConfig,
     make_target,
     partition,
@@ -40,7 +53,15 @@ from swissmc import (  # noqa: E402
     simulate_rare_feature_data,
     strip_timing,
 )
-from swissmc.io import read_json  # noqa: E402
+from swissmc.cli import cli_main  # noqa: E402
+from swissmc.io import (  # noqa: E402
+    read_json,
+    write_assignment_csv,
+    write_batch,
+    write_dataset_csv,
+    write_sample_csv,
+    write_table_csv,
+)
 from swissmc.sampler import convention_chains  # noqa: E402
 from swissmc.targets import shard_data  # noqa: E402
 
@@ -91,6 +112,45 @@ def report_digest(path: Path) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _file_digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def writer_digests(tmp: Path):
+    """(writer name, digest) of each CSV writer on a fixed table."""
+    rng = np.random.default_rng(SEED)
+    table = rng.standard_normal((2049, 3)) * np.array([1e-7, 1.0, 1e9])
+    big = 1.7976931348623157e308
+    table[:2] = [[-0.0, 5e-324, big], [0.0, -5e-324, -big]]
+    header, rows = ["id", "value", "none", "name"], [[i, 0.1 * i, None, f"n{i}"] for i in range(5)]
+    dataset, split = Dataset(table[:, 1:], table[:, 0]), Partition(np.arange(2049) % 7)
+    writers = {
+        "write_sample_csv": lambda path: write_sample_csv(path, table),
+        "write_dataset_csv": lambda path: write_dataset_csv(dataset, path),
+        "write_dataset_csv no-y": lambda path: write_dataset_csv(Dataset(table), path),
+        "write_assignment_csv": lambda path: write_assignment_csv(path, split),
+        "write_table_csv": lambda path: write_table_csv(path, header, rows),
+    }
+    for name, write in writers.items():
+        path = tmp / "writer.csv"
+        write(path)
+        yield name, _file_digest(path)
+
+
+def combine_digest(tmp: Path) -> str:
+    rng = np.random.default_rng(SEED)
+    inputs = []
+    for batch_id in range(4):
+        path = tmp / f"batch_{batch_id}.csv"
+        draws = rng.standard_normal((1500, 3)) @ rng.standard_normal((3, 3)) + batch_id
+        write_batch(path, SampleBatch(batch_id, draws))
+        inputs.append(str(path))
+    out = tmp / "combined.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli_main(["combine", "--method", "swiss", "--out", str(out), *inputs])
+    return _file_digest(out)
+
+
 def main() -> None:
     groups = _groups()
     for burn_in in BURN_INS:
@@ -98,6 +158,10 @@ def main() -> None:
             print(f"chains burn_in={burn_in} thin={thin} {chain_digest(groups, burn_in, thin)}")
     for path in sorted((ROOT / "configs").glob("*.json")):
         print(f"report configs/{path.name} {report_digest(path)}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, digest in writer_digests(Path(tmp)):
+            print(f"writer {name} {digest}")
+        print(f"combine swiss {combine_digest(Path(tmp))}")
 
 
 if __name__ == "__main__":
