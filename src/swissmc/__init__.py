@@ -9,13 +9,11 @@ sampler and an experiment harness round out the toolkit.
 """
 
 from .combiners import (
-    AffineMap,
     CombineResult,
     ar_combine,
     barycenter_combine,
     consensus_combine,
     displacement,
-    gaussian_barycenter,
     swiss_combine,
 )
 from .errors import (
@@ -36,20 +34,9 @@ from .harness import (
     bench_dimension_scaling,
     run_experiment,
     strip_timing,
-    summarize_reports,
 )
 from .io import read_dataset_csv, write_dataset_csv
-from .linalg import (
-    SpectralDecomposition,
-    cholesky,
-    draw_gaussian,
-    eigh,
-    sample_inverse_wishart,
-    spd_inverse,
-    spd_roots,
-    spsq,
-    symmetrize,
-)
+from .linalg import cholesky, draw_gaussian, eigh, spd_inverse, spd_roots
 from .metrics import (
     MetricReport,
     Reference,
@@ -59,15 +46,8 @@ from .metrics import (
     silverman_bandwidth,
     skew_deviation,
 )
-from .moments import (
-    BatchMeta,
-    Moments,
-    SampleBatch,
-    consensus_pool,
-    estimate_moments,
-    pool_moments,
-)
-from .rng import RngStream, mix_seed, splitmix64
+from .moments import Moments, SampleBatch, estimate_moments, pool_moments
+from .rng import RngStream, mix_seed
 from .sampler import Chain, SamplerConfig, sample, sample_all_batches
 from .targets import (
     Dataset,
@@ -77,8 +57,35 @@ from .targets import (
     logistic_regression_model,
     make_target,
     partition,
-    rare_bernoulli_logpdf,
     simulate_rare_feature_data,
 )
+
+__all__ = [
+    # combiners
+    "CombineResult", "ar_combine", "barycenter_combine", "consensus_combine",
+    "displacement", "swiss_combine",
+    # errors
+    "ConvergenceError", "DataError", "DecompositionError", "InsufficientSamplesError",
+    "InvalidInputError", "NotPositiveDefiniteError", "ParseError", "SwissError",
+    # harness
+    "COMBINER_NAMES", "ExperimentConfig", "ExperimentReport", "ExperimentSummary",
+    "bench_dimension_scaling", "run_experiment", "strip_timing",
+    # io
+    "read_dataset_csv", "write_dataset_csv",
+    # linalg
+    "cholesky", "draw_gaussian", "eigh", "spd_inverse", "spd_roots",
+    # metrics
+    "MetricReport", "Reference", "compute_metrics", "iad", "mahalanobis",
+    "silverman_bandwidth", "skew_deviation",
+    # moments
+    "Moments", "SampleBatch", "estimate_moments", "pool_moments",
+    # rng
+    "RngStream", "mix_seed",
+    # sampler
+    "Chain", "SamplerConfig", "sample", "sample_all_batches",
+    # targets
+    "Dataset", "Partition", "TargetModel", "gaussian_conjugate_suite",
+    "logistic_regression_model", "make_target", "partition", "simulate_rare_feature_data",
+]
 
 __version__ = "0.1.0"

@@ -46,27 +46,17 @@ _BARYCENTER_MAX_ITERS = 200
 
 @dataclass(frozen=True, eq=False)
 class AffineMap:
-    """The map x -> matrix @ (x - center_in) + center_out."""
+    """The map x -> matrix @ (x - center_in) + center_out.
+
+    The combiners build it from validated ``Moments``, so it takes its
+    arrays as given.
+    """
 
     matrix: np.ndarray
     center_in: np.ndarray
     center_out: np.ndarray
 
-    def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        center_in = np.asarray(self.center_in, dtype=float).ravel()
-        center_out = np.asarray(self.center_out, dtype=float).ravel()
-        d = matrix.shape[0]
-        if matrix.ndim != 2 or matrix.shape != (d, d):
-            raise InvalidInputError(f"map matrix must be square, got {matrix.shape}")
-        if center_in.size != d or center_out.size != d:
-            raise InvalidInputError("map centers must match the matrix dimension")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "center_in", center_in)
-        object.__setattr__(self, "center_out", center_out)
-
     def apply(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
         return (points - self.center_in) @ self.matrix.T + self.center_out
 
 

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, is_finite_number, is_integer
+from .errors import ParseError, is_finite_number, is_integer, prefixed
 from .moments import BatchMeta, SampleBatch
 from .targets import Dataset, Partition
 
@@ -223,12 +223,15 @@ def read_batch(path, *, fallback_batch_id: int = 0) -> SampleBatch:
     A sidecar that is not a JSON object, or whose field holds the wrong type
     (``batch_id``/``seed`` not an integer, an exponent not a finite number,
     ``target_name`` not a string) or disagrees with the CSV (``n_draws``,
-    ``dim``), raises ParseError naming it and the field.
+    ``dim``), raises ParseError naming it and the field.  A table that
+    SampleBatch refuses (fewer than 2 rows) raises its error prefixed with
+    the CSV path.
     """
     draws = read_sample_csv(path)
     sidecar = meta_path(path)
     if not sidecar.exists():
-        return SampleBatch(fallback_batch_id, draws)
+        with prefixed(str(path)):
+            return SampleBatch(fallback_batch_id, draws)
     payload = read_json(sidecar)
     if not isinstance(payload, dict):
         raise ParseError(f"{sidecar}: expected a JSON object, got {type(payload).__name__}")
@@ -249,7 +252,8 @@ def read_batch(path, *, fallback_batch_id: int = 0) -> SampleBatch:
         target_name=field("target_name", "", lambda value: isinstance(value, str), "a string"),
     )
     batch_id = field("batch_id", fallback_batch_id, is_integer, "an integer")
-    return SampleBatch(batch_id, draws, meta=meta, diagnostics=payload.get("diagnostics"))
+    with prefixed(str(path)):
+        return SampleBatch(batch_id, draws, meta=meta, diagnostics=payload.get("diagnostics"))
 
 
 def write_json(path, payload: dict) -> None:

@@ -17,7 +17,6 @@ must surface at the caller.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,13 +25,6 @@ from .errors import DecompositionError, InvalidInputError, NotPositiveDefiniteEr
 # Relative eigenvalue floor below which a matrix counts as not positive
 # definite.
 SPD_REL_TOL = 1e-12
-
-
-class SpectralDecomposition(NamedTuple):
-    """Eigenvalues sorted descending and the matching orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -63,10 +55,11 @@ def as_symmetric(a, *, name: str = "matrix") -> np.ndarray:
     return symmetrize(a)
 
 
-def eigh(v) -> SpectralDecomposition:
+def eigh(v) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``).
 
-    Eigenvalues are returned in descending order.  Eigenvector signs are
+    Returns ``(eigenvalues, eigenvectors)``: the eigenvalues in descending
+    order and the matching orthonormal columns.  Eigenvector signs are
     fixed by making the largest-magnitude component of each column positive,
     so the output is deterministic across runs and platforms at test
     tolerance.
@@ -86,20 +79,20 @@ def eigh(v) -> SpectralDecomposition:
     # Deterministic sign: largest-magnitude component of each column positive.
     pivots = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
     u = np.where(pivots < 0.0, -u, u)
-    return SpectralDecomposition(eigenvalues, u)
+    return eigenvalues, u
 
 
-def _spd_eigh(v) -> SpectralDecomposition:
+def _spd_eigh(v) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition plus the positive-definiteness check."""
-    dec = eigh(v)
-    lam_max = float(dec.eigenvalues[0])
-    lam_min = float(dec.eigenvalues[-1])
+    w, u = eigh(v)
+    lam_max = float(w[0])
+    lam_min = float(w[-1])
     if lam_max <= 0.0 or lam_min <= SPD_REL_TOL * lam_max:
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite: smallest eigenvalue "
             f"{lam_min:.6e} (largest {lam_max:.6e}, tolerance {SPD_REL_TOL:g})"
         )
-    return dec
+    return w, u
 
 
 def spsq(v) -> np.ndarray:
@@ -132,8 +125,9 @@ def cholesky(v) -> np.ndarray:
     """Lower-triangular Cholesky factor L with L @ L.T equal to the input.
 
     The factor has a strictly positive diagonal.  It is a valid but
-    non-symmetric square root, used as the comparison root in the
-    displacement tests.
+    non-symmetric square root: ``draw_gaussian`` draws through it, the
+    sampler's per-chain fallback factors each proposal covariance with it,
+    and the displacement tests use it as the comparison root.
     """
     try:
         return np.linalg.cholesky(as_symmetric(v))

@@ -188,13 +188,6 @@ class TargetModel:
 # --------------------------------------------------------------------------
 
 
-def rare_bernoulli_logpdf(theta: float) -> float:
-    """Log-density of the rare-Bernoulli posterior on the unit interval."""
-    if not 0.0 < theta < 1.0:
-        return -math.inf
-    return math.log(theta) + RARE_BERNOULLI_FAILURES * math.log1p(-theta)
-
-
 @dataclass(frozen=True)
 class RareBernoulli(TargetModel):
     """Rare-Bernoulli posterior; chains run unconstrained on phi = logit(theta)."""

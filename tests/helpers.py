@@ -1,6 +1,6 @@
-"""Shared test utilities: a curved test target, random matrix factories,
-exact Gaussian clouds, Monte Carlo error bars and the lockstep-independence
-check of experiments."""
+"""Shared test utilities: a curved test target, the rare-Bernoulli reference
+density, random matrix factories, exact Gaussian clouds, Monte Carlo error
+bars and the lockstep-independence check of experiments."""
 
 import math
 from dataclasses import dataclass, replace
@@ -13,8 +13,9 @@ from swissmc import (
     cholesky,
     run_experiment,
     strip_timing,
-    symmetrize,
 )
+from swissmc.linalg import symmetrize
+from swissmc.targets import RARE_BERNOULLI_FAILURES
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -36,6 +37,14 @@ class WarpedGaussian(TargetModel):
 
     def init_sampler(self, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(2)
+
+
+def rare_bernoulli_logpdf(theta: float) -> float:
+    """Rare-Bernoulli posterior log-density on the unit interval, written
+    directly as the reference that ``RareBernoulli`` is checked against."""
+    if not 0.0 < theta < 1.0:
+        return -math.inf
+    return math.log(theta) + RARE_BERNOULLI_FAILURES * math.log1p(-theta)
 
 
 def random_spd(d, rng, jitter=0.1):

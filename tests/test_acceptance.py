@@ -28,10 +28,10 @@ from swissmc import (
     sample_all_batches,
     skew_deviation,
     spd_inverse,
-    spsq,
     swiss_combine,
     make_target,
 )
+from swissmc.linalg import spsq
 from helpers import (
     block_mean_se,
     exact_gaussian_cloud,

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from swissmc import (
-    BatchMeta,
     ExperimentConfig,
     SampleBatch,
     SamplerConfig,
@@ -19,7 +18,15 @@ from swissmc import (
     read_dataset_csv,
 )
 from swissmc.cli import build_parser, cli_main
-from swissmc.io import read_assignment_csv, read_json, read_sample_csv, write_batch
+from swissmc.io import (
+    meta_path,
+    read_assignment_csv,
+    read_json,
+    read_sample_csv,
+    write_batch,
+    write_sample_csv,
+)
+from swissmc.moments import BatchMeta
 from helpers import exact_gaussian_cloud
 
 
@@ -132,6 +139,22 @@ class TestCombine:
         err = capsys.readouterr().err
         assert str(pa) in err and str(pb) in err and "batch id 3" in err
         assert not out.exists() and not maps.exists()
+
+    @pytest.mark.parametrize("sidecar", [False, True])
+    def test_one_draw_file_is_named(self, tmp_path, capsys, sidecar):
+        # a batch needs two draws; the refusal names the file, with or
+        # without a sidecar, and exits 1 before any output is written
+        rng = np.random.default_rng(5)
+        pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_sample_csv(pa, rng.standard_normal((1, 2)))
+        if sidecar:
+            meta_path(pa).write_text(json.dumps({"batch_id": 0, "n_draws": 1, "dim": 2}))
+        write_batch(pb, SampleBatch(1, rng.standard_normal((50, 2))))
+        out = tmp_path / "combined.csv"
+        assert run_cli("combine", "--method", "swiss", "--out", str(out), str(pa), str(pb)) == 1
+        err = capsys.readouterr().err
+        assert f"{pa}: batch 0: need at least 2 draws, got 1" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("method", ["swiss", "consensus", "barycenter"])
     def test_singular_batch_is_named(self, tmp_path, capsys, method):

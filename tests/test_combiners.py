@@ -7,7 +7,6 @@ import pytest
 
 from swissmc import linalg
 from swissmc import (
-    AffineMap,
     ConvergenceError,
     InvalidInputError,
     Moments,
@@ -19,12 +18,12 @@ from swissmc import (
     consensus_combine,
     displacement,
     draw_gaussian,
-    gaussian_barycenter,
     pool_moments,
     spd_inverse,
-    spsq,
     swiss_combine,
 )
+from swissmc.combiners import AffineMap, gaussian_barycenter
+from swissmc.linalg import spsq
 from helpers import exact_gaussian_cloud, random_orthogonal, random_spd
 
 

@@ -17,9 +17,8 @@ from swissmc import (
     run_experiment,
     simulate_rare_feature_data,
     strip_timing,
-    summarize_reports,
 )
-from swissmc.harness import laplace_pooling_moments
+from swissmc.harness import laplace_pooling_moments, summarize_reports
 from swissmc.targets import LogisticRegression, collapse_logistic
 from helpers import lockstep_mismatches
 

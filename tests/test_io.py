@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from swissmc import (
-    BatchMeta,
     Dataset,
     InvalidInputError,
     ParseError,
@@ -32,6 +31,7 @@ from swissmc.io import (
     write_sample_csv,
     write_table_csv,
 )
+from swissmc.moments import BatchMeta
 
 
 def _outcome(read):

@@ -11,11 +11,10 @@ from swissmc import (
     cholesky,
     draw_gaussian,
     eigh,
-    sample_inverse_wishart,
     spd_inverse,
     spd_roots,
-    spsq,
 )
+from swissmc.linalg import sample_inverse_wishart, spsq
 from helpers import exact_gaussian_cloud, random_orthogonal, random_spd
 
 

@@ -10,10 +10,10 @@ from swissmc import (
     Moments,
     NotPositiveDefiniteError,
     SampleBatch,
-    consensus_pool,
     estimate_moments,
     pool_moments,
 )
+from swissmc.moments import consensus_pool
 from helpers import random_spd
 
 

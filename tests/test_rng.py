@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from swissmc import RngStream, mix_seed, splitmix64
+from swissmc import RngStream, mix_seed
+from swissmc.rng import splitmix64
 
 
 def test_splitmix64_stays_in_64_bits():

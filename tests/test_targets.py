@@ -18,7 +18,6 @@ from swissmc import (
     logistic_regression_model,
     make_target,
     partition,
-    rare_bernoulli_logpdf,
     read_dataset_csv,
     simulate_rare_feature_data,
     write_dataset_csv,
@@ -35,7 +34,7 @@ from swissmc.targets import (
     shard_data,
     sigmoid,
 )
-from helpers import WarpedGaussian
+from helpers import WarpedGaussian, rare_bernoulli_logpdf
 
 
 def _loglik(model, theta, data_batch=None):
