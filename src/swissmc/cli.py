@@ -125,6 +125,11 @@ def _cmd_combine(args) -> None:
             raise InvalidInputError(
                 f"{paths[batch.batch_id]} and {path} share batch id {batch.batch_id}"
             )
+        if batch.dim != batches[0].dim:
+            raise InvalidInputError(
+                f"{args.inputs[0]} and {path} disagree on dimension: "
+                f"{batches[0].dim} vs {batch.dim}"
+            )
         paths[batch.batch_id] = path
     result = _COMBINE[args.method](batches)
     write_sample_csv(args.out, result.combined)
@@ -148,6 +153,11 @@ def _cmd_combine(args) -> None:
 
 def _cmd_evaluate(args) -> None:
     approx_draws, reference_draws = read_sample_csv(args.approx), read_sample_csv(args.reference)
+    if approx_draws.shape[1] != reference_draws.shape[1]:
+        raise InvalidInputError(
+            f"{args.approx} and {args.reference} disagree on dimension: "
+            f"{approx_draws.shape[1]} vs {reference_draws.shape[1]}"
+        )
     # Each file is prepared under its name: what the metrics read of it is
     # computed here, so that a degenerate column is reported with its file.
     with prefixed(args.approx):

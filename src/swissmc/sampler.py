@@ -19,17 +19,16 @@ scale * (L z) with L the Cholesky factor of Sigma_hat.  The scale starts at
 Robbins-Monro recursion toward an acceptance rate of 0.44 at d = 1 and 0.234
 above (the optimal-scaling values of Roberts, Gelman & Gilks 1997 and
 Roberts & Rosenthal 2001), and Sigma_hat tracks the running sample
-covariance (regularized by +1e-6 I); both freeze when burn-in ends, so the
-retained chain is Markov.  Sigma_hat is refreshed every 25 burn-in
-iterations, so a noise block's steps L z are taken 25 rows at a time during
-burn-in, just before they are used, and for the rest of the block at once
-after it; a refresh drops the rows not yet used.  Each row thus uses the L
-that is current at its iteration.  Once the scale is frozen, the rows are
-multiplied by it when they are taken (scale * (L z), the same product as per
-iteration), so a retained iteration only adds its row to the state; rows
-taken ahead during burn-in, still unscaled, are taken again at the freeze.
-Accept flags go into a (block, K) array for the current noise block and are
-counted per chain at the freeze and at the end of each block.
+covariance (regularized by +1e-6 I), as in the adaptive Metropolis of
+Haario, Saksman & Tamminen 2001 with the scale of Andrieu & Thoms 2008; both
+freeze when burn-in ends, so the retained chain is Markov.
+
+The iterations run in two phases over the noise blocks.  Burn-in runs in
+stretches that end where Sigma_hat may be refreshed (every 25 iterations),
+at the freeze or at the end of a block; a stretch takes its steps L z at
+once, adapts every iteration, and then counts its accepts and refreshes L.
+After the freeze the rest of each block takes its steps scale * (L z) at
+once, so a retained iteration only adds its row to the state.
 """
 
 from __future__ import annotations
@@ -195,14 +194,27 @@ def sample_all_batches(
     return _lockstep(target, list(chains), config)
 
 
+def _noise_blocks(rngs: list, total_iters: int, d: int):
+    """Yield each chain's proposal noise z, (block, K, d), and log-uniforms,
+    (block, K), for ``total_iters`` iterations, ``_BLOCK`` at a time; per
+    block, each chain draws its normals and then its uniforms."""
+    for start in range(0, total_iters, _BLOCK):
+        block = min(_BLOCK, total_iters - start)
+        noise = np.empty((block, len(rngs), d))
+        uniforms = np.empty((block, len(rngs)))
+        for i, rng in enumerate(rngs):
+            noise[:, i] = rng.standard_normal((block, d))
+            uniforms[:, i] = rng.random(block)
+        yield noise, np.log(uniforms)  # log(0) = -inf never accepts
+
+
 def _proposal_steps(chol: np.ndarray, z: np.ndarray) -> np.ndarray:
     """chol[k] @ z[..., k, :] for every chain k, with z of shape (..., K, d).
 
     The sum over j runs left to right whatever the shapes, so a chain's step
     does not depend on the group or on how many iterations are stacked.
-    ``_lockstep`` takes L z for the rows of a noise block just before it
-    uses them: 25 rows at a time during burn-in, where L may change every
-    25 iterations, and the rest of the block at once after it.
+    ``_lockstep`` calls it once per burn-in stretch, where L is fixed, and
+    once for the retained rest of each noise block.
     """
     steps = chol[:, :, 0] * z[..., :1]
     for j in range(1, z.shape[-1]):
@@ -248,7 +260,6 @@ def _lockstep(model: TargetModel, chains: list, config: SamplerConfig) -> list[S
     log_scale = np.full(k, math.log(2.38 / math.sqrt(d)))
     scale = np.exp(log_scale)[:, None]
     shape_chol = np.broadcast_to(np.eye(d), (k, d, d))
-    scale_at_freeze = np.exp(log_scale)
 
     # Welford accumulators for the running covariance of the burn-in draws.
     run_mean = np.zeros((k, d))
@@ -263,59 +274,44 @@ def _lockstep(model: TargetModel, chains: list, config: SamplerConfig) -> list[S
     kept = 0
     accepted_burn = np.zeros(k, dtype=np.int64)
     accepted_post = np.zeros(k, dtype=np.int64)
-    warnings: list[list[str]] = [[] for _ in chains]
 
-    # Per noise block: noise[cursor] and log_u[cursor] are the next
-    # iteration's; shape_steps holds the steps of rows cursor..ready-1 (L z
-    # during burn-in, scale * L z once the scale is frozen); flags[r] are row
-    # r's accept flags, of which rows before `counted` are tallied already.
-    cursor = ready = counted = block = 0
-    flags = np.zeros((0, k), dtype=bool)
+    def metropolis(proposal, log_u, accept):
+        """Accept or reject ``proposal`` chain by chain: fills ``accept``,
+        moves x and logp, and returns the log acceptance ratio."""
+        logp_prop = model.log_density(proposal, data, powers)
+        log_alpha = logp_prop - logp
+        np.less(log_u, log_alpha, out=accept)
+        np.copyto(x, proposal, where=accept[:, None])
+        np.copyto(logp, logp_prop, where=accept)
+        return log_alpha
+
+    it = 0  # iterations run
     with np.errstate(**_QUIET):
-        for it in range(total_iters):
-            if cursor == block:
-                # a block ending at the freeze was tallied there
-                tally = accepted_burn if it < burn else accepted_post
-                tally += flags[counted:].sum(axis=0)
-                block = min(_BLOCK, total_iters - it)
-                noise = np.empty((block, k, d))
-                log_u = np.empty((block, k))
-                for i, rng in enumerate(rngs):
-                    noise[:, i] = rng.standard_normal((block, d))
-                    log_u[:, i] = rng.random(block)
-                log_u = np.log(log_u)  # log(0) = -inf never accepts
-                shape_steps = np.empty_like(noise)
-                flags = np.empty((block, k), dtype=bool)
-                flag_rows = flags[:, :, None]
-                cursor = ready = counted = 0
-            if cursor == ready:
-                # rows up to the next possible refresh of L, or the rest of
-                # the block once L and the scale are frozen
-                ready = min(block, cursor + _COV_UPDATE_INTERVAL) if it < burn else block
-                shape_steps[cursor:ready] = _proposal_steps(shape_chol, noise[cursor:ready])
-                if it >= burn:
-                    shape_steps[cursor:ready] *= scale
-            if it < burn:
-                proposal = x + scale * shape_steps[cursor]
-            else:
-                proposal = x + shape_steps[cursor]
-            logp_prop = model.log_density(proposal, data, powers)
-            log_alpha = logp_prop - logp
-            accept = flags[cursor]
-            np.less(log_u[cursor], log_alpha, out=accept)
-            np.copyto(x, proposal, where=flag_rows[cursor])
-            np.copyto(logp, logp_prop, where=accept)
-            cursor += 1
-
-            if it < burn:
-                alpha = np.where(np.isfinite(log_alpha), np.exp(np.minimum(0.0, log_alpha)), 0.0)
-                log_scale += (it + 1) ** -0.6 * (alpha - target_accept)
-                run_n = it + 1
-                delta = x - run_mean
-                run_mean += delta / run_n
-                run_m2 += delta[:, :, None] * (x - run_mean)[:, None, :]
-                if run_n > min_cov_draws and run_n % _COV_UPDATE_INTERVAL == 0:
-                    cov = symmetrize(run_m2 / (run_n - 1) + jitter)
+        for noise, log_u in _noise_blocks(rngs, total_iters, d):
+            row, block = 0, len(noise)
+            # Burn-in, in stretches that end where L may be refreshed, at the
+            # freeze or at the end of the block; L is fixed within a stretch.
+            while it < burn and row < block:
+                end = row + min(
+                    _COV_UPDATE_INTERVAL - it % _COV_UPDATE_INTERVAL, burn - it, block - row
+                )
+                steps = _proposal_steps(shape_chol, noise[row:end])
+                flags = np.empty((end - row, k), dtype=bool)
+                for step, row_log_u, accept in zip(steps, log_u[row:end], flags):
+                    log_alpha = metropolis(x + scale * step, row_log_u, accept)
+                    it += 1
+                    alpha = np.where(
+                        np.isfinite(log_alpha), np.exp(np.minimum(0.0, log_alpha)), 0.0
+                    )
+                    log_scale += it**-0.6 * (alpha - target_accept)
+                    delta = x - run_mean
+                    run_mean += delta / it
+                    run_m2 += delta[:, :, None] * (x - run_mean)[:, None, :]
+                    scale = np.exp(log_scale)[:, None]
+                accepted_burn += flags.sum(axis=0)
+                row = end
+                if it > min_cov_draws and it % _COV_UPDATE_INTERVAL == 0:
+                    cov = symmetrize(run_m2 / (it - 1) + jitter)
                     try:
                         shape_chol = np.linalg.cholesky(cov)
                         factored = np.all(np.isfinite(shape_chol))  # NaN passes LAPACK
@@ -324,32 +320,30 @@ def _lockstep(model: TargetModel, chains: list, config: SamplerConfig) -> list[S
                     if not factored:
                         # chain by chain, so that the error names the failing one
                         shape_chol = np.array(_per_chain(labels, cholesky, cov))
-                    ready = cursor  # rows taken ahead with the old L are taken again
-                scale = np.exp(log_scale)[:, None]
-                if it == burn - 1:
-                    # Freeze: nothing past this point touches the proposal.
-                    # Rows taken ahead are unscaled; they are taken again.
-                    ready = cursor
-                    accepted_burn += flags[counted:cursor].sum(axis=0)
-                    counted = cursor
-                    scale_at_freeze = np.exp(log_scale)
-                    for i in np.flatnonzero(accepted_burn / burn < _TUNING_FLOOR):
-                        warnings[i].append(
-                            f"tuning-failure: burn-in acceptance rate "
-                            f"{accepted_burn[i] / burn:.4f} below {_TUNING_FLOOR}"
-                        )
-            elif (it - burn + 1) % config.thin == 0:
-                draws[kept] = x
-                kept += 1
-        accepted_post += flags[counted:cursor].sum(axis=0)
+            # Retained: the rest of the block, its steps scaled by the frozen scale.
+            steps = scale * _proposal_steps(shape_chol, noise[row:])
+            flags = np.empty((block - row, k), dtype=bool)
+            for step, row_log_u, accept in zip(steps, log_u[row:], flags):
+                metropolis(x + step, row_log_u, accept)
+                it += 1
+                if (it - burn) % config.thin == 0:
+                    draws[kept] = x
+                    kept += 1
+            accepted_post += flags.sum(axis=0)
 
     batches = []
     for i, chain in enumerate(chains):
+        burn_rate = int(accepted_burn[i]) / burn if burn else None
+        warnings = []
+        if burn and burn_rate < _TUNING_FLOOR:
+            warnings.append(
+                f"tuning-failure: burn-in acceptance rate {burn_rate:.4f} below {_TUNING_FLOOR}"
+            )
         diagnostics = {
             "acceptance_rate": int(accepted_post[i]) / post_iters,
-            "burn_in_acceptance": (int(accepted_burn[i]) / burn) if burn else None,
-            "scale_at_freeze": float(scale_at_freeze[i]),
-            "warnings": warnings[i],
+            "burn_in_acceptance": burn_rate,
+            "scale_at_freeze": float(scale[i, 0]),
+            "warnings": warnings,
         }
         meta = BatchMeta(
             inflation_exponent=float(powers[1][i]),

@@ -140,6 +140,19 @@ class TestCombine:
         assert str(pa) in err and str(pb) in err and "batch id 3" in err
         assert not out.exists() and not maps.exists()
 
+    def test_dimension_mismatch_names_both_files(self, tmp_path, capsys):
+        # a 5-column and a 3-column batch: exit 1 before any output, and the
+        # error names the two files, not their positions
+        rng = np.random.default_rng(6)
+        pa, pb = self._write_batches(
+            tmp_path, rng.standard_normal((50, 5)), rng.standard_normal((50, 3))
+        )
+        out = tmp_path / "combined.csv"
+        assert run_cli("combine", "--method", "swiss", "--out", str(out), str(pa), str(pb)) == 1
+        err = capsys.readouterr().err
+        assert f"{pa} and {pb} disagree on dimension: 5 vs 3" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("sidecar", [False, True])
     def test_one_draw_file_is_named(self, tmp_path, capsys, sidecar):
         # a batch needs two draws; the refusal names the file, with or
@@ -199,6 +212,22 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert f"{flat}: zero variance in dimension 1" in err
         assert str(good) not in err
+
+
+    def test_dimension_mismatch_names_both_files(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        approx, reference = tmp_path / "approx.csv", tmp_path / "reference.csv"
+        write_sample_csv(approx, rng.standard_normal((100, 3)))
+        write_sample_csv(reference, rng.standard_normal((100, 5)))
+        report = tmp_path / "metrics.json"
+        code = run_cli(
+            "evaluate", "--approx", str(approx), "--reference", str(reference),
+            "--out", str(report),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{approx} and {reference} disagree on dimension: 3 vs 5" in err
+        assert not report.exists()
 
 
 class TestExperimentCommand:

@@ -194,7 +194,68 @@ def _recounted_acceptance(burn, thin, n, seed, streams):
     return batches, counts
 
 
+def _reference_unit_gaussian_chain(burn, n, thin, seed):
+    """One unit-Gaussian chain run iteration by iteration, as the module
+    docstring describes it, on the noise of stream 0 (the start draw, then
+    blocks of 512 normals and 512 uniforms).  At d = 1 a step is
+    scale * L * z, and L = sqrt(running variance + 1e-6) is refreshed after
+    every 25th burn-in iteration past the 20th.  Returns the retained draws
+    and the three numeric diagnostics."""
+    target = _UnitGaussian()
+    rng = RngStream(seed, 0).generator()
+    x = target.init_sampler(rng)[None]  # the (1, 1) stack of one chain
+    total = burn + n * thin
+    z, log_u = [], []
+    for start in range(0, total, 512):
+        size = min(512, total - start)
+        z.append(rng.standard_normal(size))
+        log_u.append(np.log(rng.random(size)))
+    z, log_u = np.concatenate(z), np.concatenate(log_u)
+    logp = target.log_density(x)
+    log_scale = np.array([math.log(2.38)])
+    chol, mean, m2 = 1.0, np.zeros(1), np.zeros(1)
+    accepted, draws = [0, 0], []
+    for it in range(total):
+        proposal = x + np.exp(log_scale) * (chol * z[it])
+        logp_prop = target.log_density(proposal)
+        log_alpha = logp_prop - logp
+        accept = bool(log_u[it] < log_alpha[0])
+        accepted[it >= burn] += accept
+        if accept:
+            x, logp = proposal, logp_prop
+        if it < burn:
+            alpha = np.where(np.isfinite(log_alpha), np.exp(np.minimum(0.0, log_alpha)), 0.0)
+            log_scale += (it + 1) ** -0.6 * (alpha - 0.44)
+            delta = x[0] - mean
+            mean += delta / (it + 1)
+            m2 += delta * (x[0] - mean)
+            if it + 1 > 20 and (it + 1) % 25 == 0:
+                chol = math.sqrt(m2[0] / it + 1e-6)
+        elif (it - burn + 1) % thin == 0:
+            draws.append(x[0])
+    diagnostics = (
+        accepted[1] / (n * thin),
+        accepted[0] / burn if burn else None,
+        float(np.exp(log_scale)[0]),
+    )
+    return np.array(draws), diagnostics
+
+
 class TestAdaptation:
+    @pytest.mark.parametrize("thin", [1, 3])
+    @pytest.mark.parametrize("burn", [0, 1, 24, 25, 26, 511, 512, 513, 1037])
+    def test_chain_equals_an_iteration_by_iteration_reference(self, burn, thin):
+        # the freeze on, next to and off the 25-step refresh grid and the
+        # 512-step noise blocks, and refreshes in a second block: draws and
+        # diagnostics agree bit for bit
+        config = SamplerConfig(n_samples=150, burn_in=burn, thin=thin, seed=8)
+        batch = sample(_UnitGaussian(), None, config)
+        draws, (rate, burn_rate, scale) = _reference_unit_gaussian_chain(burn, 150, thin, 8)
+        assert np.array_equal(batch.draws, draws)
+        assert batch.diagnostics["acceptance_rate"] == rate
+        assert batch.diagnostics["burn_in_acceptance"] == burn_rate
+        assert batch.diagnostics["scale_at_freeze"] == scale
+
     @pytest.mark.parametrize("thin", [1, 3])
     @pytest.mark.parametrize("burn", [0, 1, 25, 511, 512, 513, 1037])
     def test_acceptance_counts_match_a_recount(self, burn, thin):
@@ -300,13 +361,15 @@ class TestSampleAllBatches:
         batched = sample_all_batches(target, [Chain()], config)
         assert np.array_equal(direct.draws, batched[0].draws)
 
+    @pytest.mark.parametrize("thin", [1, 3])
+    @pytest.mark.parametrize("burn", [0, 1, 24, 25, 26, 511, 512, 513])
     @pytest.mark.parametrize(
         "target", [WarpedGaussian(), make_target("rare-bernoulli")], ids=lambda t: t.name
     )
-    def test_data_free_chains_match_in_any_group_order(self, target):
-        # 600 burn-in steps cross a 512-step noise block and refresh the
-        # proposal covariance; the retained steps come from whole blocks
-        config = SamplerConfig(n_samples=700, burn_in=600, seed=16)
+    def test_data_free_chains_match_in_any_group_order(self, target, burn, thin):
+        # the freeze on, next to and off the 25-step grid of proposal
+        # refreshes and the 512-step noise blocks
+        config = SamplerConfig(n_samples=150, burn_in=burn, thin=thin, seed=16)
         chains = [Chain(batch_id=b, stream_id=3 * b + 1) for b in range(5)]
         forward = sample_all_batches(target, chains, config)
         backward = sample_all_batches(target, chains[::-1], config)[::-1]
