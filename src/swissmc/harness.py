@@ -10,14 +10,18 @@ on the config itself with the master seed replaced.  Seed layout (see
 ``rng.mix_seed``):
 
 * dataset:            mix_seed(seed, _DATA_STREAM)
-* repetition r:       chain master = mix_seed(seed, r)
+* repetition r:       chain master = mix_seed(seed, r), r < _DATA_STREAM on
+                      a data-backed target (r = _DATA_STREAM would replay
+                      the dataset's stream)
 * partition of rep r: mix_seed(seed, r, _PARTITION_STREAM)
-* chain streams:      inflated batch b -> b, full-data chain -> B,
-                      un-inflated batch b -> B + 1 + b (convention_chains)
-* oracle draws:       chain master, stream 2B + 1 (Laplace-pooling baseline)
+* chain streams:      ``sampler.convention_streams`` of each convention
+* oracle draws:       chain master, the first stream no chain uses (the
+                      ``stop`` of the "subposterior" streams)
 
 so reports are identical for a fixed config and seed regardless of worker
-count or of which chains share a group.
+count or of which chains share a group.  ``bench_dimension_scaling`` keys
+dimension d's suite by mix_seed(seed, d, 0) and its exact draws by
+mix_seed(seed, d, 1), on the streams of the chains they stand in for.
 
 Baselines.  On targets with a Laplace hook (the data-backed ones) every
 repetition that runs ``swiss`` also scores two references that involve no
@@ -25,9 +29,10 @@ combiner, under the report's ``baselines`` key (never in ``combiners`` or
 ``metrics.csv``):
 
 * ``laplace_pooling``: the chain-free oracle of ``laplace_pooling_moments``;
-  B * n_samples Gaussian draws from its pooled moments (stream 2B + 1) are
-  scored against the reference chain with every metric.  This is
-  the error of the precision pooling itself, with no sampler error in it.
+  B * n_samples Gaussian draws from its pooled moments (on the first stream
+  that no chain uses) are scored against the reference chain with every
+  metric.  This is the error of the precision pooling itself, with no
+  sampler error in it.
 * ``noise_floor``: the IAD of the first half of the reference chain's
   retained draws against the second half, i.e. the resolution at which the
   reference can tell two samples of the same posterior apart.
@@ -48,7 +53,13 @@ from .linalg import draw_gaussian
 from .metrics import REPORT_KEYS, MetricReport, Reference, compute_metrics
 from .moments import Moments, SampleBatch, pool_moments
 from .rng import RngStream, mix_seed
-from .sampler import SamplerConfig, check_config, convention_chains, sample_all_batches
+from .sampler import (
+    SamplerConfig,
+    check_config,
+    convention_chains,
+    convention_streams,
+    sample_all_batches,
+)
 from .targets import (
     DATA_BACKED_TARGETS,
     TARGET_NAMES,
@@ -124,6 +135,12 @@ class ExperimentConfig(SamplerConfig):
             raise InvalidInputError(
                 f"target {self.target!r} needs n_observations >= n_batches, "
                 f"got {self.n_observations} < {self.n_batches}"
+            )
+        if self.target in DATA_BACKED_TARGETS and self.n_runs > _DATA_STREAM:
+            raise InvalidInputError(
+                f"n_runs must be <= {_DATA_STREAM} on target {self.target!r}, got "
+                f"{self.n_runs}: repetition {_DATA_STREAM}'s chains would replay "
+                "the random stream that simulated the dataset"
             )
         if self.target not in DATA_BACKED_TARGETS and self.n_observations != 0:
             raise InvalidInputError(
@@ -265,7 +282,8 @@ def _score_baselines(model, batch_data, reference: Reference, config: SamplerCon
     """Laplace-pooling oracle and reference noise floor (see the module docstring)."""
     pooled = laplace_pooling_moments(model, batch_data)
     n_batches = len(batch_data)
-    rng = RngStream(config.seed, 2 * n_batches + 1).generator()
+    stream = convention_streams("subposterior", n_batches).stop
+    rng = RngStream(config.seed, stream).generator()
     draws = draw_gaussian(pooled.mean, pooled.cov, n_batches * config.n_samples, rng)
     chain = reference.draws
     half = chain.shape[0] // 2
@@ -390,9 +408,11 @@ def bench_dimension_scaling(
     moments are injected into every combiner: with widely spread batch means
     the precision-weighted pooling amplifies covariance-estimation noise
     roughly like d/sqrt(J), which would swamp the combiner differences this
-    study is after.  Dimension d's suite and draws come from the seed
-    ``mix_seed(seed, d, 0)``.  Returns plot-ready rows
-    (d, method, iad, time_seconds), one per dimension and combiner.
+    study is after.  Dimension d's suite comes from the seed
+    ``mix_seed(seed, d, 0)`` and its draws from ``mix_seed(seed, d, 1)``, each
+    on the stream that ``convention_streams`` gives the chain it stands in
+    for.  Returns plot-ready rows (d, method, iad, time_seconds), one per
+    dimension and combiner.
     """
     dims = [integer(d, "dimension", 1) for d in dims]
     n_batches = integer(n_batches, "the batch count", 1)
@@ -402,23 +422,17 @@ def bench_dimension_scaling(
     rows = []
     for d in dims:
         failed = f"bench at d={d} failed during"
-        suite_seed = mix_seed(seed, d, 0)
-        per_batch, full = gaussian_conjugate_suite(d, n_batches, suite_seed)
-        draws = draw_gaussian(
-            full.mean,
-            full.cov,
-            n_batches * n_samples,
-            RngStream(suite_seed, n_batches).generator(),
-        )
+        per_batch, full = gaussian_conjugate_suite(d, n_batches, mix_seed(seed, d, 0))
+        draw_seed = mix_seed(seed, d, 1)
+        (stream,) = convention_streams("full", n_batches)
+        rng = RngStream(draw_seed, stream).generator()
+        draws = draw_gaussian(full.mean, full.cov, n_batches * n_samples, rng)
         with prefixed(f"{failed} metrics"):
             reference = Reference(draws)
         by_convention = {}
-        for convention, first_stream, shrink in (
-            ("inflated", 0, n_batches),
-            ("subposterior", n_batches + 1, 1),
-        ):
+        for convention, shrink in (("inflated", n_batches), ("subposterior", 1)):
             moments = [Moments(mom.mean, mom.cov / shrink) for mom in per_batch]
-            rngs = [RngStream(suite_seed, first_stream + b) for b in range(n_batches)]
+            rngs = [RngStream(draw_seed, s) for s in convention_streams(convention, n_batches)]
             batches = [
                 SampleBatch(b, draw_gaussian(mom.mean, mom.cov, n_samples, rng.generator()))
                 for b, (mom, rng) in enumerate(zip(moments, rngs))

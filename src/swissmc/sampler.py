@@ -124,21 +124,40 @@ class Chain(NamedTuple):
     label: str | None = None
 
 
+def convention_streams(convention: str, n_batches: int) -> range:
+    """The stream ids of ``convention``'s chains over B = ``n_batches``
+    batches: inflated batch b -> b, the full-data chain -> B, un-inflated
+    ("subposterior") batch b -> B + 1 + b.
+
+    The one statement of the stream layout: chains, the dimension bench's
+    exact draws and the Laplace-pooling oracle all take their ids from here.
+    The ranges tile 0 .. 2B, so 2B + 1, the ``stop`` of the "subposterior"
+    range, is the first id that no chain uses.
+    """
+    return {
+        "inflated": range(0, n_batches),
+        "full": range(n_batches, n_batches + 1),
+        "subposterior": range(n_batches + 1, 2 * n_batches + 1),
+    }[convention]
+
+
 def convention_chains(base: TargetModel, convention: str, batch_data: list) -> list[Chain]:
     """The chains of ``convention`` over B batches.
 
     ``batch_data`` holds each batch's data (None for a data-free target);
-    ``base.convention_powers`` sets the chains' exponents.  "full" is one
-    chain on the data ``base`` was built on.  Streams: inflated batch b -> b,
-    full-data chain -> B, un-inflated batch b -> B + 1 + b.
+    ``base.convention_powers`` sets the chains' exponents and
+    ``convention_streams`` their streams.  "full" is one chain on the data
+    ``base`` was built on.
     """
     n_batches = len(batch_data)
     powers = base.convention_powers(convention, n_batches)
+    streams = convention_streams(convention, n_batches)
     if convention == "full":
-        return [Chain(powers, None, 0, n_batches, "full-data chain")]
-    first, kind = (0, "inflated") if convention == "inflated" else (n_batches + 1, "un-inflated")
+        return [Chain(powers, None, 0, streams[0], "full-data chain")]
+    kind = "inflated" if convention == "inflated" else "un-inflated"
     return [
-        Chain(powers, data, b, first + b, f"{kind} batch {b}") for b, data in enumerate(batch_data)
+        Chain(powers, data, b, stream, f"{kind} batch {b}")
+        for b, (data, stream) in enumerate(zip(batch_data, streams))
     ]
 
 

@@ -16,7 +16,10 @@ sampler's or the metrics' arithmetic could move:
   writes for a fixed table (2049 rows, past two 1024-row chunks, with
   signed zeros, subnormals and the largest finite floats);
 * ``combine swiss``: the CSV that ``swissmc combine --method swiss`` writes
-  for four fixed batch files.
+  for four fixed batch files;
+* ``bench``: the rows of ``bench_dimension_scaling`` at toy size, without
+  ``time_seconds``, so a change to the bench's exact draws shows as it does
+  for chains.
 
 Run it in each tree and ``diff`` the two outputs: a line that differs names
 the config whose outputs changed.  The package is imported from the
@@ -46,6 +49,7 @@ from swissmc import (  # noqa: E402
     Partition,
     SampleBatch,
     SamplerConfig,
+    bench_dimension_scaling,
     make_target,
     partition,
     run_experiment,
@@ -151,6 +155,13 @@ def combine_digest(tmp: Path) -> str:
     return _file_digest(out)
 
 
+def bench_digest() -> str:
+    rows = bench_dimension_scaling((2, 3), 3, 300, SEED)
+    for row in rows:
+        del row["time_seconds"]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
 def main() -> None:
     groups = _groups()
     for burn_in in BURN_INS:
@@ -162,6 +173,7 @@ def main() -> None:
         for name, digest in writer_digests(Path(tmp)):
             print(f"writer {name} {digest}")
         print(f"combine swiss {combine_digest(Path(tmp))}")
+    print(f"bench {bench_digest()}")
 
 
 if __name__ == "__main__":

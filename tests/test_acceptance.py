@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from swissmc import (
-    Chain,
     ExperimentConfig,
     Moments,
     SampleBatch,
@@ -32,6 +31,7 @@ from swissmc import (
     make_target,
 )
 from swissmc.linalg import spsq
+from swissmc.sampler import convention_chains
 from helpers import (
     block_mean_se,
     exact_gaussian_cloud,
@@ -192,15 +192,12 @@ def rare_bernoulli_chains():
     """Full chain plus B=10 batch chains on the rare-Bernoulli target."""
     target = make_target("rare-bernoulli")
     config = SamplerConfig(n_samples=10_000, burn_in=1000, seed=106)
-    n_batches = 10
-    full = sample_all_batches(target, [Chain(stream_id=n_batches)], config)[0]
-    inflated = sample_all_batches(
-        target, [Chain(batch_id=b, stream_id=b) for b in range(n_batches)], config
+    batch_data = [None] * 10
+    full, inflated, uninflated = (
+        sample_all_batches(target, convention_chains(target, convention, batch_data), config)
+        for convention in ("full", "inflated", "subposterior")
     )
-    uninflated = sample_all_batches(
-        target, [Chain(batch_id=b, stream_id=n_batches + 1 + b) for b in range(n_batches)], config
-    )
-    return full, inflated, uninflated
+    return full[0], inflated, uninflated
 
 
 def test_criterion_06_rare_bernoulli_geometry(rare_bernoulli_chains):

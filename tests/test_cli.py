@@ -440,6 +440,18 @@ class TestExitCodes:
         assert "workers" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_data_backed_config_past_100_runs_is_usage_error(self, tmp_path, capsys):
+        # repetition 100 would replay the dataset's random stream
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"target": "logistic-rare", "n_batches": 2,
+                                        "n_samples": 200, "burn_in": 500, "init": "mle",
+                                        "n_observations": 2000, "n_runs": 101,
+                                        "combiners": ["swiss"]}))
+        out = tmp_path / "out"
+        assert run_cli("experiment", "--config", str(cfg_path), "--out", str(out)) == 1
+        assert "n_runs must be <= 100" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_data_free_config_with_observations_is_usage_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({"target": "rare-bernoulli", "n_batches": 2,

@@ -12,6 +12,7 @@ from swissmc import (
     ExperimentConfig,
     ExperimentReport,
     InvalidInputError,
+    RngStream,
     bench_dimension_scaling,
     make_target,
     run_experiment,
@@ -83,6 +84,14 @@ class TestConfig:
     def test_data_backed_needs_observations(self):
         with pytest.raises(InvalidInputError, match="n_observations"):
             ExperimentConfig(target="logistic-rare", n_batches=5, n_samples=10)
+
+    def test_data_backed_runs_stop_before_the_data_stream(self):
+        # repetition 100's chain master would equal the dataset's seed
+        config = dict(target="logistic-rare", n_batches=2, n_samples=10, n_observations=40)
+        assert ExperimentConfig(**config, n_runs=100).n_runs == 100
+        with pytest.raises(InvalidInputError, match="n_runs must be <= 100 .* replay"):
+            ExperimentConfig(**config, n_runs=101)
+        assert _tiny_config(n_runs=101).n_runs == 101  # data-free: no dataset stream
 
     def test_data_free_target_takes_no_observations(self):
         # nothing would use the count, yet the report's config would record it
@@ -229,6 +238,30 @@ class TestRunExperiment:
             hz._COMBINE["swiss"] = swiss_combine
         assert (tmp_path / "run_0.json").exists()
         assert not (tmp_path / "run_1.json").exists()
+
+
+class TestRandomStreams:
+    def test_no_two_random_consumers_share_a_key(self, monkeypatch):
+        # every generator that a data-backed experiment (dataset, partitions,
+        # chains, oracle) and the dimension bench (suites, exact draws) open
+        keys = []
+        generator = RngStream.generator
+
+        def recording(stream):
+            keys.append((stream.master_seed, stream.stream_id))
+            return generator(stream)
+
+        monkeypatch.setattr(RngStream, "generator", recording)
+        run_experiment(ExperimentConfig(
+            target="logistic-rare", n_batches=2, n_samples=60, burn_in=20,
+            n_observations=300, seed=7, n_runs=2, init="mle", combiners=("swiss", "consensus"),
+        ))
+        # the dataset, then per repetition a partition, 5 chains and the oracle
+        assert len(keys) == 1 + 2 * (1 + 5 + 1)
+        bench_dimension_scaling([2, 3], 2, 60, seed=7)
+        # per dimension the suite, the reference and 2 x 2 batch draws
+        assert len(keys) == 15 + 2 * (1 + 1 + 4)
+        assert len(set(keys)) == len(keys)
 
 
 class TestSummaries:

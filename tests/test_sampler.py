@@ -20,8 +20,8 @@ from swissmc import (
     simulate_rare_feature_data,
 )
 from swissmc.rng import RngStream
-from swissmc.sampler import convention_chains
-from swissmc.targets import LogisticRegression, shard_data
+from swissmc.sampler import convention_chains, convention_streams
+from swissmc.targets import CONVENTIONS, LogisticRegression, shard_data
 from helpers import WarpedGaussian, block_mean_se
 
 
@@ -509,6 +509,15 @@ class TestConventionChains:
         assert layout("subposterior") == [
             (b, 4 + b, f"un-inflated batch {b}", 1.0 / 3.0, 1.0, shards[b]) for b in range(3)
         ]
+
+
+    @pytest.mark.parametrize("n_batches", [1, 2, 5])
+    def test_streams_tile_up_to_the_first_free_id(self, n_batches):
+        # every chain of the three conventions on its own id, 0 .. 2B, and
+        # 2B + 1 (the oracle's stream) is the stop of the un-inflated range
+        ids = [s for c in CONVENTIONS for s in convention_streams(c, n_batches)]
+        assert sorted(ids) == list(range(2 * n_batches + 1))
+        assert convention_streams("subposterior", n_batches).stop == 2 * n_batches + 1
 
 
 class TestSamplerConfigValidation:
