@@ -334,8 +334,9 @@ def _run_repetition(config: ExperimentConfig, base, dataset, rep: int) -> Experi
         group = batches[i * n_batches : (i + 1) * n_batches]
         by_convention[convention] = (group, None)
         diagnostics[convention] = [b.diagnostics for b in group]
-    with prefixed(f"{failed} metrics"):
+    with prefixed(f"{failed} metrics ({chains[0].label})"):
         reference = Reference(full_chain.draws)
+        reference.precision  # a singular reference fails here, not in a combiner's metrics
     scored = _score_combiners(config.combiners, by_convention, reference, REPORT_KEYS, failed)
 
     baselines = {}

@@ -305,17 +305,20 @@ class LogisticRegression(TargetModel):
         return 0.5 * self.dim * math.log(2.0 * math.pi * LOGISTIC_PRIOR_VAR)
 
     def log_prior(self, theta):
-        # -0.5 * |theta|^2 / variance - norm, each step on one fresh array
+        # -|theta|^2 / (2 variance) - norm, each step on one fresh array
         total = _sum_last(theta * theta)
-        total *= -0.5
-        total /= LOGISTIC_PRIOR_VAR
+        total /= -2.0 * LOGISTIC_PRIOR_VAR
         total -= self._prior_norm
         return total
 
     def log_likelihood(self, theta, data_batch):
         # successes * eta - counts * softplus(eta), summed over the rows
         rows, successes, counts = data_batch
-        eta = _sum_planes(rows * theta.T[:, :, None])
+        planes = rows * theta.T[:, :, None]
+        # np.add.reduce adds (K, R) planes left to right, but a plane of one
+        # value makes the planes one contiguous run, which it sums pairwise
+        # from d = 8 on; _sum_planes keeps such a chain's bits
+        eta = _sum_planes(planes) if planes[0].size == 1 else np.add.reduce(planes, axis=0)
         terms = successes * eta
         penalty = _softplus(eta)
         penalty *= counts

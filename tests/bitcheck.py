@@ -9,6 +9,10 @@ sampler's or the metrics' arithmetic could move:
   of inflated logistic-rare chains and a K = 2 group of inflated
   rare-Bernoulli chains, for burn-in lengths on, next to and off the
   25-iteration refresh grid and the 512-iteration noise blocks;
+* ``chains continuous burn_in=B thin=T``: the same for a K = 4 group of
+  inflated logistic chains on a continuous design (200 distinct rows per
+  shard, against at most 16 on the rare design), so that the logistic
+  log-density's plane and row sums run on wide stacks too;
 * ``report configs/<name>.json``: every run report and the summary of
   ``run_experiment`` on that config, after ``strip_timing``, without
   ``out_dir`` and with every ``skew_dev`` value dropped;
@@ -86,6 +90,17 @@ def _groups():
         (logistic, convention_chains(logistic, "inflated", shards), "mle"),
         (rare, convention_chains(rare, "inflated", [None, None]), "prior-draw"),
     ]
+
+
+def _continuous_group():
+    """(target, chains, init) of four inflated logistic shards on 800 rows
+    of an intercept and two standard-normal features."""
+    rng = np.random.default_rng(SEED)
+    x = np.column_stack([np.ones(800), rng.standard_normal((800, 2))])
+    dataset = Dataset(x, (rng.random(800) < 0.3).astype(float))
+    logistic = make_target("logistic-rare", dataset)
+    shards = shard_data(dataset, partition(dataset, 4, seed=SEED))
+    return [(logistic, convention_chains(logistic, "inflated", shards), "mle")]
 
 
 def chain_digest(groups, burn_in: int, thin: int) -> str:
@@ -167,6 +182,7 @@ def main() -> None:
     for burn_in in BURN_INS:
         for thin in THINS:
             print(f"chains burn_in={burn_in} thin={thin} {chain_digest(groups, burn_in, thin)}")
+    print(f"chains continuous burn_in=1037 thin=3 {chain_digest(_continuous_group(), 1037, 3)}")
     for path in sorted((ROOT / "configs").glob("*.json")):
         print(f"report configs/{path.name} {report_digest(path)}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:

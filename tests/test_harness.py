@@ -12,6 +12,7 @@ from swissmc import (
     ExperimentConfig,
     ExperimentReport,
     InvalidInputError,
+    NotPositiveDefiniteError,
     RngStream,
     bench_dimension_scaling,
     make_target,
@@ -19,6 +20,7 @@ from swissmc import (
     simulate_rare_feature_data,
     strip_timing,
 )
+from swissmc import harness
 from swissmc.harness import laplace_pooling_moments, summarize_reports
 from swissmc.targets import LogisticRegression, collapse_logistic
 from helpers import lockstep_mismatches
@@ -216,6 +218,22 @@ class TestRunExperiment:
         with pytest.raises(InvalidInputError,
                            match=f"^repetition 0 failed during sampling: {label}: no ML"):
             run_experiment(config)
+
+    def test_singular_reference_chain_is_named(self):
+        # the full-data chain of repetition 12 moves 4 times in its 100
+        # retained draws and its covariance is singular: the error names that
+        # chain, not the combiner whose metrics first used it
+        config = ExperimentConfig(
+            target="logistic-rare", n_observations=2000, n_batches=2, n_samples=100,
+            burn_in=100, init="mle", combiners=("consensus",), seed=0, n_runs=13,
+        )
+        dataset = harness._build_dataset(config)
+        base = make_target(config.target, dataset)
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            harness._run_repetition(config, base, dataset, 12)
+        message = str(info.value)
+        assert message.startswith("repetition 12 failed during metrics (full-data chain): ")
+        assert "consensus" not in message
 
     def test_completed_repetitions_survive_later_failure(self, tmp_path):
         config = _tiny_config(n_runs=3, combiners=("swiss",), out_dir=str(tmp_path))

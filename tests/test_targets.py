@@ -27,6 +27,7 @@ from swissmc.targets import (
     RARE_FEATURE_COEFS,
     RARE_FEATURE_RATES,
     TARGET_NAMES,
+    LogisticData,
     LogisticRegression,
     TargetModel,
     _logistic_grad_neg_hess,
@@ -273,6 +274,32 @@ class TestSufficientStatistics:
         assert len(shards) == 4
         assert [s.counts.sum() for s in shards] == list(split.sizes())
         assert sum(s.successes.sum() for s in shards) == data.y.sum()
+
+
+class TestStackedSums:
+    """A row of a logistic stack equals its point evaluated alone (the K = 1
+    stack), bit for bit, on a continuous design."""
+
+    @pytest.mark.parametrize("d", [5, 8, 12])
+    @pytest.mark.parametrize("k, width", [(1, 1), (2, 1), (1, 2), (99, 1), (9, 11), (1, 99)])
+    def test_stack_row_equals_point_alone(self, d, k, width):
+        # K * R = 1, 2 or 99 values per feature plane; numpy sums d planes of
+        # one value each pairwise from d = 8 on, unlike planes of several
+        rng = np.random.default_rng(1000 * d + k * width)
+        parts = []
+        for _ in range(k):
+            counts = rng.integers(1, 5, width).astype(float)
+            successes = np.floor(rng.random(width) * (counts + 1))
+            parts.append(LogisticData(rng.standard_normal((width, d)), successes, counts))
+        model = LogisticRegression(parts[0])
+        stacked = model.stack_data(parts)
+        powers = (rng.random(k) + 0.5, 4.0 * rng.random(k))
+        for _ in range(20):
+            theta = 3.0 * rng.standard_normal((k, d))
+            values = model.log_density(theta, stacked, powers)
+            for i, part in enumerate(parts):
+                alone = model.log_density(theta[i], part, (powers[0][i], powers[1][i]))
+                assert values[i] == alone
 
 
 class TestLogisticLaplace:
