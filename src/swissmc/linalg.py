@@ -2,9 +2,9 @@
 
 Provides the eigendecomposition and Cholesky factorization (both LAPACK,
 through numpy), the symmetric positive-definite square root and its inverse,
-SPD inversion and Gaussian / inverse-Wishart sampling.  All matrices are
-plain float64 numpy arrays, and no ``np.linalg.LinAlgError`` escapes this
-module: it surfaces as DecompositionError or NotPositiveDefiniteError.
+SPD inversion and Gaussian sampling.  All matrices are plain float64 numpy
+arrays, and no ``np.linalg.LinAlgError`` escapes this module: it surfaces as
+DecompositionError or NotPositiveDefiniteError.
 
 Every function that returns a mathematically symmetric matrix symmetrizes its
 result explicitly, so chained products such as ``inv_root @ cov @ inv_root``
@@ -15,8 +15,6 @@ must surface at the caller.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -136,30 +134,6 @@ def cholesky(v) -> np.ndarray:
             "Cholesky factorization met a non-positive pivot; matrix is not "
             "positive definite"
         ) from None
-
-
-def sample_inverse_wishart(df: float, scale, rng: np.random.Generator) -> np.ndarray:
-    """Draw one SPD matrix from an inverse-Wishart distribution.
-
-    Uses the Bartlett decomposition of the Wishart with inverted scale and
-    inverts the result, so the draw is deterministic given the generator
-    state.  Requires df > d - 1.
-    """
-    s = as_symmetric(scale, name="scale")
-    d = s.shape[0]
-    if df <= d - 1:
-        raise InvalidInputError(
-            f"inverse-Wishart needs df > d - 1, got df={df} with d={d}"
-        )
-    lower = cholesky(spd_inverse(s))
-    bartlett = np.zeros((d, d))
-    for i in range(d):
-        bartlett[i, i] = math.sqrt(rng.chisquare(df - i))
-        if i:
-            bartlett[i, :i] = rng.standard_normal(i)
-    factor = lower @ bartlett
-    wishart = symmetrize(factor @ factor.T)
-    return spd_inverse(wishart)
 
 
 def draw_gaussian(mean, cov, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -37,7 +37,7 @@ from .errors import (
     NotPositiveDefiniteError,
     integer,
 )
-from .linalg import sample_inverse_wishart, spd_inverse, symmetrize
+from .linalg import spd_inverse, symmetrize
 from .moments import Moments, consensus_pool
 from .rng import RngStream
 
@@ -62,26 +62,14 @@ def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def _sum_planes(terms: np.ndarray) -> np.ndarray:
-    """terms[0] + terms[1] + ..., added left to right.
+def _sum_last(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, left to right (``cumsum`` adds in index
+    order), so trailing zeros leave a row's total unchanged.
 
     ``sum`` and ``@`` pick their summation order by array length and layout,
     so a chain's value could depend on the group it runs in.  A fixed order
     keeps each chain of a lockstep group bit-identical to the same chain run
-    alone.  Meant for a short leading axis (one plane per coordinate).  The
-    sum is one fresh array, or ``terms[0]`` itself when there is one plane.
-    """
-    if len(terms) == 1:
-        return terms[0]
-    total = terms[0] + terms[1]
-    for term in terms[2:]:
-        total += term
-    return total
-
-
-def _sum_last(terms: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, left to right (``cumsum`` adds in index
-    order), so trailing zeros leave a row's total unchanged; see _sum_planes."""
+    alone."""
     return terms.cumsum(axis=-1)[..., -1]
 
 
@@ -92,7 +80,7 @@ def sigmoid(x):
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    return out if out.ndim else float(out)
+    return out
 
 
 class TargetModel:
@@ -315,10 +303,9 @@ class LogisticRegression(TargetModel):
         # successes * eta - counts * softplus(eta), summed over the rows
         rows, successes, counts = data_batch
         planes = rows * theta.T[:, :, None]
-        # np.add.reduce adds (K, R) planes left to right, but a plane of one
-        # value makes the planes one contiguous run, which it sums pairwise
-        # from d = 8 on; _sum_planes keeps such a chain's bits
-        eta = _sum_planes(planes) if planes[0].size == 1 else np.add.reduce(planes, axis=0)
+        # np.add.reduce adds planes of at least two values (stack_data's
+        # minimum width) left to right
+        eta = np.add.reduce(planes, axis=0)
         terms = successes * eta
         penalty = _softplus(eta)
         penalty *= counts
@@ -330,10 +317,12 @@ class LogisticRegression(TargetModel):
 
         ``successes`` and ``counts`` are (K, R); ``rows`` is (d, K, R), one
         plane per feature, so that eta sums d contiguous planes.  A padded
-        row adds 0 to its chain's log-likelihood.
+        row adds 0 to its chain's log-likelihood.  R is at least 2: numpy
+        sums planes of one value each pairwise from d = 8 on, so a lone
+        one-row chain would lose its fixed left-to-right order.
         """
         parts = [self.data if part is None else part for part in batches]
-        width = max(part.rows.shape[0] for part in parts)
+        width = max(2, *(part.rows.shape[0] for part in parts))
         rows = np.zeros((self.dim, len(parts), width))
         successes = np.zeros((len(parts), width))
         counts = np.zeros((len(parts), width))
@@ -436,17 +425,22 @@ def gaussian_conjugate_suite(d: int, n_batches: int, seed: int) -> tuple[list[Mo
     the analytic full posterior.
 
     Batch means are standard normal, batch covariances are inverse-Wishart
-    with 5d degrees of freedom and identity scale.  The full posterior is
+    with 5d degrees of freedom and identity scale: the inverse of B B^T,
+    where the Bartlett factor B has sqrt(chi2(5d - i)) on its diagonal and
+    standard normals below it.  The full posterior is
     N(V sum_b V_b^-1 mu_b, V) with V^-1 = sum_b V_b^-1 (``consensus_pool``).
     """
     d = integer(d, "d", 1)
     n_batches = integer(n_batches, "n_batches", 1)
     rng = RngStream(integer(seed, "seed"), 0).generator()
-    identity = np.eye(d)
     per_batch = []
     for _ in range(n_batches):
         mean = rng.standard_normal(d)
-        cov = sample_inverse_wishart(5.0 * d, identity, rng)
+        bartlett = np.zeros((d, d))
+        for i in range(d):
+            bartlett[i, i] = math.sqrt(rng.chisquare(5.0 * d - i))
+            bartlett[i, :i] = rng.standard_normal(i)
+        cov = spd_inverse(symmetrize(bartlett @ bartlett.T))
         per_batch.append(Moments(mean, cov))
     return per_batch, consensus_pool(per_batch)
 

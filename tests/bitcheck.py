@@ -24,6 +24,11 @@ sampler's or the metrics' arithmetic could move:
 * ``bench``: the rows of ``bench_dimension_scaling`` at toy size, without
   ``time_seconds``, so a change to the bench's exact draws shows as it does
   for chains.
+* ``targets one-row``: the logistic log-density of one chain with one
+  distinct row at d = 8, 12, 20 and 40, where numpy would sum the feature
+  planes pairwise if ``stack_data`` did not pad them to two values;
+* ``suite``: the batch and pooled moments of ``gaussian_conjugate_suite``
+  at d = 1, 2, 5, 20 and 80 (the bench line covers toy sizes only).
 
 Run it in each tree and ``diff`` the two outputs: a line that differs names
 the config whose outputs changed.  The package is imported from the
@@ -54,6 +59,7 @@ from swissmc import (  # noqa: E402
     SampleBatch,
     SamplerConfig,
     bench_dimension_scaling,
+    gaussian_conjugate_suite,
     make_target,
     partition,
     run_experiment,
@@ -71,7 +77,7 @@ from swissmc.io import (  # noqa: E402
     write_table_csv,
 )
 from swissmc.sampler import convention_chains  # noqa: E402
-from swissmc.targets import shard_data  # noqa: E402
+from swissmc.targets import LogisticData, LogisticRegression, shard_data  # noqa: E402
 
 BURN_INS = (0, 1, 20, 24, 25, 26, 37, 511, 512, 513, 1037, 1537)
 THINS = (1, 3)
@@ -177,6 +183,29 @@ def bench_digest() -> str:
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
+def one_row_digest() -> str:
+    digest = hashlib.sha256()
+    for d in (8, 12, 20, 40):
+        rng = np.random.default_rng(SEED + d)
+        part = LogisticData(rng.standard_normal((1, d)), np.array([1.0]), np.array([3.0]))
+        model = LogisticRegression(part)
+        for _ in range(50):
+            theta = 3.0 * rng.standard_normal(d)
+            powers = (rng.random() + 0.5, 4.0 * rng.random())
+            digest.update(np.float64(model.log_density(theta, part, powers)).tobytes())
+    return digest.hexdigest()
+
+
+def suite_digest() -> str:
+    digest = hashlib.sha256()
+    for d in (1, 2, 5, 20, 80):
+        per_batch, full = gaussian_conjugate_suite(d, 10, SEED)
+        for moments in [*per_batch, full]:
+            digest.update(moments.mean.tobytes())
+            digest.update(moments.cov.tobytes())
+    return digest.hexdigest()
+
+
 def main() -> None:
     groups = _groups()
     for burn_in in BURN_INS:
@@ -190,6 +219,8 @@ def main() -> None:
             print(f"writer {name} {digest}")
         print(f"combine swiss {combine_digest(Path(tmp))}")
     print(f"bench {bench_digest()}")
+    print(f"targets one-row {one_row_digest()}")
+    print(f"suite {suite_digest()}")
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -219,20 +220,22 @@ class TestRunExperiment:
                            match=f"^repetition 0 failed during sampling: {label}: no ML"):
             run_experiment(config)
 
-    def test_singular_reference_chain_is_named(self):
-        # the full-data chain of repetition 12 moves 4 times in its 100
-        # retained draws and its covariance is singular: the error names that
-        # chain, not the combiner whose metrics first used it
-        config = ExperimentConfig(
-            target="logistic-rare", n_observations=2000, n_batches=2, n_samples=100,
-            burn_in=100, init="mle", combiners=("consensus",), seed=0, n_runs=13,
-        )
-        dataset = harness._build_dataset(config)
-        base = make_target(config.target, dataset)
+    def test_singular_reference_chain_is_named(self, monkeypatch):
+        # a full-data chain stuck at one point has a singular covariance: the
+        # error names that chain, not the combiner whose metrics first use it
+        # (the point 0.5 keeps the chain's mean exact, so its variance is 0)
+        sample_all_batches = harness.sample_all_batches
+
+        def collapsed_reference(target, chains, config):
+            full_chain, *batches = sample_all_batches(target, chains, config)
+            stuck = np.full_like(full_chain.draws, 0.5)
+            return [replace(full_chain, draws=stuck), *batches]
+
+        monkeypatch.setattr(harness, "sample_all_batches", collapsed_reference)
         with pytest.raises(NotPositiveDefiniteError) as info:
-            harness._run_repetition(config, base, dataset, 12)
+            run_experiment(_tiny_config(combiners=("consensus",)))
         message = str(info.value)
-        assert message.startswith("repetition 12 failed during metrics (full-data chain): ")
+        assert message.startswith("repetition 0 failed during metrics (full-data chain): ")
         assert "consensus" not in message
 
     def test_completed_repetitions_survive_later_failure(self, tmp_path):

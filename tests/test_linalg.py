@@ -14,7 +14,7 @@ from swissmc import (
     spd_inverse,
     spd_roots,
 )
-from swissmc.linalg import sample_inverse_wishart, spsq
+from swissmc.linalg import spsq
 from helpers import exact_gaussian_cloud, random_orthogonal, random_spd
 
 
@@ -240,43 +240,6 @@ class TestTraceOptimality:
         for d in (2, 5, 9):
             o = random_orthogonal(d, rng)
             np.testing.assert_allclose(o @ o.T, np.eye(d), atol=1e-12)
-
-
-class TestInverseWishart:
-    def test_one_dimensional_reduction(self):
-        # d = 1: the draw is scale / chi2(df), matching a fresh stream
-        scale = 2.5
-        df = 9.0
-        draw = sample_inverse_wishart(df, [[scale]], RngStream(101, 0).generator())
-        expected = scale / RngStream(101, 0).generator().chisquare(df)
-        np.testing.assert_allclose(draw[0, 0], expected, rtol=1e-12)
-
-    def test_mean_matches_formula(self):
-        # E[X] = scale / (df - d - 1); d=2, df=10 -> I/7
-        rng = RngStream(7, 1).generator()
-        n = 50_000
-        draws = np.empty((n, 2, 2))
-        for i in range(n):
-            draws[i] = sample_inverse_wishart(10.0, np.eye(2), rng)
-        mean = draws.mean(axis=0)
-        se = draws.std(axis=0, ddof=1) / np.sqrt(n)
-        target = np.eye(2) / 7.0
-        assert np.all(np.abs(mean - target) <= 3.0 * se + 1e-12)
-
-    def test_deterministic_given_stream(self):
-        a = sample_inverse_wishart(12.0, np.eye(3), RngStream(5, 2).generator())
-        b = sample_inverse_wishart(12.0, np.eye(3), RngStream(5, 2).generator())
-        assert np.array_equal(a, b)
-
-    def test_spd_output(self):
-        rng = RngStream(1, 0).generator()
-        for _ in range(50):
-            draw = sample_inverse_wishart(15.0, random_spd(3, rng), rng)
-            assert np.min(np.linalg.eigvalsh(draw)) > 0
-
-    def test_invalid_df_raises(self):
-        with pytest.raises(InvalidInputError, match="df"):
-            sample_inverse_wishart(1.5, np.eye(3), RngStream(0, 0).generator())
 
 
 class TestDrawGaussian:

@@ -14,6 +14,7 @@ from swissmc import (
     InvalidInputError,
     ParseError,
     Partition,
+    RngStream,
     gaussian_conjugate_suite,
     logistic_regression_model,
     make_target,
@@ -132,6 +133,21 @@ class TestGaussianConjugateSuite:
     def test_invalid_sizes(self):
         with pytest.raises(InvalidInputError):
             gaussian_conjugate_suite(0, 3, seed=0)
+
+    def test_one_dimensional_covariance_is_inverse_chi_square(self):
+        # d = 1: the covariance is 1 / chi2(5), drawn right after the mean
+        (batch,), _ = gaussian_conjugate_suite(1, 1, seed=101)
+        rng = RngStream(101, 0).generator()
+        rng.standard_normal(1)
+        np.testing.assert_allclose(batch.cov[0, 0], 1.0 / rng.chisquare(5.0), rtol=1e-12)
+
+    def test_mean_covariance_matches_inverse_wishart_mean(self):
+        # E[V_b] = I / (df - d - 1); d = 2, df = 10 -> I/7
+        per_batch, _ = gaussian_conjugate_suite(2, 50_000, seed=7)
+        covs = np.stack([m.cov for m in per_batch])
+        mean = covs.mean(axis=0)
+        se = covs.std(axis=0, ddof=1) / np.sqrt(len(covs))
+        assert np.all(np.abs(mean - np.eye(2) / 7.0) <= 3.0 * se + 1e-12)
 
 
 class TestLogisticModel:
@@ -278,13 +294,15 @@ class TestSufficientStatistics:
 
 class TestStackedSums:
     """A row of a logistic stack equals its point evaluated alone (the K = 1
-    stack), bit for bit, on a continuous design."""
+    stack), bit for bit, on a continuous design, and a lone one-row chain's
+    log-likelihood adds its feature planes left to right.  stack_data pads
+    every chain to at least two rows: numpy sums d planes of one value each
+    pairwise from d = 8 on, and planes of several values left to right."""
 
     @pytest.mark.parametrize("d", [5, 8, 12])
     @pytest.mark.parametrize("k, width", [(1, 1), (2, 1), (1, 2), (99, 1), (9, 11), (1, 99)])
     def test_stack_row_equals_point_alone(self, d, k, width):
-        # K * R = 1, 2 or 99 values per feature plane; numpy sums d planes of
-        # one value each pairwise from d = 8 on, unlike planes of several
+        # K * R = 1, 2 or 99 rows of data per stack (one row padded to two)
         rng = np.random.default_rng(1000 * d + k * width)
         parts = []
         for _ in range(k):
@@ -300,6 +318,28 @@ class TestStackedSums:
             for i, part in enumerate(parts):
                 alone = model.log_density(theta[i], part, (powers[0][i], powers[1][i]))
                 assert values[i] == alone
+
+    @pytest.mark.parametrize("d", [8, 12, 20, 40])
+    def test_one_row_chain_sums_planes_left_to_right(self, d):
+        rng = np.random.default_rng(d)
+        part = LogisticData(rng.standard_normal((1, d)), np.array([2.0]), np.array([3.0]))
+        model = LogisticRegression(part)
+        stacked = model.stack_data([part])
+        for _ in range(20):
+            theta = 3.0 * rng.standard_normal(d)
+            eta = 0.0
+            for x, t in zip(part.rows[0], theta):
+                eta += x * t
+            expected = 2.0 * eta - 3.0 * np.logaddexp(0.0, eta)
+            assert model.log_likelihood(theta[None], stacked)[0] == expected
+
+    def test_one_row_chain_is_padded_to_width_two(self):
+        part = LogisticData(np.ones((1, 3)), np.array([1.0]), np.array([2.0]))
+        rows, successes, counts = LogisticRegression(part).stack_data([part])
+        assert rows.shape == (3, 1, 2)
+        assert np.array_equal(rows[:, 0, 1], np.zeros(3))
+        assert successes.tolist() == [[1.0, 0.0]]
+        assert counts.tolist() == [[2.0, 0.0]]
 
 
 class TestLogisticLaplace:
