@@ -43,7 +43,6 @@ from .metrics import (
     compute_metrics,
     iad,
     mahalanobis,
-    silverman_bandwidth,
     skew_deviation,
 )
 from .moments import Moments, SampleBatch, estimate_moments, pool_moments
@@ -76,7 +75,7 @@ __all__ = [
     "cholesky", "draw_gaussian", "eigh", "spd_inverse", "spd_roots",
     # metrics
     "MetricReport", "Reference", "compute_metrics", "iad", "mahalanobis",
-    "silverman_bandwidth", "skew_deviation",
+    "skew_deviation",
     # moments
     "Moments", "SampleBatch", "estimate_moments", "pool_moments",
     # rng

@@ -18,7 +18,6 @@ transform-level exactness testable.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,13 +68,11 @@ class CombineResult:
     ``per_batch_maps`` is empty.  ``pooled`` carries the moment estimate the
     combiner targeted; for ``ar``, which corrects no covariance, it holds the
     plain averages of the batch means and of the batch covariances.
-    ``wall_time`` measures the merge call only.
     """
 
     combined: np.ndarray
     per_batch_maps: list[AffineMap]
     pooled: Moments
-    wall_time: float
 
 
 def _resolve_moments(batches, moments) -> list[Moments]:
@@ -130,11 +127,10 @@ def swiss_combine(batches: list[SampleBatch], *, moments=None) -> CombineResult:
     SPD root of M^-1 V_b M^-1, so A_b V_b A_b^T = V.  Draws become
     A_b (x - mu_b) + mu and are concatenated in input order.
     """
-    start = time.perf_counter()
     per_batch = _resolve_moments(batches, moments)
     pooled = pool_moments(per_batch, batch_ids=[batch.batch_id for batch in batches])
     maps, combined = _affine_merge(batches, per_batch, pooled)
-    return CombineResult(combined, maps, pooled, time.perf_counter() - start)
+    return CombineResult(combined, maps, pooled)
 
 
 def ar_combine(batches: list[SampleBatch], *, moments=None) -> CombineResult:
@@ -148,7 +144,6 @@ def ar_combine(batches: list[SampleBatch], *, moments=None) -> CombineResult:
     precision-weighted pooled mean and the result matches the affine merge
     exactly.
     """
-    start = time.perf_counter()
     per_batch = _resolve_moments(batches, moments)
     center = Moments(
         np.mean([mom.mean for mom in per_batch], axis=0),
@@ -158,7 +153,7 @@ def ar_combine(batches: list[SampleBatch], *, moments=None) -> CombineResult:
     combined = np.concatenate(
         [batch.draws - mom.mean + center.mean for batch, mom in zip(batches, per_batch)], axis=0
     )
-    return CombineResult(combined, maps, center, time.perf_counter() - start)
+    return CombineResult(combined, maps, center)
 
 
 def consensus_combine(batches: list[SampleBatch], *, moments=None) -> CombineResult:
@@ -168,7 +163,6 @@ def consensus_combine(batches: list[SampleBatch], *, moments=None) -> CombineRes
     number of draws; there is deliberately no resampling fallback, because
     resampling would change the estimator.
     """
-    start = time.perf_counter()
     per_batch = _resolve_moments(batches, moments)
     sizes = {batch.n_draws for batch in batches}
     if len(sizes) != 1:
@@ -183,7 +177,7 @@ def consensus_combine(batches: list[SampleBatch], *, moments=None) -> CombineRes
         for batch, precision in zip(batches, precisions):
             weighted_sum += batch.draws @ precision
         combined = weighted_sum @ pooled.cov
-    return CombineResult(combined, [], pooled, time.perf_counter() - start)
+    return CombineResult(combined, [], pooled)
 
 
 def gaussian_barycenter(per_batch: list[Moments], *, batch_ids=None) -> Moments:
@@ -228,11 +222,10 @@ def gaussian_barycenter(per_batch: list[Moments], *, batch_ids=None) -> Moments:
 
 def barycenter_combine(batches: list[SampleBatch], *, moments=None) -> CombineResult:
     """Merge by mapping each batch onto the Gaussian barycenter's moments."""
-    start = time.perf_counter()
     per_batch = _resolve_moments(batches, moments)
     target = gaussian_barycenter(per_batch, batch_ids=[batch.batch_id for batch in batches])
     maps, combined = _affine_merge(batches, per_batch, target)
-    return CombineResult(combined, maps, target, time.perf_counter() - start)
+    return CombineResult(combined, maps, target)
 
 
 def displacement(map_matrix, points) -> float:

@@ -19,7 +19,9 @@ A reference sample is prepared once per scoring call as a ``Reference``,
 which every measure takes in place of a sample matrix: its draws are
 validated once and each per-column or whole-sample quantity the measures
 read (bandwidths and ranges, mean, precision, skewness) is computed at most
-once, however many approximate sets are scored against it.
+once, however many approximate sets are scored against it.  ``moments``
+owns what usable draws are (``check_draws``, ``check_spread``), and
+Silverman's rule lives in ``_kde_scale`` alone.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError, InvalidInputError, prefixed
+from .errors import InvalidInputError
 from .linalg import spd_inverse, symmetrize
+from .moments import check_draws, check_spread
 
 # Points in the shared per-dimension IAD grid.
 _GRID_SIZE = 512
@@ -48,17 +51,6 @@ _KDE_REACH = 6.0
 _COLUMN_SLAB = 256
 
 
-def _as_matrix(samples) -> np.ndarray:
-    x = np.asarray(samples, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise InvalidInputError("need a (n, d) sample matrix with n >= 2")
-    if not np.all(np.isfinite(x)):
-        raise DataError("samples contain non-finite values")
-    return x
-
-
 class Reference:
     """A sample set prepared for scoring.
 
@@ -69,8 +61,8 @@ class Reference:
     ``_COLUMN_SLAB`` rows, which is faster than one transpose and gives the
     same values.  A column's bandwidth and range come from one sorted copy
     of it, which is dropped once they are read; the skewness cubes by IEEE
-    multiplication, not ``pow``.  A column without spread is refused with
-    its index.
+    multiplication, not ``pow``.  Reading the bandwidths, the precision or
+    the skewness refuses a column without spread with its index.
     Score many approximate sets against one reference by passing the same
     ``Reference`` each time; it holds nothing else, so the values equal
     those of the plain draws.  The draws are not copied: leave them
@@ -78,7 +70,7 @@ class Reference:
     """
 
     def __init__(self, draws):
-        self.draws = _as_matrix(draws)
+        self.draws = check_draws(draws)
 
     @cached_property
     def columns(self) -> np.ndarray:
@@ -91,11 +83,9 @@ class Reference:
     @cached_property
     def kde_scales(self) -> list:
         """Per column: (Silverman bandwidth, low, high)."""
-        scales = []
-        for j, column in enumerate(self.columns):
-            with prefixed(f"dimension {j}"):
-                scales.append(_kde_scale(column))
-        return scales
+        sd, bandwidth, low, high = zip(*(_kde_scale(column) for column in self.columns))
+        check_spread(sd, np.less(low, high))
+        return list(zip(bandwidth, low, high))
 
     @cached_property
     def mean(self) -> np.ndarray:
@@ -103,15 +93,14 @@ class Reference:
 
     @cached_property
     def precision(self) -> np.ndarray:
+        self.kde_scales  # the spread rule
         centered = self.draws - self.mean
         return spd_inverse(symmetrize(centered.T @ centered / (self.draws.shape[0] - 1)))
 
     @cached_property
     def skewness(self) -> np.ndarray:
+        self.kde_scales  # the spread rule
         sd = self.draws.std(axis=0, ddof=1)
-        bad = np.flatnonzero(sd <= 0)
-        if bad.size:
-            raise DataError(f"zero variance in dimension {int(bad[0])}")
         z = (self.draws - self.mean) / sd
         return np.mean(z * z * z, axis=0)
 
@@ -124,16 +113,6 @@ def _sample_pair(approx, reference) -> tuple[Reference, Reference]:
             f"sample sets disagree on dimension: {a.draws.shape[1]} vs {f.draws.shape[1]}"
         )
     return a, f
-
-
-def silverman_bandwidth(x) -> float:
-    """Silverman's rule: 0.9 * min(sd, IQR / 1.34) * n^(-1/5)."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size < 2:
-        raise InvalidInputError("need at least two samples for a bandwidth")
-    if not np.all(np.isfinite(x)):
-        raise DataError("samples contain non-finite values")
-    return _kde_scale(x)[0]
 
 
 def _sorted_quantile(ordered: np.ndarray, q: float) -> float:
@@ -149,20 +128,19 @@ def _sorted_quantile(ordered: np.ndarray, q: float) -> float:
     return a + (b - a) * gamma
 
 
-def _kde_scale(x: np.ndarray) -> tuple[float, float, float]:
-    """Silverman bandwidth, low and high of one finite sample column.
+def _kde_scale(x: np.ndarray) -> tuple[float, float, float, float]:
+    """Standard deviation, Silverman bandwidth 0.9 * min(sd, IQR / 1.34) *
+    n^(-1/5) (the sd alone at zero IQR), low and high of one finite column.
 
     The quartiles and the range come from one sorted copy; the standard
     deviation sums the column in its own order, as a sum over the sorted
     copy would round differently.
     """
     sd = float(x.std(ddof=1))
-    if sd <= 0:
-        raise DataError("samples have zero spread")
     ordered = np.sort(x)
     iqr = _sorted_quantile(ordered, 0.75) - _sorted_quantile(ordered, 0.25)
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd
-    return 0.9 * spread * x.size ** (-0.2), float(ordered[0]), float(ordered[-1])
+    return sd, 0.9 * spread * x.size ** (-0.2), float(ordered[0]), float(ordered[-1])
 
 
 def _direct_kde_sum(x: np.ndarray, bandwidth: float, grid: np.ndarray) -> np.ndarray:

@@ -1,4 +1,6 @@
-"""Per-batch sample moments and precision pooling across batches."""
+"""Per-batch sample moments and precision pooling across batches, and the
+one owner of what usable draws are: ``check_draws`` checks a draws matrix
+and ``check_spread`` a column's spread, for batches and references alike."""
 
 from __future__ import annotations
 
@@ -8,6 +10,30 @@ import numpy as np
 
 from .errors import DataError, InsufficientSamplesError, InvalidInputError, prefixed
 from .linalg import as_symmetric, spd_inverse, symmetrize
+
+
+def check_draws(draws) -> np.ndarray:
+    """``draws`` as a float (n, d) matrix of n >= 2 finite rows, d >= 1."""
+    draws = np.asarray(draws, dtype=float)
+    if draws.ndim != 2:
+        raise InvalidInputError(f"draws must be a 2-D matrix, got ndim={draws.ndim}")
+    if draws.shape[0] < 2:
+        raise InvalidInputError(f"need at least 2 draws, got {draws.shape[0]}")
+    if draws.shape[1] < 1:
+        raise InvalidInputError("draws must have at least one column")
+    if not np.all(np.isfinite(draws)):
+        raise DataError("draws contain non-finite values")
+    return draws
+
+
+def check_spread(scale, varies) -> None:
+    """Refuse the first column j without spread: ``scale[j] > 0`` (its sd or
+    variance; this catches underflow) and ``varies[j]`` (its draws are not
+    all equal, an exact test; this catches equal draws whose mean rounds,
+    which leave a rounding-size positive variance)."""
+    bad = np.flatnonzero(~((np.asarray(scale) > 0) & varies))
+    if bad.size:
+        raise DataError(f"dimension {int(bad[0])}: samples have zero spread")
 
 
 @dataclass(frozen=True)
@@ -30,18 +56,8 @@ class SampleBatch:
     diagnostics: dict | None = None
 
     def __post_init__(self):
-        draws = np.asarray(self.draws, dtype=float)
-        if draws.ndim != 2:
-            raise InvalidInputError(
-                f"batch {self.batch_id}: draws must be a 2-D matrix, got ndim={draws.ndim}"
-            )
-        if draws.shape[0] < 2:
-            raise InvalidInputError(
-                f"batch {self.batch_id}: need at least 2 draws, got {draws.shape[0]}"
-            )
-        if not np.all(np.isfinite(draws)):
-            raise DataError(f"batch {self.batch_id}: draws contain non-finite values")
-        self.draws = draws
+        with prefixed(f"batch {self.batch_id}"):
+            self.draws = check_draws(self.draws)
 
     @property
     def n_draws(self) -> int:
@@ -81,7 +97,7 @@ def estimate_moments(batch: SampleBatch) -> Moments:
     """Sample mean and unbiased (divisor n - 1) covariance of a batch.
 
     Needs n >= d + 1 draws, otherwise the covariance is singular by
-    construction.
+    construction, and refuses a column without spread (``check_spread``).
     """
     draws = batch.draws
     n, d = draws.shape
@@ -92,6 +108,7 @@ def estimate_moments(batch: SampleBatch) -> Moments:
     mean = draws.mean(axis=0)
     centered = draws - mean
     cov = symmetrize(centered.T @ centered / (n - 1))
+    check_spread(np.diag(cov), (draws != draws[0]).any(axis=0))
     return Moments(mean, cov)
 
 

@@ -28,7 +28,11 @@ sampler's or the metrics' arithmetic could move:
   distinct row at d = 8, 12, 20 and 40, where numpy would sum the feature
   planes pairwise if ``stack_data`` did not pad them to two values;
 * ``suite``: the batch and pooled moments of ``gaussian_conjugate_suite``
-  at d = 1, 2, 5, 20 and 80 (the bench line covers toy sizes only).
+  at d = 1, 2, 5, 20 and 80 (the bench line covers toy sizes only);
+* ``metrics``: the reports of ``compute_metrics`` at d = 1, 2 and 20, for
+  a wide and a narrow approximation (the binned and the direct KDE path)
+  against one ``Reference`` reused across the calls, and for one pair of
+  plain matrices.
 
 Run it in each tree and ``diff`` the two outputs: a line that differs names
 the config whose outputs changed.  The package is imported from the
@@ -58,7 +62,9 @@ from swissmc import (  # noqa: E402
     Partition,
     SampleBatch,
     SamplerConfig,
+    Reference,
     bench_dimension_scaling,
+    compute_metrics,
     gaussian_conjugate_suite,
     make_target,
     partition,
@@ -206,6 +212,23 @@ def suite_digest() -> str:
     return digest.hexdigest()
 
 
+def metrics_digest() -> str:
+    digest = hashlib.sha256()
+    for d in (1, 2, 20):
+        rng = np.random.default_rng(SEED + d)
+        wide = rng.standard_normal((3000, d)) * 3.0 + rng.standard_normal(d)
+        reference = Reference(wide)
+        pairs = [
+            (rng.standard_normal((5000, d)) ** 2, reference),
+            (0.01 * rng.standard_normal((5000, d)) + 0.5, reference),
+            (rng.standard_normal((400, d)), wide[:400]),
+        ]
+        for approx, ref in pairs:
+            report = compute_metrics(approx, ref).to_dict()
+            digest.update(json.dumps(report, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
 def main() -> None:
     groups = _groups()
     for burn_in in BURN_INS:
@@ -221,6 +244,7 @@ def main() -> None:
     print(f"bench {bench_digest()}")
     print(f"targets one-row {one_row_digest()}")
     print(f"suite {suite_digest()}")
+    print(f"metrics {metrics_digest()}")
 
 
 if __name__ == "__main__":

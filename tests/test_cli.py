@@ -210,8 +210,18 @@ class TestEvaluate:
         other = "--reference" if side == "--approx" else "--approx"
         assert run_cli("evaluate", side, str(flat), other, str(good)) == 2
         err = capsys.readouterr().err
-        assert f"{flat}: zero variance in dimension 1" in err
+        assert f"{flat}: dimension 1: samples have zero spread" in err
         assert str(good) not in err
+
+    def test_collapsed_reference_is_refused(self, tmp_path, capsys):
+        # a d = 1 chain stuck at 0.1, whose mean rounds, so its variance is
+        # a positive rounding-size number
+        rng = np.random.default_rng(6)
+        good, flat = tmp_path / "good.csv", tmp_path / "flat.csv"
+        write_sample_csv(good, rng.standard_normal((300, 1)))
+        write_sample_csv(flat, np.full((300, 1), 0.1))
+        assert run_cli("evaluate", "--approx", str(good), "--reference", str(flat)) == 2
+        assert f"{flat}: dimension 0: samples have zero spread" in capsys.readouterr().err
 
 
     def test_dimension_mismatch_names_both_files(self, tmp_path, capsys):

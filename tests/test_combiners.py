@@ -8,6 +8,7 @@ import pytest
 from swissmc import linalg
 from swissmc import (
     ConvergenceError,
+    DataError,
     InvalidInputError,
     Moments,
     SampleBatch,
@@ -206,6 +207,19 @@ class TestConsensusCombine:
         batches, moments = _gaussian_batches(2, 4, 75, seed=12)
         result = consensus_combine(batches, moments=moments)
         assert result.combined.shape == (75, 2)
+
+
+@pytest.mark.parametrize(
+    "combine", [swiss_combine, consensus_combine, ar_combine, barycenter_combine]
+)
+def test_stalled_batch_is_named(combine):
+    # batch 2 repeats 0.1, whose mean rounds: its variance is a positive
+    # rounding-size number, so only the exact all-equal test refuses it
+    rng = np.random.default_rng(14)
+    batches = [SampleBatch(b, rng.standard_normal((300, 1))) for b in range(2)]
+    batches.append(SampleBatch(2, np.full((300, 1), 0.1)))
+    with pytest.raises(DataError, match="^batch 2: dimension 0: samples have zero spread$"):
+        combine(batches)
 
 
 class TestBarycenter:

@@ -12,8 +12,8 @@ from swissmc import (
     ConvergenceError,
     ExperimentConfig,
     ExperimentReport,
+    DataError,
     InvalidInputError,
-    NotPositiveDefiniteError,
     RngStream,
     bench_dimension_scaling,
     make_target,
@@ -221,9 +221,9 @@ class TestRunExperiment:
             run_experiment(config)
 
     def test_singular_reference_chain_is_named(self, monkeypatch):
-        # a full-data chain stuck at one point has a singular covariance: the
-        # error names that chain, not the combiner whose metrics first use it
-        # (the point 0.5 keeps the chain's mean exact, so its variance is 0)
+        # a full-data chain stuck at one point has no spread: the error names
+        # that chain, not the combiner whose metrics first use it (the point
+        # 0.5 keeps the chain's mean exact, so its variance is 0)
         sample_all_batches = harness.sample_all_batches
 
         def collapsed_reference(target, chains, config):
@@ -232,11 +232,30 @@ class TestRunExperiment:
             return [replace(full_chain, draws=stuck), *batches]
 
         monkeypatch.setattr(harness, "sample_all_batches", collapsed_reference)
-        with pytest.raises(NotPositiveDefiniteError) as info:
+        with pytest.raises(DataError) as info:
             run_experiment(_tiny_config(combiners=("consensus",)))
         message = str(info.value)
         assert message.startswith("repetition 0 failed during metrics (full-data chain): ")
         assert "consensus" not in message
+
+    def test_stalled_reference_chain_is_named(self, monkeypatch):
+        # the full-data chain repeats its first draw, whose mean rounds: the
+        # variance is a positive rounding-size number, not 0
+        sample_all_batches = harness.sample_all_batches
+
+        def stalled_reference(target, chains, config):
+            full_chain, *batches = sample_all_batches(target, chains, config)
+            stuck = np.repeat(full_chain.draws[:1], full_chain.n_draws, axis=0)
+            assert np.all(stuck.mean(axis=0) != stuck[0])
+            return [replace(full_chain, draws=stuck), *batches]
+
+        monkeypatch.setattr(harness, "sample_all_batches", stalled_reference)
+        with pytest.raises(DataError) as info:
+            run_experiment(_tiny_config())
+        assert str(info.value) == (
+            "repetition 0 failed during metrics (full-data chain): "
+            "dimension 0: samples have zero spread"
+        )
 
     def test_completed_repetitions_survive_later_failure(self, tmp_path):
         config = _tiny_config(n_runs=3, combiners=("swiss",), out_dir=str(tmp_path))

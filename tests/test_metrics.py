@@ -13,7 +13,6 @@ from swissmc import (
     compute_metrics,
     iad,
     mahalanobis,
-    silverman_bandwidth,
     skew_deviation,
 )
 from swissmc.metrics import _GRID_SIZE, _direct_kde_sum, _gaussian_kde_on_grid
@@ -49,8 +48,11 @@ class TestMahalanobis:
         )
 
     def test_singular_reference_raises(self):
-        ref = np.ones((30, 2))
-        approx = np.random.default_rng(3).standard_normal((30, 2))
+        # both columns have spread, but the second is twice the first
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal(30)
+        ref = np.column_stack([z, 2.0 * z])
+        approx = rng.standard_normal((30, 2))
         with pytest.raises(Exception, match="positive definite"):
             mahalanobis(approx, ref)
 
@@ -72,7 +74,7 @@ class TestSkewDeviation:
         assert skew_deviation(expo, gauss) == pytest.approx(2.0, abs=0.1)
 
     def test_zero_variance_raises(self):
-        with pytest.raises(DataError, match="zero variance"):
+        with pytest.raises(DataError, match="^dimension 0: samples have zero spread$"):
             skew_deviation(np.ones((10, 1)), np.random.default_rng(6).standard_normal((10, 1)))
 
     def test_matches_exact_third_standardized_moment(self):
@@ -89,9 +91,14 @@ class TestSkewDeviation:
             assert skewness[j] == pytest.approx(exact, rel=1e-12)
 
 
+def _bandwidth(x):
+    """Silverman bandwidth of one column, as ``Reference`` computes it."""
+    return Reference(np.asarray(x)[:, None]).kde_scales[0][0]
+
+
 def _kde_on_iad_grid(draws):
     """One sample's density on the grid iad builds when both sets are ``draws``."""
-    h = silverman_bandwidth(draws)
+    h = _bandwidth(draws)
     grid = np.linspace(draws.min() - 3.0 * h, draws.max() + 3.0 * h, _GRID_SIZE)
     return grid, _gaussian_kde_on_grid(draws, h, grid)
 
@@ -123,7 +130,7 @@ class TestKde1D:
     def test_binned_evaluation_matches_direct_sum(self):
         rng = np.random.default_rng(11)
         draws = rng.standard_normal(4000)
-        h = silverman_bandwidth(draws)
+        h = _bandwidth(draws)
         grid = np.linspace(draws.min() - 3 * h, draws.max() + 3 * h, 512)
         fast = _gaussian_kde_on_grid(draws, h, grid)
         slow = _direct_kde_sum(draws, h, grid)
@@ -137,15 +144,19 @@ class TestKde1D:
             draws = rng.standard_normal(n) * rng.uniform(0.01, 100.0)
             for x in (draws, np.round(draws), np.round(draws * 3.0) / 7.0 + 1e6):
                 if np.ptp(x) > 0:
-                    assert silverman_bandwidth(x) == _silverman_by_percentile(x)
+                    assert _bandwidth(x) == _silverman_by_percentile(x)
         zero_iqr = np.array([0.0] * 10 + [1.0, 2.0])
         assert np.subtract(*np.percentile(zero_iqr, [75, 25])) == 0.0
-        assert silverman_bandwidth(zero_iqr) == _silverman_by_percentile(zero_iqr)
+        assert _bandwidth(zero_iqr) == _silverman_by_percentile(zero_iqr)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    def test_silverman_rejects_non_finite_input(self, bad):
+    def test_reference_rejects_non_finite_input(self, bad):
         with pytest.raises(DataError, match="non-finite"):
-            silverman_bandwidth([1.0, 2.0, bad])
+            Reference([[1.0], [2.0], [bad]])
+
+    def test_reference_rejects_flat_vector(self):
+        with pytest.raises(InvalidInputError, match="^draws must be a 2-D matrix, got ndim=1$"):
+            Reference(np.arange(5.0))
 
 
 def _silverman_by_percentile(x):
@@ -201,7 +212,7 @@ class TestIad:
         scales = Reference(x).kde_scales
         assert [lo for _, lo, _ in scales] == list(x.min(axis=0))
         assert [hi for _, _, hi in scales] == list(x.max(axis=0))
-        assert [h for h, _, _ in scales] == [silverman_bandwidth(c) for c in x.T]
+        assert [h for h, _, _ in scales] == [_silverman_by_percentile(c) for c in x.T]
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
@@ -231,6 +242,17 @@ class TestComputeMetrics:
         report = compute_metrics(a, b, which=("iad",))
         assert 0.0 <= report.iad <= 1.0
         assert report.iad == min(max(report.iad_raw, 0.0), 1.0)
+
+    @pytest.mark.parametrize("which", [("mahalanobis",), ("skew_dev",), ("iad",)])
+    def test_collapsed_reference_is_refused(self, which):
+        # every draw is 0.1, whose mean rounds: the variance is a positive
+        # rounding-size number, and only the exact all-equal test sees it
+        collapsed = np.full((300, 1), 0.1)
+        assert collapsed.mean() != 0.1
+        reference = Reference(collapsed)
+        approx = np.random.default_rng(23).standard_normal((300, 1))
+        with pytest.raises(DataError, match="^dimension 0: samples have zero spread$"):
+            compute_metrics(approx, reference, which=which)
 
     def test_unknown_metric_rejected(self):
         x = np.zeros((10, 1))

@@ -8,7 +8,6 @@ from swissmc import (
     InsufficientSamplesError,
     InvalidInputError,
     Moments,
-    NotPositiveDefiniteError,
     SampleBatch,
     estimate_moments,
     pool_moments,
@@ -29,10 +28,14 @@ class TestEstimateMoments:
         np.testing.assert_allclose(mom.mean, [2.0])
         np.testing.assert_allclose(mom.cov, [[1.0]])
 
-    def test_constant_draws_fail_downstream(self):
-        mom = estimate_moments(SampleBatch(0, np.ones((10, 2))))
-        with pytest.raises(NotPositiveDefiniteError):
-            pool_moments([mom, mom])
+    @pytest.mark.parametrize("value", [1.0, 0.1])
+    def test_constant_draws_are_refused(self, value):
+        # 0.1's mean rounds, so its variance is positive: the all-equal test
+        # refuses it
+        draws = np.random.default_rng(1).standard_normal((10, 2))
+        draws[:, 1] = value
+        with pytest.raises(DataError, match="^dimension 1: samples have zero spread$"):
+            estimate_moments(SampleBatch(0, draws))
 
     def test_too_few_draws(self):
         with pytest.raises(InsufficientSamplesError):
@@ -147,6 +150,10 @@ class TestSampleBatchValidation:
     def test_rejects_flat_vector(self):
         with pytest.raises(InvalidInputError):
             SampleBatch(0, np.zeros(5))
+
+    def test_rejects_zero_columns(self):
+        with pytest.raises(InvalidInputError, match="^batch 3: draws must have at least one column$"):
+            SampleBatch(3, np.zeros((5, 0)))
 
     def test_moments_dimension_check(self):
         with pytest.raises(InvalidInputError):
