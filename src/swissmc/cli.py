@@ -162,8 +162,8 @@ def _cmd_evaluate(args) -> None:
             f"{approx_draws.shape[1]} vs {reference_draws.shape[1]}"
         )
     # Each file is prepared under its name, so that a degenerate column is
-    # reported with its file: the bandwidths apply the spread rule, and the
-    # precision reads them first.
+    # reported with its file: the bandwidths and the precision each apply
+    # the spread rule, and the precision needs more draws than columns.
     with prefixed(args.approx):
         approx = Reference(approx_draws)
         approx.kde_scales

@@ -19,9 +19,10 @@ A reference sample is prepared once per scoring call as a ``Reference``,
 which every measure takes in place of a sample matrix: its draws are
 validated once and each per-column or whole-sample quantity the measures
 read (bandwidths and ranges, mean, precision, skewness) is computed at most
-once, however many approximate sets are scored against it.  ``moments``
-owns what usable draws are (``check_draws``, ``check_spread``), and
-Silverman's rule lives in ``_kde_scale`` alone.
+once, however many approximate sets are scored against it; each statistic
+applies the spread rule itself.  ``moments`` owns what usable draws are
+(``check_draws``, ``check_spread``) and the covariance the precision inverts
+(``estimate_moments``); Silverman's rule lives in ``_kde_scale`` alone.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import spd_inverse, symmetrize
-from .moments import check_draws, check_spread
+from .linalg import spd_inverse
+from .moments import check_draws, check_spread, column_varies, estimate_moments
 
 # Points in the shared per-dimension IAD grid.
 _GRID_SIZE = 512
@@ -61,8 +62,8 @@ class Reference:
     ``_COLUMN_SLAB`` rows, which is faster than one transpose and gives the
     same values.  A column's bandwidth and range come from one sorted copy
     of it, which is dropped once they are read; the skewness cubes by IEEE
-    multiplication, not ``pow``.  Reading the bandwidths, the precision or
-    the skewness refuses a column without spread with its index.
+    multiplication, not ``pow``.  The bandwidths, the precision and the
+    skewness each apply the spread rule themselves, naming a failing column.
     Score many approximate sets against one reference by passing the same
     ``Reference`` each time; it holds nothing else, so the values equal
     those of the plain draws.  The draws are not copied: leave them
@@ -93,14 +94,12 @@ class Reference:
 
     @cached_property
     def precision(self) -> np.ndarray:
-        self.kde_scales  # the spread rule
-        centered = self.draws - self.mean
-        return spd_inverse(symmetrize(centered.T @ centered / (self.draws.shape[0] - 1)))
+        return spd_inverse(estimate_moments(self).cov)
 
     @cached_property
     def skewness(self) -> np.ndarray:
-        self.kde_scales  # the spread rule
         sd = self.draws.std(axis=0, ddof=1)
+        check_spread(sd, column_varies(self.draws))
         z = (self.draws - self.mean) / sd
         return np.mean(z * z * z, axis=0)
 

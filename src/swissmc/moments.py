@@ -1,6 +1,6 @@
-"""Per-batch sample moments and precision pooling across batches, and the
-one owner of what usable draws are: ``check_draws`` checks a draws matrix
-and ``check_spread`` a column's spread, for batches and references alike."""
+"""Sample moments and precision pooling, and the one owner of what usable
+draws are (``check_draws``, ``check_spread``) and of the sample covariance
+(``estimate_moments``), for batches and metrics references alike."""
 
 from __future__ import annotations
 
@@ -34,6 +34,11 @@ def check_spread(scale, varies) -> None:
     bad = np.flatnonzero(~((np.asarray(scale) > 0) & varies))
     if bad.size:
         raise DataError(f"dimension {int(bad[0])}: samples have zero spread")
+
+
+def column_varies(draws: np.ndarray) -> np.ndarray:
+    """Per column: its draws are not all equal (``check_spread``'s ``varies``)."""
+    return (draws != draws[0]).any(axis=0)
 
 
 @dataclass(frozen=True)
@@ -93,11 +98,11 @@ class Moments:
         return self.mean.size
 
 
-def estimate_moments(batch: SampleBatch) -> Moments:
-    """Sample mean and unbiased (divisor n - 1) covariance of a batch.
-
-    Needs n >= d + 1 draws, otherwise the covariance is singular by
-    construction, and refuses a column without spread (``check_spread``).
+def estimate_moments(batch) -> Moments:
+    """Sample mean and unbiased (divisor n - 1) covariance of the draws of a
+    ``SampleBatch`` or a metrics ``Reference``.  Needs n >= d + 1 of them,
+    otherwise the covariance is singular by construction, and refuses a
+    column without spread (``check_spread``).
     """
     draws = batch.draws
     n, d = draws.shape
@@ -108,7 +113,7 @@ def estimate_moments(batch: SampleBatch) -> Moments:
     mean = draws.mean(axis=0)
     centered = draws - mean
     cov = symmetrize(centered.T @ centered / (n - 1))
-    check_spread(np.diag(cov), (draws != draws[0]).any(axis=0))
+    check_spread(np.diag(cov), column_varies(draws))
     return Moments(mean, cov)
 
 

@@ -366,15 +366,10 @@ def logistic_regression_model(x, y) -> LogisticRegression:
     The data are collapsed once (see collapse_logistic); batch data passed to
     the model's methods must be in the same LogisticData form.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
-        raise InvalidInputError(
-            f"features {x.shape} and responses {y.shape} do not line up"
-        )
-    if not np.all((y == 0) | (y == 1)):
+    data = Dataset(x, y)
+    if not np.all((data.y == 0) | (data.y == 1)):
         raise InvalidInputError("responses must be 0/1")
-    return LogisticRegression(collapse_logistic(x, y))
+    return LogisticRegression(collapse_logistic(data.x, data.y))
 
 
 # --------------------------------------------------------------------------

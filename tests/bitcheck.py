@@ -32,7 +32,11 @@ sampler's or the metrics' arithmetic could move:
 * ``metrics``: the reports of ``compute_metrics`` at d = 1, 2 and 20, for
   a wide and a narrow approximation (the binned and the direct KDE path)
   against one ``Reference`` reused across the calls, and for one pair of
-  plain matrices.
+  plain matrices;
+* ``metrics subsets``: the reports of ``compute_metrics`` with one metric
+  each (``which=("mahalanobis",)``, ``("skew_dev",)``, ``("iad",)``) at
+  d = 1, 2 and 20, each against a fresh ``Reference``, so that a metric
+  that prepares only what it reads is covered too.
 
 Run it in each tree and ``diff`` the two outputs: a line that differs names
 the config whose outputs changed.  The package is imported from the
@@ -229,6 +233,18 @@ def metrics_digest() -> str:
     return digest.hexdigest()
 
 
+def metrics_subsets_digest() -> str:
+    digest = hashlib.sha256()
+    for d in (1, 2, 20):
+        rng = np.random.default_rng(SEED + 100 + d)
+        reference = rng.standard_normal((3000, d)) * 3.0 + rng.standard_normal(d)
+        approx = rng.standard_normal((2000, d)) ** 2
+        for which in (("mahalanobis",), ("skew_dev",), ("iad",)):
+            report = compute_metrics(approx, Reference(reference), which=which).to_dict()
+            digest.update(json.dumps(report, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
 def main() -> None:
     groups = _groups()
     for burn_in in BURN_INS:
@@ -245,6 +261,7 @@ def main() -> None:
     print(f"targets one-row {one_row_digest()}")
     print(f"suite {suite_digest()}")
     print(f"metrics {metrics_digest()}")
+    print(f"metrics subsets {metrics_subsets_digest()}")
 
 
 if __name__ == "__main__":

@@ -224,6 +224,19 @@ class TestEvaluate:
         assert f"{flat}: dimension 0: samples have zero spread" in capsys.readouterr().err
 
 
+    def test_too_short_reference_is_refused_by_the_estimator(self, tmp_path, capsys):
+        # 12 draws cannot give a 20-dimensional covariance: the reference's
+        # precision reports the count, not a failed eigenvalue test
+        rng = np.random.default_rng(7)
+        good, short = tmp_path / "good.csv", tmp_path / "short.csv"
+        write_sample_csv(good, rng.standard_normal((300, 20)))
+        write_sample_csv(short, rng.standard_normal((12, 20)))
+        assert run_cli("evaluate", "--approx", str(good), "--reference", str(short)) == 2
+        assert capsys.readouterr().err == (
+            f"numerical failure: {short}: need at least 21 draws for a "
+            "20-dimensional covariance, got 12\n"
+        )
+
     def test_dimension_mismatch_names_both_files(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
         approx, reference = tmp_path / "approx.csv", tmp_path / "reference.csv"
@@ -439,6 +452,19 @@ class TestExitCodes:
     def test_bench_non_integer_dimension_is_usage_error(self, capsys):
         assert run_cli("bench", "--dims", "5,x") == 1
         assert "'x'" in capsys.readouterr().err
+
+    def test_bench_without_dimensions_is_usage_error(self, capsys):
+        assert run_cli("bench", "--dims", ",") == 1
+        assert capsys.readouterr().err == "error: --dims must list at least one value\n"
+
+    def test_data_backed_target_needs_data(self, tmp_path, capsys):
+        code = run_cli(
+            "sample", "--target", "logistic-rare", "--n-samples", "10",
+            "--out-dir", str(tmp_path / "x"),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: target 'logistic-rare' needs --data\n"
+        assert not (tmp_path / "x").exists()
 
     def test_experiment_override_is_validated(self, tmp_path, capsys):
         # a config that overrides the default worker count with 0

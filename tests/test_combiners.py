@@ -114,6 +114,15 @@ class TestSwissCombine:
                 fwd.per_batch_maps[i].matrix, rev.per_batch_maps[j].matrix, atol=1e-9
             )
 
+    def test_needs_a_batch(self):
+        with pytest.raises(InvalidInputError, match="^need at least one batch$"):
+            swiss_combine([])
+
+    def test_one_moment_set_per_batch(self):
+        batches, moments = _gaussian_batches(2, 3, 20, seed=4)
+        with pytest.raises(InvalidInputError, match="^got 2 moment sets for 3 batches$"):
+            swiss_combine(batches, moments=moments[:2])
+
     def test_insufficient_samples_names_batch(self):
         good = SampleBatch(0, np.random.default_rng(0).standard_normal((50, 3)))
         bad = SampleBatch(7, np.zeros((3, 3)) + np.eye(3))
@@ -286,6 +295,10 @@ class TestDisplacement:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             displacement(np.eye(3), np.zeros((10, 2)))
+
+    def test_points_must_be_a_matrix(self):
+        with pytest.raises(InvalidInputError, match="^points must be 2-D, got ndim=1$"):
+            displacement(np.eye(2), np.zeros(2))
 
     def test_limit_formula_standard_normal(self):
         # D -> d + tr(A A^T) - 2 tr(A) for standard-normal points

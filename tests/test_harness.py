@@ -65,6 +65,10 @@ class TestConfig:
         with pytest.raises(InvalidInputError, match="combiners"):
             _tiny_config(combiners=("swiss", "magic"))
 
+    def test_empty_combiner_list_rejected(self):
+        with pytest.raises(InvalidInputError, match="^need at least one combiner$"):
+            _tiny_config(combiners=[])
+
     def test_repeated_combiner_rejected(self):
         # a repeated name would run twice but leave one entry in the report
         with pytest.raises(InvalidInputError, match="must not repeat"):

@@ -75,6 +75,17 @@ class TestEigh:
         with pytest.raises(InvalidInputError):
             eigh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ((2, 3), r"^matrix must be square, got shape \(2, 3\)$"),
+            ((0, 0), "^matrix must have dimension >= 1$"),
+        ],
+    )
+    def test_rejects_non_square_and_empty(self, shape, message):
+        with pytest.raises(InvalidInputError, match=message):
+            eigh(np.zeros(shape))
+
     def test_lapack_failure_is_decomposition_error(self, monkeypatch):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -243,6 +254,10 @@ class TestTraceOptimality:
 
 
 class TestDrawGaussian:
+    def test_mean_and_covariance_sizes_must_match(self):
+        with pytest.raises(InvalidInputError, match="^mean has length 2 but covariance is 3x3$"):
+            draw_gaussian([0.0, 0.0], np.eye(3), 5, RngStream(1, 0).generator())
+
     def test_moments_converge(self):
         rng = RngStream(31, 0).generator()
         cov = np.array([[2.0, 0.6], [0.6, 1.0]])

@@ -254,6 +254,16 @@ class TestComputeMetrics:
         with pytest.raises(DataError, match="^dimension 0: samples have zero spread$"):
             compute_metrics(approx, reference, which=which)
 
+    def test_mahalanobis_and_skewness_compute_no_bandwidths(self):
+        # each statistic applies the spread rule itself: neither metric sorts
+        # the reference's columns for the IAD's bandwidths
+        rng = np.random.default_rng(24)
+        reference = Reference(rng.standard_normal((500, 3)))
+        approx = rng.standard_normal((400, 3))
+        mahalanobis(approx, reference)
+        skew_deviation(approx, reference)
+        assert "kde_scales" not in vars(reference)
+
     def test_unknown_metric_rejected(self):
         x = np.zeros((10, 1))
         with pytest.raises(InvalidInputError):

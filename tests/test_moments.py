@@ -53,6 +53,13 @@ class TestEstimateMoments:
         np.testing.assert_allclose(mom.cov, np.cov(draws.T, ddof=1), atol=1e-12)
 
 
+class TestMomentsValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mean(self, bad):
+        with pytest.raises(DataError, match="^mean contains non-finite values$"):
+            Moments([0.0, bad], np.eye(2))
+
+
 class TestPoolMoments:
     def test_equal_covariances_average_means(self):
         a = Moments([0.0], [[2.0]])

@@ -10,6 +10,7 @@ The settings profile registered in ``conftest.py`` makes the runs
 deterministic.
 """
 
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from hypothesis import given, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from swissmc import (  # noqa: E402
+    DataError,
     Moments,
     SampleBatch,
     ar_combine,
@@ -287,6 +289,37 @@ class TestPreparedReference:
         backward = [_report_bytes(compute_metrics(a, prepared)) for a in approx_sets[::-1]]
         assert forward == fresh
         assert backward == fresh[::-1]
+
+    @pytest.mark.parametrize("d", [1, 3, 11])
+    @given(flat=st.one_of(st.none(), st.integers(0, 10)), seed=seeds)
+    def test_statistics_do_not_depend_on_read_order(self, d, flat, seed):
+        # Each statistic applies its own spread rule, so every order of
+        # reading gives the same bits, and a column of 300 copies of 0.1
+        # (whose mean rounds) is refused by whichever statistic is read first.
+        rng = np.random.default_rng(seed)
+        draws = rng.standard_normal((300, d)) * rng.uniform(0.1, 10.0, d)
+        if flat is not None:
+            flat %= d
+            draws[:, flat] = 0.1
+        seen = set()
+        for order in itertools.permutations(("kde_scales", "precision", "skewness")):
+            reference = Reference(draws)
+            if flat is not None:
+                with pytest.raises(
+                    DataError, match=f"^dimension {flat}: samples have zero spread$"
+                ):
+                    getattr(reference, order[0])
+                continue
+            for name in order:
+                getattr(reference, name)
+            seen.add(
+                (
+                    repr(reference.kde_scales),
+                    reference.precision.tobytes(),
+                    reference.skewness.tobytes(),
+                )
+            )
+        assert len(seen) == (flat is None)
 
 
 # Every finite float64, with the hard cases drawn often: signed zeros,

@@ -556,3 +556,33 @@ class TestSamplerConfigValidation:
         # sample checks the config against the target, as the CLI and harness do
         with pytest.raises(InvalidInputError, match=message):
             sample(WarpedGaussian(), None, SamplerConfig(**settings))
+
+    def test_prior_draw_needs_an_init_sampler(self):
+        class _NoInitSampler(TargetModel):
+            name = "no-init-sampler"
+            dim = 1
+
+            def log_likelihood(self, theta, data_batch=None):
+                return np.zeros(np.shape(theta)[:-1])
+
+        with pytest.raises(
+            InvalidInputError,
+            match="^init 'prior-draw' needs an init-sampler hook; target 'no-init-sampler' has none$",
+        ):
+            sample(_NoInitSampler(), None, SamplerConfig(n_samples=10))
+
+    def test_initial_point_of_the_wrong_length_names_its_chain(self):
+        class _TwoPointStart(_UnitGaussian):
+            name = "two-point-start"
+
+            def init_sampler(self, rng):
+                return np.zeros(2)
+
+        with pytest.raises(
+            InvalidInputError,
+            match="^batch 3: initial point has length 2, target dimension is 1$",
+        ):
+            sample_all_batches(_TwoPointStart(), [Chain(batch_id=3)], SamplerConfig(n_samples=10))
+
+    def test_no_chains_give_no_batches(self):
+        assert sample_all_batches(WarpedGaussian(), [], SamplerConfig(n_samples=10)) == []

@@ -3,6 +3,7 @@
 import math
 import pickle
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from swissmc import (
     ConvergenceError,
+    DataError,
     Dataset,
     InvalidInputError,
     ParseError,
@@ -224,6 +226,25 @@ class TestLogisticModel:
         with pytest.raises(InvalidInputError):
             logistic_regression_model(np.zeros((5, 1)), np.array([0.0, 1.0, 2.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_features_at_once(self, bad):
+        # refused when the model is built, not after 100 Newton steps of the
+        # ML search, and without a RuntimeWarning on the way
+        x = np.ones((6, 2))
+        x[3, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^features contain non-finite values$"):
+                logistic_regression_model(x, np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0]))
+
+    def test_column_response_is_raveled(self):
+        x = np.column_stack([np.ones(4), [0.0, 1.0, 0.0, 1.0]])
+        y = np.array([0.0, 1.0, 1.0, 0.0])
+        column = logistic_regression_model(x, y[:, None]).data
+        flat = logistic_regression_model(x, y).data
+        for a, b in zip(column, flat):
+            assert np.array_equal(a, b)
+
 
 class TestSufficientStatistics:
     """The collapsed (row, count, success sum) form against the row-wise formulas."""
@@ -433,6 +454,24 @@ class TestRareFeatureData:
         assert np.array_equal(a.y, b.y)
 
 
+class TestDataset:
+    @pytest.mark.parametrize(
+        "x, y, error, message",
+        [
+            (np.zeros(3), None, InvalidInputError,
+             r"^features must be a non-empty \(n, p\) matrix, got \(3,\)$"),
+            (np.zeros((0, 2)), None, InvalidInputError,
+             r"^features must be a non-empty \(n, p\) matrix, got \(0, 2\)$"),
+            ([[1.0], [math.inf]], None, DataError, "^features contain non-finite values$"),
+            (np.zeros((3, 1)), [0.0, 1.0], InvalidInputError,
+             "^response length does not match the feature rows$"),
+        ],
+    )
+    def test_rejects_bad_rows(self, x, y, error, message):
+        with pytest.raises(error, match=message):
+            Dataset(x, y)
+
+
 class TestPartition:
     def test_even_split(self):
         data = Dataset(np.zeros((10, 1)))
@@ -453,6 +492,10 @@ class TestPartition:
         assert np.array_equal(a.assignment, b.assignment)
         c = partition(data, 5, seed=4)
         assert not np.array_equal(a.assignment, c.assignment)
+
+    def test_negative_id_rejected(self):
+        with pytest.raises(InvalidInputError, match="^assignment must be non-empty with ids >= 0$"):
+            Partition(np.array([0, -1, 1]))
 
     @pytest.mark.parametrize("ids", [[0, 2, 2], [0, 1, 10**15]])
     def test_empty_batch_rejected(self, ids):
